@@ -3,115 +3,91 @@
 Convention used everywhere in this package: directed bonds 0..B-1 are the
 edges (u -> v) in edge-list order, and bonds B..2B-1 are their reversals, in
 the same order.  The reversal involution is therefore b -> (b + B) mod 2B.
+
+The wiring of the graph is stated once, by `out_bonds`: row v lists the
+bonds leaving v in increasing head order, so column j is the slot that a
+vertex's j-th smallest neighbour occupies in its vertex matrix.  Incoming
+bonds, successors, neighbour lists and the adjacency matrix derive from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 __all__ = ["BondIndex"]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class BondIndex:
-    """Index of the 2B directed bonds of a simple graph.
+    """Index of the 2B directed bonds of a validated d-regular graph.
 
     tails[b] / heads[b] give the start / end vertex of directed bond b,
     and rev[b] its reversal.  head(b) == tail(rev(b)) by construction.
+    out_bonds is the (n, d) wiring array described in the module docstring.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     tails: np.ndarray = field(repr=False)
     heads: np.ndarray = field(repr=False)
     rev: np.ndarray = field(repr=False)
+    out_bonds: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_edges(cls, n: int, edges) -> "BondIndex":
-        edges = tuple((int(u), int(v)) for u, v in edges)
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-        b = len(edges)
-        tails = np.empty(2 * b, dtype=np.int64)
-        heads = np.empty(2 * b, dtype=np.int64)
-        for i, (u, v) in enumerate(edges):
-            tails[i], heads[i] = u, v
-            tails[i + b], heads[i + b] = v, u
-        rev = (np.arange(2 * b) + b) % (2 * b)
-        tails.setflags(write=False)
-        heads.setflags(write=False)
-        rev.setflags(write=False)
-        return cls(n=n, edges=edges, tails=tails, heads=heads, rev=rev)
+    def from_graph(cls, g: Graph) -> "BondIndex":
+        """Bond index of a Graph, whose validation (range, loops, repeats,
+        regularity) makes every row of out_bonds exactly d long."""
+        uv = np.array(g.edges, dtype=np.int64).reshape(g.B, 2)
+        tails = np.concatenate([uv[:, 0], uv[:, 1]])
+        heads = np.concatenate([uv[:, 1], uv[:, 0]])
+        two_b = 2 * g.B
+        rev = (np.arange(two_b) + g.B) % two_b
+        out_bonds = np.lexsort((heads, tails)).reshape(g.n, g.d)
+        return cls(
+            n=g.n,
+            tails=_frozen(tails),
+            heads=_frozen(heads),
+            rev=_frozen(rev),
+            out_bonds=_frozen(out_bonds),
+        )
 
     @property
     def B(self) -> int:
-        return len(self.edges)
+        return len(self.tails) // 2
 
     @property
     def num_directed(self) -> int:
-        return 2 * len(self.edges)
-
-    def edge_of(self, b: int) -> int:
-        """Index of the underlying undirected edge of directed bond b."""
-        return b % self.B
+        return len(self.tails)
 
     @cached_property
-    def out_bonds(self) -> tuple[tuple[int, ...], ...]:
-        """Directed bonds leaving each vertex, sorted by head vertex id."""
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for b in range(self.num_directed):
-            buckets[self.tails[b]].append(b)
-        return tuple(tuple(sorted(bk, key=lambda b: int(self.heads[b]))) for bk in buckets)
+    def in_bonds(self) -> np.ndarray:
+        """Directed bonds entering each vertex, sorted by tail vertex id:
+        the reversals of the outgoing bonds, slot for slot."""
+        return _frozen(self.rev[self.out_bonds])
 
     @cached_property
-    def in_bonds(self) -> tuple[tuple[int, ...], ...]:
-        """Directed bonds entering each vertex, sorted by tail vertex id."""
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
-        for b in range(self.num_directed):
-            buckets[self.heads[b]].append(b)
-        return tuple(tuple(sorted(bk, key=lambda b: int(self.tails[b]))) for bk in buckets)
-
-    @cached_property
-    def slot(self) -> np.ndarray:
-        """slot[b] = position of bond b's underlying edge among the edges
-        incident to head(b), with incident edges ordered by neighbour id.
-
-        This is the row/column slot the bond occupies in the scattering
-        matrix of the vertex it feeds into.  The same edge seen from the
-        other endpoint occupies slot_out[rev(b)].
-        """
-        s = np.empty(self.num_directed, dtype=np.int64)
-        for v in range(self.n):
-            for j, b in enumerate(self.in_bonds[v]):
-                s[b] = j
-        s.setflags(write=False)
-        return s
-
-    @cached_property
-    def slot_out(self) -> np.ndarray:
-        """slot_out[c] = position of bond c's edge among the edges incident
-        to tail(c), ordered by neighbour id (the outgoing-side slot)."""
-        s = np.empty(self.num_directed, dtype=np.int64)
-        for v in range(self.n):
-            for j, c in enumerate(self.out_bonds[v]):
-                s[c] = j
-        s.setflags(write=False)
-        return s
+    def adjacency(self) -> np.ndarray:
+        """The n x n connectivity matrix (0/1 integers)."""
+        c = np.zeros((self.n, self.n), dtype=np.int64)
+        c[self.tails, self.heads] = 1
+        return _frozen(c)
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Non-backtracking successors: bonds c with tail(c) = head(b), c != rev(b)."""
-        out = self.out_bonds
-        succ = []
-        for b in range(self.num_directed):
-            r = int(self.rev[b])
-            succ.append(tuple(c for c in out[self.heads[b]] if c != r))
-        return tuple(succ)
+        """Non-backtracking successors: bonds c with tail(c) = head(b), c != rev(b),
+        in slot order."""
+        cand = self.out_bonds[self.heads]
+        keep = cand != self.rev[:, None]
+        rows = cand[keep].reshape(self.num_directed, -1)
+        return tuple(map(tuple, rows.tolist()))

@@ -3,8 +3,8 @@
 Subcommands: graph gen/info/census, scatter dump, variance, walk
 decay/singular, experiment.  Outputs are CSV/JSON (plus optional SVG line
 plots) and carry the digest of a run manifest, written alongside as
-<output>.manifest.json.  Exit codes: 0 success, 2 parse, 3 validation,
-4 numerical.
+<output>.manifest.json.  Exit codes: 0 success, 2 parse or unreadable
+path, 3 validation, 4 numerical.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .fileio import (
     save_matrix_csv,
     write_csv_atomic,
     write_json_atomic,
-    write_text_atomic,
 )
 from .graphs import Graph, generate_random_regular, is_ramanujan, spectral_report
 from .manifest import RunManifest
@@ -65,6 +64,17 @@ def _observable_for(name: str, g: Graph, kappa: float):
 
 def _write_manifest(out_path: str, manifest: RunManifest) -> None:
     write_json_atomic(Path(str(out_path) + ".manifest.json"), manifest.to_json_dict())
+
+
+def _emit_json(out: str | None, payload: dict, manifest: RunManifest) -> None:
+    """Write payload (with the manifest digest) and the manifest to `out`,
+    or print the payload when no output path is given."""
+    payload = {**payload, "manifest": manifest.digest}
+    if out:
+        write_json_atomic(out, payload)
+        _write_manifest(out, manifest)
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _cmd_graph_gen(args) -> int:
@@ -96,14 +106,8 @@ def _cmd_graph_info(args) -> int:
         "is_bipartite": report.is_bipartite,
         "girth": report.girth if report.girth is not None else "acyclic",
         "ramanujan": ramanujan,
-        "manifest": manifest.digest,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        write_text_atomic(args.out, text + "\n")
-        _write_manifest(args.out, manifest)
-    else:
-        print(text)
+    _emit_json(args.out, payload, manifest)
     return 0
 
 
@@ -115,13 +119,7 @@ def _cmd_graph_census(args) -> int:
         {"graph": str(args.graph), "t": args.t},
         inputs={"graph": args.graph},
     )
-    payload = report.to_json_dict()
-    if args.out:
-        write_json_atomic(args.out, payload, manifest_digest=manifest.digest)
-        _write_manifest(args.out, manifest)
-    else:
-        payload["manifest"] = manifest.digest
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(args.out, report.to_json_dict(), manifest)
     return 0
 
 
@@ -161,13 +159,7 @@ def _cmd_variance(args) -> int:
         seeds=[args.length_seed] if not args.lengths else [],
         inputs={"graph": args.graph},
     )
-    payload = est.to_json_dict()
-    if args.out:
-        write_json_atomic(args.out, payload, manifest_digest=manifest.digest)
-        _write_manifest(args.out, manifest)
-    else:
-        payload["manifest"] = manifest.digest
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(args.out, est.to_json_dict(), manifest)
     return 0
 
 
@@ -386,9 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _fail(exc, 2)
-    except FileNotFoundError as exc:
+    except (ParseError, OSError) as exc:
         return _fail(exc, 2)
     except ValidationError as exc:
         return _fail(exc, 3)

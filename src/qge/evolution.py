@@ -9,7 +9,8 @@ matrices, and the Fejer window machinery.
 Orientation convention: S_{bc} is nonzero exactly when directed bond b feeds
 into the vertex that bond c leaves, and then equals the vertex-matrix
 amplitude from the incoming slot of b to the outgoing slot of c (incident
-edges at a vertex are slotted in sorted-neighbour order).
+edges at a vertex are slotted in sorted-neighbour order, as fixed by
+BondIndex.out_bonds).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._parallel import ordered_map
 from .bonds import BondIndex
 from .errors import (
     AssemblyError,
@@ -73,8 +73,8 @@ class MetricGraph:
             raise ValidationError(
                 f"need {self.graph.B} bond lengths, got shape {lengths.shape}"
             )
-        if not np.all(lengths > 0):
-            raise ValidationError("all bond lengths must be positive")
+        if not np.all(np.isfinite(lengths) & (lengths > 0)):
+            raise ValidationError("all bond lengths must be finite and positive")
         object.__setattr__(self, "lengths", lengths)
         lengths.setflags(write=False)
 
@@ -108,6 +108,22 @@ class Assembly:
         return bool(np.all(self.S[idx, self.bond_index.rev] == 0.0))
 
 
+def _unitarity_deviation(bi: BondIndex, entries: np.ndarray) -> float:
+    """max |S S^* - I| of the S wired from the (n, d, d) vertex matrices.
+
+    When out_bonds and in_bonds are permutations of the bonds, S is a
+    block-diagonal matrix of transposed vertex matrices with rows and
+    columns permuted, so its deviation is the worst per-vertex one,
+    max_v |sigma_v^H sigma_v - I|.  A broken wiring reads as infinite.
+    """
+    bonds = np.arange(bi.num_directed)
+    for wiring in (bi.out_bonds, bi.in_bonds):
+        if not np.array_equal(np.sort(wiring, axis=None), bonds):
+            return math.inf
+    gram = np.einsum("vji,vjk->vik", entries.conj(), entries)
+    return float(np.max(np.abs(gram - np.eye(entries.shape[1]))))
+
+
 def build_assembly(mg: MetricGraph | Graph, rule) -> Assembly:
     """Assemble S from a per-vertex scattering rule.
 
@@ -126,17 +142,13 @@ def build_assembly(mg: MetricGraph | Graph, rule) -> Assembly:
         if sig.d != g.d:
             raise AssemblyError(f"vertex {v}: matrix size {sig.d} != degree {g.d}")
 
+    entries = np.stack([sig.entries for sig in sigmas])
     two_b = bi.num_directed
     s = np.zeros((two_b, two_b), dtype=np.complex128)
-    for v in range(g.n):
-        ins = bi.in_bonds[v]
-        outs = bi.out_bonds[v]
-        sig = sigmas[v].entries
-        for i, b in enumerate(ins):
-            for j, c in enumerate(outs):
-                s[b, c] = sig[j, i]
+    # S[in_bonds[v, i], out_bonds[v, j]] = sigma_v[j, i]
+    s[bi.in_bonds[:, :, None], bi.out_bonds[:, None, :]] = entries.transpose(0, 2, 1)
 
-    dev = float(np.max(np.abs(s @ s.conj().T - np.eye(two_b))))
+    dev = _unitarity_deviation(bi, entries)
     if dev >= S_UNITARITY_TOL:
         raise NumericalError(f"assembled S not unitary (deviation {dev:.3e})")
     return Assembly(bond_index=bi, S=s, vertex_rule=tuple(sig.kind for sig in sigmas))
@@ -338,7 +350,7 @@ def variance_estimate(
         elements = np.einsum("bj,b->j", np.abs(q) ** 2, f.f)
         return float(np.sum(np.abs(elements - mean_element) ** 2)) / two_b
 
-    values = np.array(ordered_map(per_k, ks))
+    values = np.array([per_k(k) for k in ks])
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return VarianceEstimate(
@@ -379,13 +391,9 @@ def m_tilde(
     two_b = a.bond_index.num_directed
     ks = _sample_grid(k_max, samples)
 
-    def per_k(k: float) -> np.ndarray:
-        ut = np.linalg.matrix_power(evolution(a, mg, k), t)
-        return np.abs(ut) ** 2
-
     acc = np.zeros((two_b, two_b))
-    for w in ordered_map(per_k, ks):
-        acc += w
+    for k in ks:
+        acc += np.abs(np.linalg.matrix_power(evolution(a, mg, k), t)) ** 2
     acc /= samples
     worst = max(
         float(np.max(np.abs(acc.sum(axis=0) - 1.0))),

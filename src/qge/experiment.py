@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .bounds import BoundInputs, choose_horizon, explicit_variance_bound
 from .census import cycle_bond_census
-from .errors import ParseError, QgeError, WalkBoundUnavailableError
+from .errors import ParseError, QgeError, ValidationError, WalkBoundUnavailableError
 from .evolution import (
     MetricGraph,
     build_assembly,
@@ -57,7 +57,11 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the key=value config format (keys: d, n_list, seeds, K, samples,
-    kappa, output; lists comma-separated)."""
+    kappa, output; lists comma-separated).
+
+    Values a sweep cannot run with (d < 3, n <= d, samples < 1, K or kappa
+    not positive) raise ValidationError before any row is computed.
+    """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -82,6 +86,14 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ParseError(f"config value malformed: {exc}") from exc
     if not n_list or not seeds:
         raise ParseError("n_list and seeds must be non-empty")
+    if d < 3:
+        raise ValidationError(f"config d={d} must be >= 3")
+    if any(n <= d for n in n_list):
+        raise ValidationError(f"every n in n_list must exceed d={d}")
+    if samples < 1:
+        raise ValidationError(f"config samples={samples} must be >= 1")
+    if not (k_window > 0 and kappa > 0):
+        raise ValidationError(f"config K={k_window} and kappa={kappa} must be positive")
     return ExperimentConfig(
         d=d,
         n_list=n_list,

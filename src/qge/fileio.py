@@ -2,8 +2,8 @@
 
 Formats:
 * graph file: header "n d", then B lines "u v" (0-based vertex ids);
-* lengths file: B lines, one positive decimal per line, edge order of the
-  graph file;
+* lengths file: B lines, one finite positive decimal per line, edge order
+  of the graph file;
 * observable file: 2B lines "re im", directed-bond order (edges first, then
   their reversals);
 * matrix dump: CSV "re,im", row-major, one entry per line.
@@ -27,6 +27,7 @@ from .evolution import Observable
 from .graphs import Graph, export_graph, import_graph
 
 __all__ = [
+    "content_lines",
     "write_text_atomic",
     "write_json_atomic",
     "write_csv_atomic",
@@ -39,6 +40,12 @@ __all__ = [
     "save_matrix_csv",
     "format_value",
 ]
+
+
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of a line-based format, without blank and "#" lines."""
+    lines = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -94,8 +101,7 @@ def save_graph(path: str | Path, g: Graph) -> None:
 
 
 def load_lengths(path: str | Path, b: int) -> np.ndarray:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(Path(path).read_text())
     if len(lines) != b:
         raise ValidationError(f"lengths file has {len(lines)} entries, expected {b}")
     try:
@@ -114,8 +120,7 @@ def _reim(x: complex) -> tuple[float, float]:
 
 
 def load_observable(path: str | Path, two_b: int) -> Observable:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(Path(path).read_text())
     if len(lines) != two_b:
         raise ValidationError(f"observable file has {len(lines)} entries, expected {two_b}")
     values = []

@@ -70,26 +70,19 @@ class Graph:
     def B(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @property
     def adjacency(self) -> np.ndarray:
-        c = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            c[u, v] = 1
-            c[v, u] = 1
-        c.setflags(write=False)
-        return c
+        return self.bond_index.adjacency
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        nbr: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbr)
+        """Neighbours of each vertex in increasing order (the slot order)."""
+        bi = self.bond_index
+        return tuple(map(tuple, bi.heads[bi.out_bonds].tolist()))
 
     @cached_property
     def bond_index(self) -> BondIndex:
-        return BondIndex.from_edges(self.n, self.edges)
+        return BondIndex.from_graph(self)
 
 
 @dataclass(frozen=True)
@@ -146,8 +139,9 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_0
 
 def import_graph(text: str) -> Graph:
     """Parse the plain-text edge-list format: header "n d", then B lines "u v"."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    from .fileio import content_lines  # fileio imports this module
+
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty graph file")
     head = lines[0].split()

@@ -175,6 +175,35 @@ class TestExitCodes:
         assert run("graph", "census", str(k5_file), "--t", "1", "--out", str(out)) == 3
         assert not out.exists()
 
+    def test_directory_path_is_2(self, tmp_path, capsys):
+        assert run("graph", "info", str(tmp_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "IsADirectoryError"
+
+    def test_infinite_length_is_3(self, k5_file, tmp_path, capsys):
+        lengths = tmp_path / "lengths.txt"
+        lengths.write_text("inf\n" + "1.5\n" * 9)
+        out = tmp_path / "var.json"
+        code = run(
+            "variance", "--graph", str(k5_file), "--lengths", str(lengths),
+            "--K", "20", "--samples", "5", "--out", str(out),
+        )
+        assert code == 3
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "bad", ["samples=0", "K=0", "kappa=-1", "d=2\nn_list=10", "n_list=10,4"]
+    )
+    def test_invalid_config_is_3(self, tmp_path, bad):
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "sweep.csv"
+        # later keys override earlier ones
+        cfg.write_text(f"d=4\nn_list=10\nseeds=1\nK=10\nsamples=5\n{bad}\noutput={out}\n")
+        assert run("experiment", "--config", str(cfg)) == 3
+        assert not out.exists()
+
     def test_error_json_on_stderr(self, tmp_path, capsys):
         assert run("graph", "info", str(tmp_path / "nope.txt")) == 2
         err = json.loads(capsys.readouterr().err)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -7,9 +9,11 @@ import qge
 from qge import (
     AssemblyError,
     MetricGraph,
+    NumericalError,
     Observable,
     ParameterError,
     ValidationError,
+    VertexScattering,
     build_assembly,
     classical_map,
     constant_observable,
@@ -29,7 +33,9 @@ from qge import (
     variance_estimate,
 )
 
-from conftest import cage46, k5
+from qge.evolution import _unitarity_deviation
+
+from conftest import cage46, k5, petersen
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +92,95 @@ class TestAssembly:
     def test_rule_length_mismatch(self):
         with pytest.raises(AssemblyError):
             build_assembly(k5(), [kirchhoff_sigma(4)] * 4)
+
+
+def oracle_s(g, sigmas) -> np.ndarray:
+    """S straight from the documented convention: bonds are the edges then
+    their reversals, a vertex's incident edges take slots in sorted-neighbour
+    order, and S[b, c] = sigma_v[slot_out(c), slot_in(b)] where b enters and
+    c leaves v."""
+    bonds = list(g.edges) + [(v, u) for u, v in g.edges]
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    nbrs = [sorted(x) for x in nbrs]
+    leaving = [[] for _ in range(g.n)]
+    for c, (u, _) in enumerate(bonds):
+        leaving[u].append(c)
+    s = np.zeros((len(bonds), len(bonds)), dtype=np.complex128)
+    for b, (x, v) in enumerate(bonds):
+        slot_in = nbrs[v].index(x)
+        for c in leaving[v]:
+            slot_out = nbrs[v].index(bonds[c][1])
+            s[b, c] = sigmas[v].entries[slot_out, slot_in]
+    return s
+
+
+def _random_unitary(d, seed):
+    entries = unitary_group.rvs(d, random_state=np.random.default_rng(seed))
+    return VertexScattering(kind="random", entries=entries)
+
+
+def _wiring_cases():
+    """(graph, rule) pairs: a shared vertex matrix or one per vertex."""
+    et, kh = equi_transmitting_sigma(4), kirchhoff_sigma(4)
+    cases = [
+        pytest.param(k5(), et, id="k5-et"),
+        pytest.param(k5(), kh, id="k5-kirchhoff"),
+        pytest.param(petersen(), kirchhoff_sigma(3), id="petersen-kirchhoff"),
+        pytest.param(cage46(), et, id="cage46-et"),
+        pytest.param(cage46(), kh, id="cage46-kirchhoff"),
+    ]
+    for n, seed in ((10, 1), (20, 2), (40, 3), (80, 4)):
+        g = generate_random_regular(n, 4, seed=seed)
+        cases.append(pytest.param(g, et, id=f"random{n}-et"))
+    g = generate_random_regular(30, 4, seed=5)
+    cases.append(pytest.param(g, [(et, kh)[v % 2] for v in range(g.n)], id="random30-mixed"))
+    g = generate_random_regular(24, 3, seed=6)
+    cases.append(
+        pytest.param(g, [_random_unitary(3, v) for v in range(g.n)], id="random24-unitary")
+    )
+    return cases
+
+
+WIRING_CASES = _wiring_cases()
+
+
+def _per_vertex(g, rule):
+    return [rule] * g.n if isinstance(rule, VertexScattering) else rule
+
+
+class TestAssemblyWiring:
+    @pytest.mark.parametrize("g,rule", WIRING_CASES)
+    def test_matches_oracle(self, g, rule):
+        a = build_assembly(g, rule)
+        assert np.array_equal(a.S, oracle_s(g, _per_vertex(g, rule)))
+
+    @pytest.mark.parametrize("g,rule", WIRING_CASES)
+    def test_structural_deviation_matches_dense(self, g, rule):
+        s = build_assembly(g, rule).S
+        dense = float(np.max(np.abs(s @ s.conj().T - np.eye(s.shape[0]))))
+        entries = np.stack([sig.entries for sig in _per_vertex(g, rule)])
+        assert abs(_unitarity_deviation(g.bond_index, entries) - dense) <= 1e-14
+
+    def test_non_unitary_sigma_raises(self):
+        bad = object.__new__(VertexScattering)  # bypasses the vertex-level check
+        object.__setattr__(bad, "kind", "bad")
+        object.__setattr__(bad, "entries", 1.001 * equi_transmitting_sigma(4).entries)
+        rule = [equi_transmitting_sigma(4)] * 4 + [bad]
+        with pytest.raises(NumericalError):
+            build_assembly(k5(), rule)
+
+    @pytest.mark.parametrize("field", ["out_bonds", "rev"])
+    def test_broken_wiring_raises(self, field):
+        g = k5()
+        bi = g.bond_index
+        broken = getattr(bi, field).copy()
+        broken.flat[0] = broken.flat[1]  # one bond wired twice, another never
+        g.__dict__["bond_index"] = dataclasses.replace(bi, **{field: broken})
+        with pytest.raises(NumericalError):
+            build_assembly(g, equi_transmitting_sigma(4))
 
 
 class TestEvolution:

@@ -11,8 +11,6 @@ from qge.fileio import (
     write_csv_atomic,
 )
 
-from conftest import k5
-
 
 class TestLengthsFile:
     def test_round_trip(self, tmp_path):
@@ -70,22 +68,3 @@ class TestCsvWriter:
         path = tmp_path / "out.csv"
         write_csv_atomic(path, ["x"], [[np.float64(0.25)], [np.int64(7)]])
         assert path.read_text().splitlines()[1:] == ["0.25", "7"]
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    g = k5()
-    mg = qge.MetricGraph(graph=g, lengths=qge.draw_lengths(g.B, seed=5))
-    a = qge.build_assembly(mg, qge.equi_transmitting_sigma(4))
-    f = qge.parity_observable(g.bond_index)
-
-    monkeypatch.delenv("QGE_THREADS", raising=False)
-    e1 = qge.variance_estimate(a, mg, f, 30.0, 24)
-    m1 = qge.m_tilde(a, mg, 3, 30.0, 24)
-
-    monkeypatch.setenv("QGE_THREADS", "4")
-    e4 = qge.variance_estimate(a, mg, f, 30.0, 24)
-    m4 = qge.m_tilde(a, mg, 3, 30.0, 24)
-
-    assert e1.estimate == e4.estimate
-    assert e1.stderr == e4.stderr
-    assert np.array_equal(m1, m4)

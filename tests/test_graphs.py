@@ -220,8 +220,17 @@ def test_bond_index_involution():
         assert bi.heads[b] == bi.tails[bi.rev[b]]
 
 
-def test_bond_index_slots_consistent():
-    bi = k5().bond_index
-    # the incoming slot of b at head(b) equals the outgoing slot of rev(b)
-    for b in range(bi.num_directed):
-        assert bi.slot[b] == bi.slot_out[bi.rev[b]]
+@pytest.mark.parametrize("make", [k5, petersen, cage46], ids=lambda f: f.__name__)
+def test_bond_index_in_bonds_reverse_out_bonds(make):
+    g = make()
+    bi = g.bond_index
+    for v in range(g.n):
+        # out_bonds: bonds leaving v by increasing head; in_bonds: bonds
+        # entering v by increasing tail, found here by a plain scan
+        bonds = range(bi.num_directed)
+        leaving = sorted((int(bi.heads[b]), b) for b in bonds if bi.tails[b] == v)
+        entering = sorted((int(bi.tails[b]), b) for b in bonds if bi.heads[b] == v)
+        assert bi.out_bonds[v].tolist() == [b for _, b in leaving]
+        assert bi.in_bonds[v].tolist() == [b for _, b in entering]
+        assert g.neighbors[v] == tuple(w for w, _ in leaving)
+    assert np.array_equal(bi.in_bonds, bi.rev[bi.out_bonds])

@@ -312,6 +312,17 @@ class TestDecayProfile:
         assert all(r.bound_kind == "none" for r in rows)
         assert all(np.isnan(r.bound) for r in rows)
 
+    def test_norms_match_complex_route(self):
+        g, m, basis = random_walk_setup(40, 7)
+        rng = np.random.default_rng(40)
+        raw = rng.normal(size=2 * g.B) + 1j * rng.normal(size=2 * g.B)
+        f = Observable.from_vector(raw - np.mean(raw))
+        rows = decay_profile(m, f, 30, spectral_report(g).beta, basis)
+        x = f.f
+        for r in rows:
+            x = m @ x
+            assert r.norm == pytest.approx(float(np.linalg.norm(x)), rel=1e-12)
+
     def test_rejects_non_traceless(self, k5_walk):
         g, m, basis = k5_walk
         f = Observable.from_vector(np.ones(20))
