@@ -4,7 +4,7 @@ Subcommands: graph gen/info/census, scatter dump, variance, walk
 decay/singular, experiment.  Outputs are CSV/JSON (plus optional SVG line
 plots) and carry the digest of a run manifest, written alongside as
 <output>.manifest.json.  Exit codes: 0 success, 2 parse or unreadable
-path, 3 validation, 4 numerical.
+path, 3 validation, 4 numerical (including a LAPACK failure).
 """
 
 from __future__ import annotations
@@ -382,7 +382,7 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except ValidationError as exc:
         return _fail(exc, 3)
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         return _fail(exc, 4)
     except QgeError as exc:
         return _fail(exc, 3)

@@ -16,6 +16,7 @@ BondIndex.out_bonds).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,10 @@ __all__ = [
 S_UNITARITY_TOL = 1e-10
 EIGENBASIS_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-10
+# Cayley shifts alpha of eigenbasis, tried in order: two generic angles
+# 1.6 rad apart, so a U(k) with an eigenvalue near -e^{-i alpha} for one
+# of them is well conditioned for the other.
+_CAYLEY_SHIFTS = (0.7, 2.3)
 
 
 @dataclass(frozen=True)
@@ -160,28 +165,68 @@ def evolution(a: Assembly, mg: MetricGraph, k: float) -> np.ndarray:
     return phases[:, None] * a.S
 
 
+def _cayley_eigh(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases and eigenvectors of the unitary u through the Cayley
+    transform with shift alpha (see eigenbasis).
+
+    The transposed system (I + V)^T H^T = i (I - V)^T is solved, so the
+    column-major LAPACK routines work on u's row-major buffer without a
+    layout copy.  Raises LinAlgError when I + V is exactly singular.
+    """
+    diag = np.diag_indices(u.shape[0])
+    a = np.multiply(u.T, np.exp(1j * alpha))  # V^T
+    b = np.multiply(a, -1j)
+    a[diag] += 1.0  # (I + V)^T
+    b[diag] += 1j  # i (I - V)^T
+    with warnings.catch_warnings():
+        # an ill-conditioned I + V is judged by the residual gate instead
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        ht = scipy.linalg.solve(a, b, overwrite_a=True, overwrite_b=True)
+    del a
+    # 2 (H + H^H)/2, stored transposed: dropping the rounding-level
+    # anti-Hermitian part of the computed H keeps the eigenvectors accurate
+    h2 = ht.T.conj()
+    h2 += ht
+    del ht, b
+    w2, q = scipy.linalg.eigh(h2.T, overwrite_a=True, driver="evd")
+    theta = ((2.0 * np.arctan(0.5 * w2) - alpha) / (2.0 * np.pi)) % 1.0
+    return theta, q
+
+
 def eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases theta_j in [0, 1) and an orthonormal eigenvector basis.
 
-    U phi_j = e^{2 pi i theta_j} phi_j.  Computed through a complex Schur
-    decomposition, which hands back an exactly orthonormal basis; for the
-    (normal) unitary input the Schur form is diagonal to rounding error.
+    U phi_j = e^{2 pi i theta_j} phi_j.  Computed as the Hermitian
+    eigenproblem (LAPACK zheevd) of the Cayley transform
+    H = i (I - V)(I + V)^{-1} of V = e^{i alpha} U, whose eigenvalues
+    tan((phi_j + alpha)/2) give the eigenphases back and whose orthonormal
+    eigenvectors are those of U.  The shift alpha is the first entry of
+    _CAYLEY_SHIFTS; when I + V is singular or the column residual
+    |U phi_j - e^{2 pi i theta_j} phi_j| reaches EIGENBASIS_TOL, the second
+    shift is tried, and NumericalError is raised if that fails as well.
     Degenerate eigenphases get an arbitrary orthonormal basis of their
-    eigenspace.
+    eigenspace.  The eigenphases are not sorted.
     """
     u = np.asarray(u, dtype=np.complex128)
     n = u.shape[0]
     dev = float(np.max(np.abs(u @ u.conj().T - np.eye(n))))
     if dev >= EIGENBASIS_TOL:
         raise ValidationError(f"eigenbasis requires a unitary matrix (deviation {dev:.3e})")
-    t, q = scipy.linalg.schur(u, output="complex")
-    theta = (np.angle(np.diag(t)) / (2.0 * np.pi)) % 1.0
-    lam = np.exp(2j * np.pi * theta)
-    residual = u @ q - q * lam[None, :]
-    worst = float(np.max(np.linalg.norm(residual, axis=0)))
-    if worst >= EIGENBASIS_TOL:
-        raise NumericalError(f"eigenbasis residual {worst:.3e} exceeds {EIGENBASIS_TOL}")
-    return theta, q
+    failures = []
+    for alpha in _CAYLEY_SHIFTS:
+        try:
+            theta, q = _cayley_eigh(u, alpha)
+        except np.linalg.LinAlgError as exc:
+            failures.append(f"alpha={alpha}: {exc}")
+            continue
+        residual = u @ q - q * np.exp(2j * np.pi * theta)[None, :]
+        worst = float(np.max(np.linalg.norm(residual, axis=0)))
+        if worst < EIGENBASIS_TOL:
+            return theta, q
+        failures.append(f"alpha={alpha}: residual {worst:.3e}")
+    raise NumericalError(
+        f"eigenbasis failed at every Cayley shift (tolerance {EIGENBASIS_TOL}): {'; '.join(failures)}"
+    )
 
 
 def _nearest_signed_phase(a: Assembly, mg: MetricGraph, k: float) -> float:
@@ -256,6 +301,8 @@ class Observable:
         f = np.asarray(values, dtype=np.complex128).copy()
         if f.ndim != 1:
             raise ValidationError("observable must be a vector")
+        if not np.all(np.isfinite(f)):
+            raise ValidationError("observable entries must be finite")
         sup = float(np.max(np.abs(f))) if f.size else 0.0
         if kappa is None:
             kappa = sup
@@ -307,7 +354,7 @@ class VarianceEstimate:
             "K": self.K,
             "samples": self.samples,
             "estimate": self.estimate,
-            "stderr": self.stderr,
+            "stderr": None if math.isnan(self.stderr) else self.stderr,
         }
 
 
@@ -326,7 +373,8 @@ def variance_estimate(
     Default sampler is the equispaced midpoint grid on [0, k_max];
     sampler="mc" draws the k values uniformly instead (seeded).  The
     standard error is the sample standard deviation of the per-k statistic
-    divided by sqrt(samples).
+    divided by sqrt(samples); it is undefined (NaN, null in the JSON form)
+    for a single sample.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -352,7 +400,7 @@ def variance_estimate(
 
     values = np.array([per_k(k) for k in ks])
     estimate = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else math.nan
     return VarianceEstimate(
         estimate=estimate, stderr=stderr, B=a.bond_index.B, K=float(k_max), samples=samples
     )

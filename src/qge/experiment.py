@@ -122,11 +122,14 @@ class ExperimentRow:
     bound_terms: dict = field(default_factory=dict)
 
     def csv_values(self) -> list:
+        """The row in EXPERIMENT_COLUMNS order; a failed row, which never
+        measured its graph, leaves the girth cell empty."""
+        girth = self.girth if self.girth is not None else "acyclic"
         return [
             self.n,
             self.B,
             self.beta,
-            self.girth if self.girth is not None else "acyclic",
+            girth if self.status == "ok" else "",
             self.census_2t,
             self.T,
             self.variance,

@@ -96,6 +96,21 @@ class TestVarianceCommand:
         )
         assert code == 0
 
+    def test_single_sample_stderr_is_null(self, k5_file, tmp_path):
+        out = tmp_path / "var.json"
+        code = run(
+            "variance", "--graph", str(k5_file), "--K", "20", "--samples", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["stderr"] is None
+        assert payload["estimate"] >= 0.0
+
 
 class TestWalkCommands:
     def test_decay_bound_dominates(self, tmp_path):
@@ -203,6 +218,33 @@ class TestExitCodes:
         cfg.write_text(f"d=4\nn_list=10\nseeds=1\nK=10\nsamples=5\n{bad}\noutput={out}\n")
         assert run("experiment", "--config", str(cfg)) == 3
         assert not out.exists()
+
+    def test_non_finite_observable_is_3(self, k5_file, tmp_path, capsys):
+        obs = tmp_path / "obs.txt"
+        obs.write_text("nan 0\n" + "1.0 0.0\n" * 19)
+        out = tmp_path / "var.json"
+        code = run(
+            "variance", "--graph", str(k5_file), "--K", "20", "--samples", "5",
+            "--obs", str(obs), "--out", str(out),
+        )
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ValidationError"
+
+    def test_linalg_error_is_4(self, k5_file, monkeypatch, capsys):
+        def fail(args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(qge.cli, "_cmd_graph_info", fail)
+        assert run("graph", "info", str(k5_file)) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "LinAlgError",
+            "message": "Eigenvalues did not converge",
+        }
 
     def test_error_json_on_stderr(self, tmp_path, capsys):
         assert run("graph", "info", str(tmp_path / "nope.txt")) == 2

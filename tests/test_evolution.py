@@ -1,8 +1,10 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from scipy.stats import unitary_group
 
 import qge
@@ -33,9 +35,11 @@ from qge import (
     variance_estimate,
 )
 
-from qge.evolution import _unitarity_deviation
+from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, _unitarity_deviation
 
 from conftest import cage46, k5, petersen
+
+evolution_module = importlib.import_module("qge.evolution")  # qge.evolution is also a function
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +139,7 @@ def _wiring_cases():
     for n, seed in ((10, 1), (20, 2), (40, 3), (80, 4)):
         g = generate_random_regular(n, 4, seed=seed)
         cases.append(pytest.param(g, et, id=f"random{n}-et"))
+        cases.append(pytest.param(g, kh, id=f"random{n}-kirchhoff"))
     g = generate_random_regular(30, 4, seed=5)
     cases.append(pytest.param(g, [(et, kh)[v % 2] for v in range(g.n)], id="random30-mixed"))
     g = generate_random_regular(24, 3, seed=6)
@@ -227,6 +232,96 @@ class TestEigenbasis:
             eigenbasis(2.0 * np.eye(4, dtype=complex))
 
 
+def schur_eigenbasis(u):
+    """Reference route: the complex Schur form of a unitary matrix is
+    diagonal to rounding, and its Schur vectors are an eigenbasis."""
+    t, q = scipy.linalg.schur(u, output="complex")
+    return (np.angle(np.diag(t)) / (2.0 * np.pi)) % 1.0, q
+
+
+def phase_distance(theta, reference):
+    """Largest difference of the sorted eigenphases, cut open on the circle
+    in the middle of the widest gap of the reference phases."""
+    ref = np.sort(reference)
+    gaps = np.diff(np.append(ref, ref[0] + 1.0))
+    cut = ref[np.argmax(gaps)] + 0.5 * np.max(gaps)
+    return float(np.max(np.abs(np.sort((theta - cut) % 1.0) - np.sort((reference - cut) % 1.0))))
+
+
+def max_residual(u, theta, q):
+    return float(np.max(np.linalg.norm(u @ q - q * np.exp(2j * np.pi * theta), axis=0)))
+
+
+class TestCayleyAgainstSchur:
+    """The Cayley/zheevd eigenbasis against the Schur reference route."""
+
+    @pytest.mark.parametrize("g,rule", WIRING_CASES)
+    def test_phases_and_per_k_statistic(self, g, rule, monkeypatch):
+        mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=g.n))
+        a = build_assembly(mg, rule)
+        f = parity_observable(g.bond_index)
+        ks = np.random.default_rng(g.n).uniform(0.0, 200.0, size=3)
+        for k in ks:
+            u = evolution(a, mg, k)
+            theta, q = eigenbasis(u)
+            theta_ref, _ = schur_eigenbasis(u)
+            assert phase_distance(theta, theta_ref) <= 1e-10
+            assert np.max(np.abs(q.conj().T @ q - np.eye(len(q)))) < 1e-12
+        # one midpoint sample on [0, 2k] is the per-k statistic at k
+        values = [variance_estimate(a, mg, f, 2.0 * k, 1).estimate for k in ks]
+        monkeypatch.setattr(evolution_module, "eigenbasis", schur_eigenbasis)
+        reference = [variance_estimate(a, mg, f, 2.0 * k, 1).estimate for k in ks]
+        assert values == pytest.approx(reference, rel=1e-12)
+
+    @staticmethod
+    def _unitary_with_phases(n, eigenvalues, seed):
+        q = unitary_group.rvs(n, random_state=np.random.default_rng(seed))
+        lam = np.exp(2j * np.pi * np.random.default_rng(seed + 1).uniform(size=n))
+        lam[: len(eigenvalues)] = eigenvalues
+        return (q * lam) @ q.conj().T
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        solve = scipy.linalg.solve
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve", spy)
+        return calls
+
+    def test_singular_first_shift_takes_retry(self, monkeypatch):
+        # I + e^{i alpha_0} U is singular: U has the eigenvalue -e^{-i alpha_0}
+        u = self._unitary_with_phases(16, [-np.exp(-1j * _CAYLEY_SHIFTS[0])], seed=3)
+        calls = self._count_solves(monkeypatch)
+        theta, q = eigenbasis(u)
+        assert len(calls) == 2
+        assert max_residual(u, theta, q) < EIGENBASIS_TOL
+        assert phase_distance(theta, schur_eigenbasis(u)[0]) <= 1e-10
+
+    def test_exact_zero_pivot_takes_retry(self, monkeypatch):
+        # with the shift 0, I + U has an exactly zero pivot and LAPACK
+        # reports the matrix singular instead of returning a solution
+        monkeypatch.setattr(evolution_module, "_CAYLEY_SHIFTS", (0.0, _CAYLEY_SHIFTS[1]))
+        u = np.diag([-1.0, 1j, -1j, 1.0]).astype(complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.solve(np.eye(4) + u, np.eye(4))
+        calls = self._count_solves(monkeypatch)
+        theta, q = eigenbasis(u)
+        assert len(calls) == 2
+        assert max_residual(u, theta, q) < EIGENBASIS_TOL
+        assert phase_distance(theta, np.array([0.5, 0.25, 0.75, 0.0])) <= 1e-12
+
+    def test_singular_at_every_shift_raises(self, monkeypatch):
+        u = self._unitary_with_phases(16, [-np.exp(-1j * a) for a in _CAYLEY_SHIFTS], seed=5)
+        calls = self._count_solves(monkeypatch)
+        with pytest.raises(NumericalError):
+            eigenbasis(u)
+        assert len(calls) == len(_CAYLEY_SHIFTS)
+
+
 class TestSpectrumScan:
     def test_equal_lengths_closed_form(self):
         # all lengths 1: roots are exactly -arg(lambda) mod 2pi over the
@@ -292,6 +387,12 @@ class TestVarianceEstimate:
         g, mg, a = k5_metric
         est = variance_estimate(a, mg, parity_observable(g.bond_index), 10.0, 5)
         assert set(est.to_json_dict()) == {"B", "K", "samples", "estimate", "stderr"}
+
+    def test_single_sample_stderr_undefined(self, k5_metric):
+        g, mg, a = k5_metric
+        est = variance_estimate(a, mg, parity_observable(g.bond_index), 10.0, 1)
+        assert np.isnan(est.stderr)
+        assert est.to_json_dict()["stderr"] is None
 
     def test_parameter_errors(self, k5_metric):
         g, mg, a = k5_metric
@@ -441,6 +542,11 @@ class TestObservable:
     def test_bound_enforced(self):
         with pytest.raises(ValidationError):
             Observable.from_vector([3.0, 0.0], kappa=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            Observable.from_vector([bad, 0.0])
 
     def test_metric_graph_validation(self):
         g = k5()

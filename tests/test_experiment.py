@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qge import ExperimentConfig, ParseError, family_experiment, parse_config
+from qge.experiment import EXPERIMENT_COLUMNS
 
 
 class TestParseConfig:
@@ -73,6 +74,15 @@ class TestFamilyExperiment:
         assert rows[0].status.startswith("error:")
         assert math.isnan(rows[0].variance)
         assert rows[1].status == "ok"
+
+    def test_failed_row_girth_cell_empty(self):
+        # n = d forces a generation failure on that row only
+        cfg = ExperimentConfig(d=4, n_list=(4, 10), seeds=(1,), K=10.0, samples=5)
+        failed, ok = family_experiment(cfg)
+        girth = EXPERIMENT_COLUMNS.index("girth")
+        assert failed.status.startswith("error:")
+        assert failed.csv_values()[girth] == ""
+        assert ok.csv_values()[girth] == ok.girth
 
     def test_deterministic(self):
         cfg = ExperimentConfig(d=4, n_list=(10,), seeds=(3,), K=20.0, samples=10)
