@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,20 +47,41 @@ from .walk import classical_map, decay_profile, singular_profile, vertex_basis
 __all__ = ["main"]
 
 
-def _sigma_for(kind: str, d: int):
-    if kind == "et":
-        return equi_transmitting_sigma(d)
-    if kind == "kirchhoff":
-        return kirchhoff_sigma(d)
-    raise ParseError(f"unknown scattering kind {kind!r} (choose et or kirchhoff)")
+_SIGMAS = {"et": equi_transmitting_sigma, "kirchhoff": kirchhoff_sigma}
+_OBSERVABLES = {"parity": parity_observable, "const": constant_observable}
+# parsed options that route the command or place its output: not parameters
+_ROUTING = {"command", "func", "out", "plot"}
+# parsed options naming a file the command reads
+_INPUT_FILES = ("graph", "config", "lengths", "obs")
 
 
 def _observable_for(name: str, g: Graph, kappa: float):
-    if name == "parity":
-        return parity_observable(g.bond_index, kappa)
-    if name == "const":
-        return constant_observable(g.bond_index, kappa)
+    if name in _OBSERVABLES:
+        return _OBSERVABLES[name](g.bond_index, kappa)
     return load_observable(name, 2 * g.B)
+
+
+def _manifest(args, seeds=(), params: dict | None = None) -> RunManifest:
+    """The run manifest of a parsed command line.
+
+    The command name joins the `command` and `*_command` destinations.  The
+    parameters are all other parsed options except those in _ROUTING, unless
+    `params` replaces them (`experiment` reads its parameters from a file).
+    Every file the command reads is digested: the graph, config and lengths
+    files, and an `--obs` that names no built-in observable.
+    """
+    opts = vars(args)
+    command = " ".join([opts["command"]] + [v for k, v in opts.items() if k.endswith("_command")])
+    if params is None:
+        params = {
+            k: v for k, v in opts.items() if k not in _ROUTING and not k.endswith("_command")
+        }
+    inputs = {
+        k: opts[k]
+        for k in _INPUT_FILES
+        if opts.get(k) and not (k == "obs" and opts[k] in _OBSERVABLES)
+    }
+    return RunManifest.build(command, params, seeds=seeds, inputs=inputs)
 
 
 def _write_manifest(out_path: str, manifest: RunManifest) -> None:
@@ -77,22 +99,21 @@ def _emit_json(out: str | None, payload: dict, manifest: RunManifest) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _emit_csv(out: str, header: list[str], rows: list[list], manifest: RunManifest) -> None:
+    """Write the table (headed by the manifest digest) and the manifest to `out`."""
+    write_csv_atomic(out, header, rows, manifest_digest=manifest.digest)
+    _write_manifest(out, manifest)
+
+
 def _cmd_graph_gen(args) -> int:
-    g = generate_random_regular(args.n, args.d, args.seed)
-    manifest = RunManifest.build(
-        "graph gen", {"n": args.n, "d": args.d, "seed": args.seed}, seeds=[args.seed]
-    )
-    save_graph(args.out, g)
-    _write_manifest(args.out, manifest)
+    save_graph(args.out, generate_random_regular(args.n, args.d, args.seed))
+    _write_manifest(args.out, _manifest(args, seeds=[args.seed]))
     return 0
 
 
 def _cmd_graph_info(args) -> int:
     g = load_graph(args.graph)
     report = spectral_report(g)
-    manifest = RunManifest.build(
-        "graph info", {"graph": str(args.graph)}, inputs={"graph": args.graph}
-    )
     ramanujan = None
     if report.is_connected and not report.is_bipartite:
         ramanujan = is_ramanujan(report)
@@ -107,27 +128,19 @@ def _cmd_graph_info(args) -> int:
         "girth": report.girth if report.girth is not None else "acyclic",
         "ramanujan": ramanujan,
     }
-    _emit_json(args.out, payload, manifest)
+    _emit_json(args.out, payload, _manifest(args))
     return 0
 
 
 def _cmd_graph_census(args) -> int:
-    g = load_graph(args.graph)
-    report = census_report(g, args.t)
-    manifest = RunManifest.build(
-        "graph census",
-        {"graph": str(args.graph), "t": args.t},
-        inputs={"graph": args.graph},
-    )
-    _emit_json(args.out, report.to_json_dict(), manifest)
+    report = census_report(load_graph(args.graph), args.t)
+    _emit_json(args.out, report.to_json_dict(), _manifest(args))
     return 0
 
 
 def _cmd_scatter_dump(args) -> int:
-    sigma = _sigma_for(args.kind, args.d)
-    save_matrix_csv(args.out, sigma.entries)
-    manifest = RunManifest.build("scatter dump", {"kind": args.kind, "d": args.d})
-    _write_manifest(args.out, manifest)
+    save_matrix_csv(args.out, _SIGMAS[args.kind](args.d).entries)
+    _write_manifest(args.out, _manifest(args))
     return 0
 
 
@@ -139,56 +152,28 @@ def _lengths_for(args, g: Graph) -> np.ndarray:
 
 def _cmd_variance(args) -> int:
     g = load_graph(args.graph)
-    lengths = _lengths_for(args, g)
-    mg = MetricGraph(graph=g, lengths=lengths)
-    assembly = build_assembly(mg, _sigma_for(args.sigma, g.d))
+    mg = MetricGraph(graph=g, lengths=_lengths_for(args, g))
+    assembly = build_assembly(mg, _SIGMAS[args.sigma](g.d))
     f = _observable_for(args.obs, g, args.kappa)
     est = variance_estimate(assembly, mg, f, args.K, args.samples)
-    manifest = RunManifest.build(
-        "variance",
-        {
-            "graph": str(args.graph),
-            "sigma": args.sigma,
-            "K": args.K,
-            "samples": args.samples,
-            "obs": args.obs,
-            "kappa": args.kappa,
-            "lengths": str(args.lengths) if args.lengths else None,
-            "length_seed": args.length_seed,
-        },
-        seeds=[args.length_seed] if not args.lengths else [],
-        inputs={"graph": args.graph},
-    )
-    _emit_json(args.out, est.to_json_dict(), manifest)
+    seeds = [] if args.lengths else [args.length_seed]
+    _emit_json(args.out, est.to_json_dict(), _manifest(args, seeds=seeds))
     return 0
 
 
 def _cmd_walk_decay(args) -> int:
     g = load_graph(args.graph)
-    assembly = build_assembly(g, _sigma_for(args.sigma, g.d))
-    m = classical_map(assembly)
+    m = classical_map(build_assembly(g, _SIGMAS[args.sigma](g.d)))
     basis = vertex_basis(g.bond_index)
     f = _observable_for(args.obs, g, args.kappa)
     beta = spectral_report(g).beta
     rows = decay_profile(m, f, args.T, beta, basis)
-    manifest = RunManifest.build(
-        "walk decay",
-        {
-            "graph": str(args.graph),
-            "T": args.T,
-            "sigma": args.sigma,
-            "obs": args.obs,
-            "kappa": args.kappa,
-        },
-        inputs={"graph": args.graph},
-    )
-    write_csv_atomic(
+    _emit_csv(
         args.out,
         ["t", "norm", "bound", "bound_kind"],
         [[r.t, r.norm, r.bound, r.bound_kind] for r in rows],
-        manifest_digest=manifest.digest,
+        _manifest(args),
     )
-    _write_manifest(args.out, manifest)
     if args.plot:
         ts = [float(r.t) for r in rows]
         line_plot(
@@ -207,52 +192,30 @@ def _cmd_walk_decay(args) -> int:
 
 def _cmd_walk_singular(args) -> int:
     g = load_graph(args.graph)
-    assembly = build_assembly(g, _sigma_for(args.sigma, g.d))
-    values = singular_profile(classical_map(assembly))
+    values = singular_profile(classical_map(build_assembly(g, _SIGMAS[args.sigma](g.d))))
     groups: list[list[float]] = []
     for v in values:
         if groups and abs(groups[-1][0] - v) < 1e-9:
             groups[-1].append(float(v))
         else:
             groups.append([float(v)])
-    manifest = RunManifest.build(
-        "walk singular",
-        {"graph": str(args.graph), "sigma": args.sigma},
-        inputs={"graph": args.graph},
-    )
-    write_csv_atomic(
+    _emit_csv(
         args.out,
         ["value", "multiplicity"],
         [[float(np.mean(grp)), len(grp)] for grp in groups],
-        manifest_digest=manifest.digest,
+        _manifest(args),
     )
-    _write_manifest(args.out, manifest)
     return 0
 
 
 def _cmd_experiment(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     rows = family_experiment(cfg)
-    manifest = RunManifest.build(
-        "experiment",
-        {
-            "d": cfg.d,
-            "n_list": list(cfg.n_list),
-            "seeds": list(cfg.seeds),
-            "K": cfg.K,
-            "samples": cfg.samples,
-            "kappa": cfg.kappa,
-        },
-        seeds=cfg.seeds,
-        inputs={"config": args.config},
-    )
+    params = asdict(cfg)
+    del params["output"]  # places the output, like --out
+    manifest = _manifest(args, seeds=cfg.seeds, params=params)
     out = Path(args.out or cfg.output)
-    write_csv_atomic(
-        out,
-        EXPERIMENT_COLUMNS,
-        [r.csv_values() for r in rows],
-        manifest_digest=manifest.digest,
-    )
+    _emit_csv(out, EXPERIMENT_COLUMNS, [r.csv_values() for r in rows], manifest)
     sidecar = {
         "horizon_rule": "T = max(1, floor(0.3 log_{d-1} n))",
         "rows": [
@@ -263,7 +226,6 @@ def _cmd_experiment(args) -> int:
     write_json_atomic(
         Path(str(out) + ".constants.json"), sidecar, manifest_digest=manifest.digest
     )
-    _write_manifest(out, manifest)
     if args.plot:
         ok_rows = [r for r in rows if r.status == "ok"]
         ns = sorted({r.n for r in ok_rows})
@@ -322,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scatter = sub.add_parser("scatter", help="vertex scattering matrices")
     scatter_sub = p_scatter.add_subparsers(dest="scatter_command", required=True)
     p_dump = scatter_sub.add_parser("dump", help="dump a vertex matrix as re,im CSV")
-    p_dump.add_argument("--kind", choices=["et", "kirchhoff"], required=True)
+    p_dump.add_argument("--kind", choices=_SIGMAS, required=True)
     p_dump.add_argument("--d", type=int, required=True)
     p_dump.add_argument("--out", required=True)
     p_dump.set_defaults(func=_cmd_scatter_dump)
 
     p_var = sub.add_parser("variance", help="estimate the quantum variance")
     p_var.add_argument("--graph", required=True)
-    p_var.add_argument("--sigma", choices=["et", "kirchhoff"], default="et")
+    p_var.add_argument("--sigma", choices=_SIGMAS, default="et")
     p_var.add_argument("--K", type=float, default=200.0)
     p_var.add_argument("--samples", type=int, default=200)
     p_var.add_argument("--obs", default="parity", help="parity, const, or an observable file")
@@ -345,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decay = walk_sub.add_parser("decay", help="norm decay table")
     p_decay.add_argument("--graph", required=True)
     p_decay.add_argument("--T", type=int, default=30)
-    p_decay.add_argument("--sigma", choices=["et", "kirchhoff"], default="et")
+    p_decay.add_argument("--sigma", choices=_SIGMAS, default="et")
     p_decay.add_argument("--obs", default="parity")
     p_decay.add_argument("--kappa", type=float, default=1.0)
     p_decay.add_argument("--out", required=True)
@@ -354,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sing = walk_sub.add_parser("singular", help="singular value profile")
     p_sing.add_argument("--graph", required=True)
-    p_sing.add_argument("--sigma", choices=["et", "kirchhoff"], default="et")
+    p_sing.add_argument("--sigma", choices=_SIGMAS, default="et")
     p_sing.add_argument("--out", required=True)
     p_sing.set_defaults(func=_cmd_walk_singular)
 

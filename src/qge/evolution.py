@@ -154,7 +154,7 @@ def build_assembly(mg: MetricGraph | Graph, rule) -> Assembly:
     s[bi.in_bonds[:, :, None], bi.out_bonds[:, None, :]] = entries.transpose(0, 2, 1)
 
     dev = _unitarity_deviation(bi, entries)
-    if dev >= S_UNITARITY_TOL:
+    if not dev < S_UNITARITY_TOL:
         raise NumericalError(f"assembled S not unitary (deviation {dev:.3e})")
     return Assembly(bond_index=bi, S=s, vertex_rule=tuple(sig.kind for sig in sigmas))
 
@@ -190,6 +190,7 @@ def _cayley_eigh(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     del ht, b
     w2, q = scipy.linalg.eigh(h2.T, overwrite_a=True, driver="evd")
     theta = ((2.0 * np.arctan(0.5 * w2) - alpha) / (2.0 * np.pi)) % 1.0
+    theta[theta == 1.0] = 0.0  # (-tiny) % 1.0 rounds up to 1.0
     return theta, q
 
 
@@ -210,7 +211,7 @@ def eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(u, dtype=np.complex128)
     n = u.shape[0]
     dev = float(np.max(np.abs(u @ u.conj().T - np.eye(n))))
-    if dev >= EIGENBASIS_TOL:
+    if not dev < EIGENBASIS_TOL:
         raise ValidationError(f"eigenbasis requires a unitary matrix (deviation {dev:.3e})")
     failures = []
     for alpha in _CAYLEY_SHIFTS:
@@ -306,7 +307,7 @@ class Observable:
         sup = float(np.max(np.abs(f))) if f.size else 0.0
         if kappa is None:
             kappa = sup
-        elif sup > kappa + 1e-12:
+        elif not sup <= kappa + 1e-12:
             raise ValidationError(f"|f| reaches {sup}, above the stated bound {kappa}")
         traceless = abs(complex(np.sum(f))) < 1e-12 * max(1, len(f))
         return cls(f=f, kappa=float(kappa), traceless=traceless)
@@ -319,11 +320,17 @@ class Observable:
         return complex(np.sum(self.f))
 
 
+def _check_finite_bound(value) -> None:
+    if not np.isfinite(value):
+        raise ParameterError(f"observable value {value} must be finite")
+
+
 def parity_observable(bi: BondIndex, kappa: float = 1.0) -> Observable:
     """+kappa on bonds leaving even vertices, -kappa otherwise, mean-centred.
 
     The deterministic observable family of the experiment harness.
     """
+    _check_finite_bound(kappa)
     signs = np.where(bi.tails % 2 == 0, 1.0, -1.0)
     f = kappa * signs
     f = f - np.mean(f)
@@ -331,7 +338,13 @@ def parity_observable(bi: BondIndex, kappa: float = 1.0) -> Observable:
 
 
 def constant_observable(bi: BondIndex, value: complex = 1.0) -> Observable:
+    _check_finite_bound(value)
     return Observable.from_vector(np.full(bi.num_directed, value, dtype=np.complex128))
+
+
+def _check_window(k_max: float) -> None:
+    if not (math.isfinite(k_max) and k_max > 0):
+        raise ParameterError(f"k window {k_max} must be finite and positive")
 
 
 def _sample_grid(k_max: float, samples: int) -> np.ndarray:
@@ -378,8 +391,7 @@ def variance_estimate(
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    if k_max <= 0:
-        raise ParameterError("k window must be positive")
+    _check_window(k_max)
     two_b = a.bond_index.num_directed
     if f.dim != two_b:
         raise ValidationError(f"observable has dim {f.dim}, expected {two_b}")
@@ -417,7 +429,7 @@ def trace_correlator(a: Assembly, mg: MetricGraph, f: Observable, t: int, k: flo
     ut = np.linalg.matrix_power(u, t)
     w = np.abs(ut) ** 2
     val = complex(np.conj(f.f) @ w @ f.f)
-    if abs(val.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(val.real)):
+    if not abs(val.imag) <= IMAG_RESIDUE_TOL * max(1.0, abs(val.real)):
         raise NumericalError(
             f"trace correlator has imaginary residue {val.imag:.3e}; "
             "analytically real only for real observables"
@@ -436,6 +448,7 @@ def m_tilde(
         raise ParameterError("t must be >= 0")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
+    _check_window(k_max)
     two_b = a.bond_index.num_directed
     ks = _sample_grid(k_max, samples)
 
@@ -447,7 +460,7 @@ def m_tilde(
         float(np.max(np.abs(acc.sum(axis=0) - 1.0))),
         float(np.max(np.abs(acc.sum(axis=1) - 1.0))),
     )
-    if worst >= 1e-8:
+    if not worst < 1e-8:
         raise NumericalError(f"k-averaged matrix not doubly stochastic ({worst:.3e})")
     return acc
 
@@ -519,9 +532,9 @@ def lemma_a_sides(u: np.ndarray, a_mat: np.ndarray, T: int) -> tuple[float, floa
         term = np.trace(a_dag @ p)
         total += wt * (term + np.conj(term))  # the t and -t terms pair up
     total = complex(total)
-    if abs(total.imag) > 1e-8 * max(1.0, abs(total.real)):
+    if not abs(total.imag) <= 1e-8 * max(1.0, abs(total.real)):
         raise NumericalError(f"windowed trace sum has imaginary residue {total.imag:.3e}")
     rhs = total.real / n
-    if lhs > rhs + 1e-8:
+    if not lhs <= rhs + 1e-8:
         raise NumericalError(f"trace inequality violated: lhs={lhs} rhs={rhs}")
     return lhs, rhs

@@ -9,6 +9,7 @@ the explicit bound at horizon T(n).  Failed rows are marked, never dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .bounds import BoundInputs, choose_horizon, explicit_variance_bound
@@ -60,7 +61,7 @@ def parse_config(text: str) -> ExperimentConfig:
     kappa, output; lists comma-separated).
 
     Values a sweep cannot run with (d < 3, n <= d, samples < 1, K or kappa
-    not positive) raise ValidationError before any row is computed.
+    not finite and positive) raise ValidationError before any row is computed.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -92,8 +93,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValidationError(f"every n in n_list must exceed d={d}")
     if samples < 1:
         raise ValidationError(f"config samples={samples} must be >= 1")
-    if not (k_window > 0 and kappa > 0):
-        raise ValidationError(f"config K={k_window} and kappa={kappa} must be positive")
+    if not (0 < k_window < math.inf and 0 < kappa < math.inf):
+        raise ValidationError(
+            f"config K={k_window} and kappa={kappa} must be finite and positive"
+        )
     return ExperimentConfig(
         d=d,
         n_list=n_list,

@@ -49,7 +49,7 @@ class VertexScattering:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ParameterError("vertex scattering matrix must be square")
         dev = _max_abs(m @ m.conj().T - np.eye(m.shape[0]))
-        if dev >= UNITARITY_TOL:
+        if not dev < UNITARITY_TOL:
             raise NumericalError(f"vertex matrix not unitary (deviation {dev:.3e})")
         self.entries.setflags(write=False)
 

@@ -62,7 +62,7 @@ def classical_map(a: Assembly) -> np.ndarray:
         float(np.max(np.abs(m.sum(axis=0) - 1.0))),
         float(np.max(np.abs(m.sum(axis=1) - 1.0))),
     )
-    if worst > STOCHASTICITY_TOL:
+    if not worst <= STOCHASTICITY_TOL:
         raise StochasticityError(f"row/column sums deviate by {worst:.3e}")
     return m
 
@@ -206,7 +206,7 @@ def reduced_consistency(g: Graph, m: np.ndarray, f, t: int) -> float:
         coeffs = _vertex_coefficients(f, basis)
         f_vec = f
         resid = float(np.max(np.abs(f - basis.e.T @ coeffs)))
-        if resid > G2_MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(f)))):
+        if not resid <= G2_MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(f)))):
             raise ValidationError(
                 f"observable is outside span(e_v) by {resid:.3e}; "
                 "reduced evolution only represents that span"
@@ -244,7 +244,7 @@ def g2_contraction(m: np.ndarray, g_vec: np.ndarray, basis: VertexBasis) -> floa
     if norm == 0.0:
         raise ValidationError("zero vector")
     overlap = float(np.max(np.abs(basis.e @ g_vec))) / np.sqrt(basis.d)
-    if overlap > G2_MEMBERSHIP_TOL * norm:
+    if not overlap <= G2_MEMBERSHIP_TOL * norm:
         raise ValidationError(
             f"vector has span(e_v) component {overlap:.3e}; not in the contraction space"
         )
@@ -273,7 +273,7 @@ def z_sequence(mu: float, d: int, T: int, check: bool = True) -> np.ndarray:
             closed = z_closed_form(mu, d, T)
             scale = max(1.0, float(np.max(np.abs(z))))
             worst = float(np.max(np.abs(z - closed)))
-            if worst > 1e-9 * scale:
+            if not worst <= 1e-9 * scale:
                 raise NumericalError(
                     f"recurrence and closed form disagree by {worst:.3e}"
                 )
@@ -297,7 +297,7 @@ def z_closed_form(mu: float, d: int, T: int) -> np.ndarray:
     ts = np.arange(T + 1)
     vals = (root / (2.0 * disc)) * (lam_p**ts - lam_m**ts)
     worst = float(np.max(np.abs(vals.imag)))
-    if worst > 1e-9 * max(1.0, float(np.max(np.abs(vals.real)))):
+    if not worst <= 1e-9 * max(1.0, float(np.max(np.abs(vals.real)))):
         raise NumericalError(f"closed form has imaginary residue {worst:.3e}")
     return vals.real
 

@@ -170,6 +170,95 @@ class TestExperimentCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+VARIANCE_DEFAULTS = {
+    "sigma": "et", "K": 20.0, "samples": 3, "obs": "parity", "kappa": 1.0,
+    "lengths": None, "length_seed": 0,
+}
+
+# argv (with {graph}, {cfg} and {out} placeholders) and the command, params,
+# seeds and input-digest names its manifest must record
+MANIFEST_CASES = {
+    "graph gen": (
+        "graph gen --n 12 --d 4 --seed 7 --out {out}",
+        {"n": 12, "d": 4, "seed": 7}, [7], [],
+    ),
+    "graph info": ("graph info {graph} --out {out}", {"graph": "{graph}"}, [], ["graph"]),
+    "graph census": (
+        "graph census {graph} --t 3 --out {out}",
+        {"graph": "{graph}", "t": 3}, [], ["graph"],
+    ),
+    "scatter dump": (
+        "scatter dump --kind kirchhoff --d 4 --out {out}",
+        {"kind": "kirchhoff", "d": 4}, [], [],
+    ),
+    "variance": (
+        "variance --graph {graph} --K 20 --samples 3 --out {out}",
+        {"graph": "{graph}", **VARIANCE_DEFAULTS}, [0], ["graph"],
+    ),
+    "walk decay": (
+        "walk decay --graph {graph} --T 4 --out {out} --plot {out}.svg",
+        {"graph": "{graph}", "T": 4, "sigma": "et", "obs": "parity", "kappa": 1.0},
+        [], ["graph"],
+    ),
+    "walk singular": (
+        "walk singular --graph {graph} --sigma kirchhoff --out {out}",
+        {"graph": "{graph}", "sigma": "kirchhoff"}, [], ["graph"],
+    ),
+    "experiment": (
+        "experiment --config {cfg} --out {out} --plot {out}.svg",
+        {"d": 4, "n_list": [10], "seeds": [1, 2], "K": 10.0, "samples": 3, "kappa": 1.0},
+        [1, 2], ["config"],
+    ),
+}
+
+
+class TestManifest:
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text(qge.export_graph(qge.generate_random_regular(20, 4, 3)))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("d=4\nn_list=10\nseeds=1,2\nK=10\nsamples=3\n")
+        return {"graph": str(graph), "cfg": str(cfg), "out": str(tmp_path / "out")}
+
+    @pytest.mark.parametrize("command", list(MANIFEST_CASES))
+    def test_fields(self, paths, command):
+        argv, params, seeds, inputs = MANIFEST_CASES[command]
+        assert run(*argv.format(**paths).split()) == 0
+        manifest = json.loads(Path(paths["out"] + ".manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["params"] == {
+            k: v.format(**paths) if isinstance(v, str) else v for k, v in params.items()
+        }
+        assert manifest["seeds"] == seeds
+        assert sorted(manifest["input_digests"]) == inputs
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            ("variance --graph {graph} --K 20 --samples 3 --lengths {file}", "lengths"),
+            ("variance --graph {graph} --K 20 --samples 3 --obs {file}", "obs"),
+            ("walk decay --graph {graph} --T 4 --obs {file}", "obs"),
+        ],
+        ids=["variance-lengths", "variance-obs", "walk-decay-obs"],
+    )
+    def test_digest_covers_file_contents(self, paths, tmp_path, argv, name):
+        bi = qge.import_graph(Path(paths["graph"]).read_text()).bond_index
+        path = tmp_path / "input.txt"
+        argv = (argv + " --out {out}").format(file=path, **paths).split()
+        digests = []
+        for scale in (1.0, 2.0):
+            if name == "lengths":
+                qge.fileio.save_lengths(path, scale * np.ones(bi.B))
+            else:
+                qge.fileio.save_observable(path, qge.parity_observable(bi, scale))
+            assert run(*argv) == 0
+            manifest = json.loads(Path(paths["out"] + ".manifest.json").read_text())
+            assert name in manifest["input_digests"]
+            digests.append(manifest["digest"])
+        assert digests[0] != digests[1]
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -209,7 +298,8 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
     @pytest.mark.parametrize(
-        "bad", ["samples=0", "K=0", "kappa=-1", "d=2\nn_list=10", "n_list=10,4"]
+        "bad",
+        ["samples=0", "K=0", "kappa=-1", "d=2\nn_list=10", "n_list=10,4", "K=inf", "kappa=inf"],
     )
     def test_invalid_config_is_3(self, tmp_path, bad):
         cfg = tmp_path / "exp.cfg"
@@ -218,6 +308,20 @@ class TestExitCodes:
         cfg.write_text(f"d=4\nn_list=10\nseeds=1\nK=10\nsamples=5\n{bad}\noutput={out}\n")
         assert run("experiment", "--config", str(cfg)) == 3
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("option, value", [("--K", "inf"), ("--K", "nan"), ("--kappa", "inf")])
+    def test_non_finite_option_is_3(self, k5_file, tmp_path, capsys, option, value):
+        out = tmp_path / "var.json"
+        code = run(
+            "variance", "--graph", str(k5_file), "--samples", "5", option, value,
+            "--out", str(out),
+        )
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ParameterError"
 
     def test_non_finite_observable_is_3(self, k5_file, tmp_path, capsys):
         obs = tmp_path / "obs.txt"

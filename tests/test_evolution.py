@@ -231,6 +231,13 @@ class TestEigenbasis:
         with pytest.raises(ValidationError):
             eigenbasis(2.0 * np.eye(4, dtype=complex))
 
+    def test_phase_just_below_zero_is_zero(self):
+        # (-1e-16) % 1.0 rounds to 1.0, outside [0, 1)
+        theta, _ = eigenbasis(np.diag([np.exp(-1e-16j), 1j]))
+        assert np.all((theta >= 0.0) & (theta < 1.0))
+        assert theta[0] == 0.0
+        assert theta[1] == pytest.approx(0.25, abs=1e-12)
+
 
 def schur_eigenbasis(u):
     """Reference route: the complex Schur form of a unitary matrix is
@@ -402,6 +409,14 @@ class TestVarianceEstimate:
         with pytest.raises(ParameterError):
             variance_estimate(a, mg, f, -1.0, 10)
 
+    @pytest.mark.parametrize("k_max", [0.0, -1.0, np.inf, np.nan])
+    def test_window_must_be_finite_and_positive(self, k5_metric, k_max):
+        g, mg, a = k5_metric
+        with pytest.raises(ParameterError):
+            variance_estimate(a, mg, parity_observable(g.bond_index), k_max, 5)
+        with pytest.raises(ParameterError):
+            m_tilde(a, mg, 2, k_max, 5)
+
 
 class TestTraceCorrelator:
     def test_t0(self, k5_metric):
@@ -547,6 +562,15 @@ class TestObservable:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValidationError):
             Observable.from_vector([bad, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_kappa_rejected(self, bad):
+        bi = k5().bond_index
+        with pytest.raises(ParameterError):
+            parity_observable(bi, bad)
+        with pytest.raises(ParameterError):
+            constant_observable(bi, bad)
 
     def test_metric_graph_validation(self):
         g = k5()
