@@ -16,11 +16,9 @@ BondIndex.out_bonds).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bonds import BondIndex
 from .errors import (
@@ -169,32 +167,30 @@ def _cayley_eigh(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases and eigenvectors of the unitary u through the Cayley
     transform with shift alpha (see eigenbasis).
 
-    The transposed system (I + V)^T H^T = i (I - V)^T is solved, so the
-    column-major LAPACK routines work on u's row-major buffer without a
-    layout copy.  Raises LinAlgError when I + V is exactly singular.
+    The transposed system (I + V)^T H^T = i (I - V)^T is solved (LAPACK
+    zgesv): its operands, built from u.T, are already column-major, so
+    numpy's copies into LAPACK's layout are contiguous.  Raises LinAlgError when I + V is exactly singular; an ill-conditioned
+    I + V is judged by the residual gate of eigenbasis instead.
     """
     diag = np.diag_indices(u.shape[0])
     a = np.multiply(u.T, np.exp(1j * alpha))  # V^T
     b = np.multiply(a, -1j)
     a[diag] += 1.0  # (I + V)^T
     b[diag] += 1j  # i (I - V)^T
-    with warnings.catch_warnings():
-        # an ill-conditioned I + V is judged by the residual gate instead
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        ht = scipy.linalg.solve(a, b, overwrite_a=True, overwrite_b=True)
-    del a
+    h2t = np.linalg.solve(a, b)  # H^T
+    del a, b
     # 2 (H + H^H)/2, stored transposed: dropping the rounding-level
     # anti-Hermitian part of the computed H keeps the eigenvectors accurate
-    h2 = ht.T.conj()
-    h2 += ht
-    del ht, b
-    w2, q = scipy.linalg.eigh(h2.T, overwrite_a=True, driver="evd")
+    h2t += h2t.T.conj()
+    w2, q = np.linalg.eigh(h2t.T)  # LAPACK zheevd
     theta = ((2.0 * np.arctan(0.5 * w2) - alpha) / (2.0 * np.pi)) % 1.0
     theta[theta == 1.0] = 0.0  # (-tiny) % 1.0 rounds up to 1.0
     return theta, q
 
 
-def eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigenbasis(
+    u: np.ndarray, *, assume_unitary: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases theta_j in [0, 1) and an orthonormal eigenvector basis.
 
     U phi_j = e^{2 pi i theta_j} phi_j.  Computed as the Hermitian
@@ -207,12 +203,18 @@ def eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shift is tried, and NumericalError is raised if that fails as well.
     Degenerate eigenphases get an arbitrary orthonormal basis of their
     eigenspace.  The eigenphases are not sorted.
+
+    A u that is not unitary to EIGENBASIS_TOL raises ValidationError.
+    assume_unitary=True skips that dense O(N^3) check for a caller that
+    already knows the answer: U(k) = diag(e^{i k L}) S deviates from
+    unitarity exactly as S does, and build_assembly checks S to
+    S_UNITARITY_TOL.  The residual gate applies either way.
     """
     u = np.asarray(u, dtype=np.complex128)
-    n = u.shape[0]
-    dev = float(np.max(np.abs(u @ u.conj().T - np.eye(n))))
-    if not dev < EIGENBASIS_TOL:
-        raise ValidationError(f"eigenbasis requires a unitary matrix (deviation {dev:.3e})")
+    if not assume_unitary:
+        dev = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+        if not dev < EIGENBASIS_TOL:
+            raise ValidationError(f"eigenbasis requires a unitary matrix (deviation {dev:.3e})")
     failures = []
     for alpha in _CAYLEY_SHIFTS:
         try:
@@ -406,7 +408,7 @@ def variance_estimate(
     mean_element = f.trace() / two_b
 
     def per_k(k: float) -> float:
-        _, q = eigenbasis(evolution(a, mg, k))
+        _, q = eigenbasis(evolution(a, mg, k), assume_unitary=True)
         elements = np.einsum("bj,b->j", np.abs(q) ** 2, f.f)
         return float(np.sum(np.abs(elements - mean_element) ** 2)) / two_b
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bounds import BoundInputs, choose_horizon, explicit_variance_bound
 from .census import cycle_bond_census
 from .errors import ParseError, QgeError, ValidationError, WalkBoundUnavailableError
@@ -199,7 +201,7 @@ def family_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
         for seed in cfg.seeds:
             try:
                 rows.append(_one_row(cfg, n, seed))
-            except QgeError as exc:
+            except (QgeError, np.linalg.LinAlgError) as exc:
                 rows.append(
                     ExperimentRow(n=n, seed=seed, status=f"error: {exc}")
                 )

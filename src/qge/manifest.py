@@ -1,23 +1,41 @@
 """Run manifests: every CLI output is reproducible from its manifest.
 
 The digest covers command, parameters, seeds, tool version and input file
-digests; the timestamp is recorded but excluded from the digest, so
-identical runs emit byte-identical tables.
+digests; the timestamp and the run setup (numpy, its BLAS, the thread
+variables) are recorded but excluded from the digest, so identical runs emit
+byte-identical tables.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["RunManifest"]
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _run_setup() -> dict:
+    """numpy's version, its BLAS and the thread variables of this process;
+    the BLAS thread count can change the last digits of a result."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        **{name: os.environ.get(name) for name in _THREAD_VARS},
+    }
 
 
 @dataclass(frozen=True)
@@ -28,6 +46,7 @@ class RunManifest:
     version: str
     input_digests: dict
     timestamp: str
+    run: dict
 
     @classmethod
     def build(
@@ -47,6 +66,7 @@ class RunManifest:
             version=__version__,
             input_digests=digests,
             timestamp=datetime.now(timezone.utc).isoformat(),
+            run=_run_setup(),
         )
 
     @property
@@ -69,5 +89,6 @@ class RunManifest:
             "version": self.version,
             "input_digests": self.input_digests,
             "timestamp": self.timestamp,
+            "run": self.run,
             "digest": self.digest,
         }

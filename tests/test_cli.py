@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,6 +16,19 @@ from conftest import k5, petersen
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def child_env(**env) -> dict:
+    """The environment of a child interpreter that imports this qge."""
+    src = str(Path(qge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
+def run_child(*argv, **env) -> None:
+    """Run the CLI in a fresh interpreter, whose BLAS reads `env` at load."""
+    code = "import sys; from qge.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, *argv], env=child_env(**env), check=True)
 
 
 @pytest.fixture()
@@ -257,6 +273,28 @@ class TestManifest:
             assert name in manifest["input_digests"]
             digests.append(manifest["digest"])
         assert digests[0] != digests[1]
+
+    def test_run_setup_outside_digest(self, paths):
+        argv = MANIFEST_CASES["experiment"][0].format(**paths).split()
+        out = Path(paths["out"])
+        runs = []
+        for threads in ("1", "2"):
+            run_child(*argv, OPENBLAS_NUM_THREADS=threads)
+            manifest = json.loads(Path(paths["out"] + ".manifest.json").read_text())
+            assert manifest["run"]["OPENBLAS_NUM_THREADS"] == threads
+            assert manifest["run"]["numpy"] == np.__version__
+            constants = Path(paths["out"] + ".constants.json").read_bytes()
+            runs.append((manifest["digest"], out.read_bytes(), constants))
+        assert runs[0] == runs[1]
+
+
+def test_import_loads_no_scipy():
+    # one BLAS/LAPACK runtime: scipy would bring its own OpenBLAS thread pool
+    code = "import sys, qge, qge.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    )
+    assert child.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -231,6 +231,11 @@ class TestEigenbasis:
         with pytest.raises(ValidationError):
             eigenbasis(2.0 * np.eye(4, dtype=complex))
 
+    def test_assume_unitary_keeps_residual_gate(self):
+        # the skipped unitarity check leaves the residual gate to reject u
+        with pytest.raises(NumericalError):
+            eigenbasis(2.0 * np.eye(4, dtype=complex), assume_unitary=True)
+
     def test_phase_just_below_zero_is_zero(self):
         # (-1e-16) % 1.0 rounds to 1.0, outside [0, 1)
         theta, _ = eigenbasis(np.diag([np.exp(-1e-16j), 1j]))
@@ -276,8 +281,15 @@ class TestCayleyAgainstSchur:
             assert np.max(np.abs(q.conj().T @ q - np.eye(len(q)))) < 1e-12
         # one midpoint sample on [0, 2k] is the per-k statistic at k
         values = [variance_estimate(a, mg, f, 2.0 * k, 1).estimate for k in ks]
-        monkeypatch.setattr(evolution_module, "eigenbasis", schur_eigenbasis)
+        oracle_calls = []
+
+        def oracle(u, **kwargs):
+            oracle_calls.append(kwargs)
+            return schur_eigenbasis(u)
+
+        monkeypatch.setattr(evolution_module, "eigenbasis", oracle)
         reference = [variance_estimate(a, mg, f, 2.0 * k, 1).estimate for k in ks]
+        assert len(oracle_calls) == len(ks)
         assert values == pytest.approx(reference, rel=1e-12)
 
     @staticmethod
@@ -290,13 +302,13 @@ class TestCayleyAgainstSchur:
     @staticmethod
     def _count_solves(monkeypatch):
         calls = []
-        solve = scipy.linalg.solve
+        solve = np.linalg.solve
 
         def spy(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "solve", spy)
+        monkeypatch.setattr(np.linalg, "solve", spy)
         return calls
 
     def test_singular_first_shift_takes_retry(self, monkeypatch):
@@ -314,7 +326,7 @@ class TestCayleyAgainstSchur:
         monkeypatch.setattr(evolution_module, "_CAYLEY_SHIFTS", (0.0, _CAYLEY_SHIFTS[1]))
         u = np.diag([-1.0, 1j, -1j, 1.0]).astype(complex)
         with pytest.raises(np.linalg.LinAlgError):
-            scipy.linalg.solve(np.eye(4) + u, np.eye(4))
+            np.linalg.solve(np.eye(4) + u, np.eye(4))
         calls = self._count_solves(monkeypatch)
         theta, q = eigenbasis(u)
         assert len(calls) == 2

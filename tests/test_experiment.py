@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+import qge.experiment
 from qge import ExperimentConfig, ParseError, family_experiment, parse_config
 from qge.experiment import EXPERIMENT_COLUMNS
 
@@ -74,6 +76,20 @@ class TestFamilyExperiment:
         assert rows[0].status.startswith("error:")
         assert math.isnan(rows[0].variance)
         assert rows[1].status == "ok"
+
+    def test_linalg_error_marks_only_its_row(self, monkeypatch):
+        estimate = qge.experiment.variance_estimate
+
+        def fail_at_16(a, mg, *args, **kwargs):
+            if mg.graph.n == 16:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return estimate(a, mg, *args, **kwargs)
+
+        monkeypatch.setattr(qge.experiment, "variance_estimate", fail_at_16)
+        cfg = ExperimentConfig(d=4, n_list=(10, 16, 20), seeds=(1,), K=10.0, samples=5)
+        rows = family_experiment(cfg)
+        assert [r.status for r in rows] == ["ok", "error: Eigenvalues did not converge", "ok"]
+        assert math.isnan(rows[1].variance)
 
     def test_failed_row_girth_cell_empty(self):
         # n = d forces a generation failure on that row only

@@ -67,6 +67,10 @@ def _eigenbasis(monkeypatch):
     eigenbasis(np.full((3, 3), np.nan + 0j))
 
 
+def _eigenbasis_residual_gate(monkeypatch):
+    eigenbasis(np.full((3, 3), np.nan + 0j), assume_unitary=True)
+
+
 def _observable_bound(monkeypatch):
     Observable.from_vector([1.0, -1.0], kappa=np.nan)
 
@@ -124,6 +128,7 @@ def _z_closed_form(monkeypatch):
         (_vertex_scattering, NumericalError),
         (_build_assembly, NumericalError),
         (_eigenbasis, ValidationError),
+        (_eigenbasis_residual_gate, NumericalError),
         (_observable_bound, ValidationError),
         (_trace_correlator, NumericalError),
         (_m_tilde, NumericalError),
