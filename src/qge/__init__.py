@@ -82,6 +82,7 @@ from .scattering import (
     skew_hadamard,
 )
 from .walk import (
+    ClassicalMap,
     DecayRow,
     VertexBasis,
     WalkIdentityReport,
@@ -91,7 +92,6 @@ from .walk import (
     project_g1,
     project_g2,
     psi,
-    phi_tilde,
     reduced_consistency,
     reduced_matrix,
     singular_profile,

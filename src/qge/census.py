@@ -49,36 +49,67 @@ def min_return_lengths(bi: BondIndex, cap: int) -> list[int | None]:
     """For every directed bond, the length of the shortest closed
     non-backtracking walk through it, or None if longer than cap.
 
-    Breadth-first search over the non-backtracking successor relation; the
-    first return to the starting bond gives the minimum length.
+    Bidirectional breadth-first search over the non-backtracking successor
+    relation, meeting in the middle.  Forward layer i holds the bonds first
+    reached i >= 1 steps after b0; backward layer j the bonds that first
+    reach b0 in j steps, found as forward layer j from rev(b0) mapped back
+    through rev (c -> c' is a step exactly when rev(c') -> rev(c) is).  Each
+    round grows the smaller frontier by one layer and checks its new bonds
+    against the other side.  Once the layers reach i and j without a
+    meeting, every closed walk through b0 is longer than i + j, because
+    one of its bonds would lie in both searches; so the first meeting,
+    made on growing to i + j, is the shortest return.  The stamp arrays are
+    allocated once: a bond's entry is current when its stamp is b0.
     """
     two_b = bi.num_directed
     succ = bi.successors
+    rev = bi.rev.tolist()
+    # (stamp, distance) per side; the backward side is indexed by the
+    # reversed bond
+    fwd = ([-1] * two_b, [0] * two_b)
+    bwd = ([-1] * two_b, [0] * two_b)
     out: list[int | None] = [None] * two_b
     for b0 in range(bi.B):
-        dist = [-1] * two_b
-        queue = deque()
+        r0 = rev[b0]
+        bwd[0][r0], bwd[1][r0] = b0, 0
         for c in succ[b0]:
-            dist[c] = 1
-            queue.append(c)
+            fwd[0][c], fwd[1][c] = b0, 1
+        fwd_front, bwd_front = list(succ[b0]), [r0]
+        i, j = 1, 0
         found = None
-        while queue:
-            b = queue.popleft()
-            if dist[b] >= cap:
-                continue
-            for c in succ[b]:
-                if c == b0:
-                    found = dist[b] + 1
-                    queue.clear()
-                    break
-                if dist[c] < 0:
-                    dist[c] = dist[b] + 1
-                    queue.append(c)
-        if found is not None and found <= cap:
+        while found is None and i + j < cap and fwd_front and bwd_front:
+            if len(fwd_front) <= len(bwd_front):
+                i += 1
+                fwd_front, found = _grow(fwd_front, i, b0, fwd, bwd, succ, rev)
+            else:
+                j += 1
+                bwd_front, found = _grow(bwd_front, j, b0, bwd, fwd, succ, rev)
+        if found is not None:
             # a closed walk through b0 reverses to one through rev(b0)
             out[b0] = found
-            out[b0 + bi.B] = found
+            out[r0] = found
     return out
+
+
+def _grow(front, layer, b0, side, other, succ, rev):
+    """Grow one side of the search from b0 by a layer: the new bonds, and
+    the return length if one of them meets the other side."""
+    stamp, dist = side
+    other_stamp, other_dist = other
+    new = []
+    for b in front:
+        for c in succ[b]:
+            if stamp[c] != b0:
+                stamp[c] = b0
+                dist[c] = layer
+                new.append(c)
+                if other_stamp[rev[c]] == b0:
+                    return new, layer + other_dist[rev[c]]
+    return new, None
+
+
+def _cycle_edges(g: Graph, ret: list[int | None], t: int) -> frozenset[int]:
+    return frozenset(e for e in range(g.B) if ret[e] is not None and ret[e] <= t)
 
 
 def cycle_bond_census(
@@ -89,8 +120,7 @@ def cycle_bond_census(
     if t < 3:
         raise ParameterError(f"cycle census horizon t={t} must be >= 3")
     _check_budget(g, t, work_budget)
-    ret = min_return_lengths(g.bond_index, t)
-    return frozenset(e for e in range(g.B) if ret[e] is not None and ret[e] <= t)
+    return _cycle_edges(g, min_return_lengths(g.bond_index, t), t)
 
 
 def near_cycle_census(
@@ -102,15 +132,18 @@ def near_cycle_census(
         raise ParameterError(f"near-cycle census horizon t={t} must be >= 2")
     _check_budget(g, t, work_budget)
     bi = g.bond_index
+    return _near_cycle_bonds(bi, min_return_lengths(bi, 2 * t), t)
+
+
+def _near_cycle_bonds(bi: BondIndex, ret: list[int | None], t: int) -> frozenset[int]:
+    """Near-cycle census at t from the return lengths up to cap 2t.
+
+    Searches backwards from the cycle bonds; the predecessors of c in the
+    non-backtracking bond digraph are rev[succ(rev c)].
+    """
     two_b = bi.num_directed
-    ret = min_return_lengths(bi, 2 * t)
-
-    # predecessors in the non-backtracking bond digraph
-    preds: list[list[int]] = [[] for _ in range(two_b)]
-    for a in range(two_b):
-        for c in bi.successors[a]:
-            preds[c].append(a)
-
+    succ = bi.successors
+    rev = bi.rev.tolist()
     members: set[int] = set()
     for t2 in range(2, t + 1):
         t1 = t - t2
@@ -127,7 +160,8 @@ def near_cycle_census(
             b = queue.popleft()
             if dist[b] >= t1:
                 continue
-            for a in preds[b]:
+            for c in succ[rev[b]]:
+                a = rev[c]
                 if dist[a] < 0:
                     dist[a] = dist[b] + 1
                     queue.append(a)
@@ -152,10 +186,14 @@ class CensusReport:
 
 
 def census_report(g: Graph, t: int, work_budget: int = DEFAULT_WORK_BUDGET) -> CensusReport:
+    """Both censuses at horizon t from one return-length search at 2t."""
     if t < 2:
         raise ParameterError(f"census horizon t={t} must be >= 2")
-    c_set = cycle_bond_census(g, t, work_budget) if t >= 3 else frozenset()
-    t_set = near_cycle_census(g, t, work_budget)
+    _check_budget(g, t, work_budget)
+    bi = g.bond_index
+    ret = min_return_lengths(bi, 2 * t)
+    c_set = _cycle_edges(g, ret, t) if t >= 3 else frozenset()
+    t_set = _near_cycle_bonds(bi, ret, t)
     gth = girth(g)
     if gth is not None and t < gth and c_set:
         raise ValidationError(

@@ -1,7 +1,7 @@
 """Quantum evolution on directed bonds.
 
-Assembles the 2B x 2B bond matrix S from per-vertex scattering matrices,
-forms the evolution U(k) with entries e^{i k L_b} S_{bc}, and provides the
+Wires per-vertex scattering matrices into the 2B x 2B bond matrix S (made
+dense only when U(k) needs it), forms the evolution U(k) with entries e^{i k L_b} S_{bc}, and provides the
 spectral diagnostics built on it: eigenbases, secular-root scans, the
 quantum-variance estimator, trace correlators, k-averaged squared-modulus
 matrices, and the Fejer window machinery.
@@ -16,7 +16,8 @@ BondIndex.out_bonds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,20 +96,33 @@ def draw_lengths(b: int, seed: int, low: float = 1.0, high: float = 2.0) -> np.n
 
 @dataclass(frozen=True)
 class Assembly:
-    """Bond scattering matrix S plus the record of vertex matrices used."""
+    """The (n, d, d) vertex matrices wired by the bond index.
+
+    entries[v] is sigma_v.  The dense bond matrix S is scattered from them
+    on first use; only U(k) needs it.
+    """
 
     bond_index: BondIndex
-    S: np.ndarray
+    entries: np.ndarray = field(repr=False)
     vertex_rule: tuple[str, ...]
 
     def __post_init__(self):
-        self.S.setflags(write=False)
+        self.entries.setflags(write=False)
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        bi = self.bond_index
+        two_b = bi.num_directed
+        s = np.zeros((two_b, two_b), dtype=np.complex128)
+        # S[in_bonds[v, i], out_bonds[v, j]] = sigma_v[j, i]
+        s[bi.in_bonds[:, :, None], bi.out_bonds[:, None, :]] = self.entries.transpose(0, 2, 1)
+        s.setflags(write=False)
+        return s
 
     @property
     def no_backscatter(self) -> bool:
-        two_b = self.bond_index.num_directed
-        idx = np.arange(two_b)
-        return bool(np.all(self.S[idx, self.bond_index.rev] == 0.0))
+        # in_bonds[v, i] reverses out_bonds[v, i], so S[b, rev b] = sigma_v[i, i]
+        return bool(np.all(np.diagonal(self.entries, axis1=1, axis2=2) == 0.0))
 
 
 def _unitarity_deviation(bi: BondIndex, entries: np.ndarray) -> float:
@@ -128,7 +142,8 @@ def _unitarity_deviation(bi: BondIndex, entries: np.ndarray) -> float:
 
 
 def build_assembly(mg: MetricGraph | Graph, rule) -> Assembly:
-    """Assemble S from a per-vertex scattering rule.
+    """Wire the vertex matrices of a per-vertex scattering rule into an
+    Assembly, whose S is checked unitary through them.
 
     `rule` is a single VertexScattering applied at every vertex, or a
     sequence with one entry per vertex.  Every matrix must be d x d.
@@ -146,15 +161,10 @@ def build_assembly(mg: MetricGraph | Graph, rule) -> Assembly:
             raise AssemblyError(f"vertex {v}: matrix size {sig.d} != degree {g.d}")
 
     entries = np.stack([sig.entries for sig in sigmas])
-    two_b = bi.num_directed
-    s = np.zeros((two_b, two_b), dtype=np.complex128)
-    # S[in_bonds[v, i], out_bonds[v, j]] = sigma_v[j, i]
-    s[bi.in_bonds[:, :, None], bi.out_bonds[:, None, :]] = entries.transpose(0, 2, 1)
-
     dev = _unitarity_deviation(bi, entries)
     if not dev < S_UNITARITY_TOL:
         raise NumericalError(f"assembled S not unitary (deviation {dev:.3e})")
-    return Assembly(bond_index=bi, S=s, vertex_rule=tuple(sig.kind for sig in sigmas))
+    return Assembly(bond_index=bi, entries=entries, vertex_rule=tuple(sig.kind for sig in sigmas))
 
 
 def evolution(a: Assembly, mg: MetricGraph, k: float) -> np.ndarray:

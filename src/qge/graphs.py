@@ -197,20 +197,28 @@ def _component_bipartite_flags(g: Graph) -> list[bool]:
 
 
 def girth(g: Graph) -> int | None:
-    """Length of the shortest cycle, via BFS from every vertex; None if acyclic."""
+    """Length of the shortest cycle, via BFS from every vertex; None if acyclic.
+
+    The distance and parent arrays are allocated once: a vertex's entries
+    are current when its stamp is the root of the running search.
+    """
     best: int | None = None
     nbr = g.neighbors
+    stamp = [-1] * g.n
+    dist = [0] * g.n
+    parent = [-1] * g.n
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
+        stamp[root] = root
         dist[root] = 0
+        parent[root] = -1
         queue = deque([root])
         while queue:
             u = queue.popleft()
             if best is not None and 2 * dist[u] >= best:
-                continue
+                break  # the queue holds no smaller distance
             for v in nbr[u]:
-                if dist[v] < 0:
+                if stamp[v] != root:
+                    stamp[v] = root
                     dist[v] = dist[u] + 1
                     parent[v] = u
                     queue.append(v)

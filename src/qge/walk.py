@@ -11,7 +11,7 @@ three-term recurrence driven by the connectivity eigenvalues.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .evolution import Assembly, Observable
 from .graphs import Graph
 
 __all__ = [
+    "ClassicalMap",
     "VertexBasis",
     "WalkIdentityReport",
     "DecayRow",
@@ -36,7 +37,6 @@ __all__ = [
     "walk_action_identities",
     "singular_profile",
     "reduced_matrix",
-    "phi_tilde",
     "psi",
     "reduced_consistency",
     "project_g1",
@@ -55,48 +55,80 @@ IDENTITY_TOL = 1e-10
 G2_MEMBERSHIP_TOL = 1e-10
 
 
-def classical_map(a: Assembly) -> np.ndarray:
-    """M = |S|^2 entrywise; doubly stochastic or the assembly is corrupt."""
-    m = np.abs(a.S) ** 2
+@dataclass(frozen=True)
+class ClassicalMap:
+    """M = |S|^2 held as its per-vertex blocks.
+
+    weights[v] = |sigma_v|^2 entrywise, and M[in_bonds[v, i], out_bonds[v, j]]
+    = weights[v, j, i]: M is block-diagonal up to row and column
+    permutations, with d non-zeros per row.  `m @ x` applies M to a (2B,)
+    or (2B, k) array by one gather over the wiring, in O(2B d).
+    """
+
+    bond_index: BondIndex
+    weights: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.weights.setflags(write=False)
+
+    def __matmul__(self, x) -> np.ndarray:
+        bi = self.bond_index
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != bi.num_directed:
+            raise ValidationError(f"M acts on {bi.num_directed} bonds, got shape {x.shape}")
+        # (Mx)[in_bonds[v, i]] = sum_j weights[v, j, i] x[out_bonds[v, j]]
+        mx_in = np.einsum("vji,vj...->vi...", self.weights, x[bi.out_bonds])
+        out = np.empty(x.shape, dtype=mx_in.dtype)
+        out[bi.in_bonds] = mx_in
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The 2B x 2B matrix M, for tests at small sizes."""
+        bi = self.bond_index
+        m = np.zeros((bi.num_directed, bi.num_directed))
+        m[bi.in_bonds[:, :, None], bi.out_bonds[:, None, :]] = self.weights.transpose(0, 2, 1)
+        return m
+
+
+def classical_map(a: Assembly) -> ClassicalMap:
+    """M = |S|^2 entrywise; doubly stochastic or the assembly is corrupt.
+
+    Row in_bonds[v, i] of M sums weights[v, :, i] and column out_bonds[v, j]
+    sums weights[v, j, :], so the check runs on the vertex blocks.
+    """
+    w = np.abs(a.entries) ** 2
     worst = max(
-        float(np.max(np.abs(m.sum(axis=0) - 1.0))),
-        float(np.max(np.abs(m.sum(axis=1) - 1.0))),
+        float(np.max(np.abs(w.sum(axis=1) - 1.0))),
+        float(np.max(np.abs(w.sum(axis=2) - 1.0))),
     )
     if not worst <= STOCHASTICITY_TOL:
         raise StochasticityError(f"row/column sums deviate by {worst:.3e}")
-    return m
+    return ClassicalMap(bond_index=a.bond_index, weights=w)
 
 
 @dataclass(frozen=True)
 class VertexBasis:
-    """Outgoing (e) and incoming (e_tilde) bond indicator vectors per vertex.
-
-    Rows are vertices; <e_i, e~_j> equals the connectivity matrix entry.
+    """Outgoing (e_v) and incoming (e~_v) bond indicator vectors per vertex,
+    held as index arrays: e_v indicates the bonds b with tails[b] = v and
+    e~_v those with heads[b] = v.  <e_u, e~_v> is the connectivity entry.
     """
 
     n: int
     d: int
-    e: np.ndarray
-    e_tilde: np.ndarray
+    tails: np.ndarray = field(repr=False)
+    heads: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        self.e.setflags(write=False)
-        self.e_tilde.setflags(write=False)
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        return (self.e @ self.e_tilde.T).astype(np.int64)
+    def overlaps(self, x: np.ndarray) -> np.ndarray:
+        """The n inner products <e_v, x>, that is e @ x."""
+        x = np.asarray(x)
+        if np.iscomplexobj(x):
+            return self.overlaps(x.real) + 1j * self.overlaps(x.imag)
+        return np.bincount(self.tails, weights=x, minlength=self.n)
 
 
 def vertex_basis(bi: BondIndex) -> VertexBasis:
     """Indicator vectors of each vertex's outgoing and incoming bonds."""
-    two_b = bi.num_directed
-    bonds = np.arange(two_b)
-    e = np.zeros((bi.n, two_b))
-    et = np.zeros((bi.n, two_b))
-    e[bi.tails, bonds] = 1.0
-    et[bi.heads, bonds] = 1.0
-    return VertexBasis(n=bi.n, d=bi.out_bonds.shape[1], e=e, e_tilde=et)
+    return VertexBasis(n=bi.n, d=bi.out_bonds.shape[1], tails=bi.tails, heads=bi.heads)
 
 
 @dataclass(frozen=True)
@@ -113,9 +145,17 @@ class WalkIdentityReport:
 
 
 def walk_action_identities(
-    m: np.ndarray, basis: VertexBasis, strict: bool = False
+    m: ClassicalMap, basis: VertexBasis, strict: bool = False
 ) -> WalkIdentityReport:
     """Check M e_v = e~_v and M e~_v = (sum_{w~v} e~_w - e_v)/(d-1) for all v.
+
+    Row b = in_bonds[v, i] of M has its d non-zeros weights[v, :, i] on the
+    bonds leaving v, which all lie in e_v and of which the j-th lies in
+    e~_w for w the j-th neighbour of v; the i-th leaves towards tail(b).
+    So entry b of M e_v is the row sum, entry b of M e~_w is weights[v, j, i],
+    and both identities are statements about the blocks: unit row sums, and
+    weights[v, j, i] = (1 - [i = j])/(d-1).  Every other entry of both sides
+    is zero.
 
     The first identity holds for every unitary assembly (columns of each
     vertex matrix have unit norm); the second requires zero reflection, so
@@ -123,13 +163,11 @@ def walk_action_identities(
     strict=True a deviation beyond tolerance raises, for callers that have
     asserted an equi-transmitting assembly.
     """
-    c = basis.adjacency.astype(np.float64)
     d = basis.d
-    me = m @ basis.e.T           # columns: M e_v
-    met = m @ basis.e_tilde.T    # columns: M e~_v
-    dev_out = float(np.max(np.abs(me - basis.e_tilde.T)))
-    expected = (c @ basis.e_tilde - basis.e) / (d - 1)
-    dev_in = float(np.max(np.abs(met - expected.T)))
+    w = m.weights
+    dev_out = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
+    expected = (1.0 - np.eye(d)) / (d - 1)
+    dev_in = float(np.max(np.abs(w - expected)))
     report = WalkIdentityReport(
         max_dev_outgoing=dev_out,
         max_dev_incoming=dev_in,
@@ -143,11 +181,11 @@ def walk_action_identities(
     return report
 
 
-def singular_profile(m: np.ndarray) -> np.ndarray:
-    """Singular values of M in decreasing order, via the symmetric
-    eigenproblem of M^T M."""
-    evals = np.linalg.eigvalsh(m.T @ m)
-    return np.sqrt(np.clip(evals, 0.0, None))[::-1]
+def singular_profile(m: ClassicalMap) -> np.ndarray:
+    """Singular values of M in decreasing order: M is block-diagonal up to
+    row and column permutations, so they are those of its vertex blocks."""
+    values = np.linalg.svd(m.weights, compute_uv=False)
+    return np.sort(values, axis=None)[::-1]
 
 
 def reduced_matrix(g: Graph) -> np.ndarray:
@@ -159,7 +197,7 @@ def reduced_matrix(g: Graph) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def phi_tilde(coeffs: np.ndarray) -> np.ndarray:
+def _phi_tilde(coeffs: np.ndarray) -> np.ndarray:
     """Lift vertex coefficients a to the reduced space as (a; 0)."""
     a = np.asarray(coeffs, dtype=np.complex128)
     return np.concatenate([a, np.zeros_like(a)])
@@ -171,25 +209,16 @@ def psi(x_hat: np.ndarray, basis: VertexBasis) -> np.ndarray:
     n = basis.n
     if x_hat.shape != (2 * n,):
         raise ValidationError(f"reduced vector must have length {2 * n}")
-    return basis.e.T @ x_hat[:n] + basis.e_tilde.T @ x_hat[n:]
+    return x_hat[:n][basis.tails] + x_hat[n:][basis.heads]
 
 
 def _vertex_coefficients(f: np.ndarray, basis: VertexBasis) -> np.ndarray:
     """Coefficients of the span{e_v} component (the e_v are orthogonal,
     each of squared norm d)."""
-    return (basis.e @ f) / basis.d
+    return basis.overlaps(f) / basis.d
 
 
-def _real_pair(x: np.ndarray) -> np.ndarray:
-    """A complex vector as the real (len, 2) stack [x.real, x.imag].
-
-    Iterating a real M on this stack never casts M to complex, and the
-    stack's Frobenius norm is ||x||.
-    """
-    return np.stack([x.real, x.imag], axis=1)
-
-
-def reduced_consistency(g: Graph, m: np.ndarray, f, t: int) -> float:
+def reduced_consistency(g: Graph, m: ClassicalMap, f, t: int) -> float:
     """Max deviation between psi(C_hat^t phi~(f)) and M^t f for f in span{e_v}.
 
     f may be given as n vertex coefficients or as a full 2B bond vector
@@ -201,11 +230,11 @@ def reduced_consistency(g: Graph, m: np.ndarray, f, t: int) -> float:
     f = np.asarray(f, dtype=np.complex128)
     if f.shape == (g.n,):
         coeffs = f
-        f_vec = basis.e.T @ coeffs
+        f_vec = coeffs[basis.tails]
     elif f.shape == (2 * g.B,):
         coeffs = _vertex_coefficients(f, basis)
         f_vec = f
-        resid = float(np.max(np.abs(f - basis.e.T @ coeffs)))
+        resid = float(np.max(np.abs(f - coeffs[basis.tails])))
         if not resid <= G2_MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(f)))):
             raise ValidationError(
                 f"observable is outside span(e_v) by {resid:.3e}; "
@@ -215,21 +244,20 @@ def reduced_consistency(g: Graph, m: np.ndarray, f, t: int) -> float:
         raise ValidationError("f must have length n (coefficients) or 2B (bond vector)")
 
     c_hat = reduced_matrix(g)
-    x = phi_tilde(coeffs)
-    lhs = x
+    lhs = _phi_tilde(coeffs)
     for _ in range(t):
         lhs = c_hat @ lhs
     lhs = psi(lhs, basis)
 
-    rhs = _real_pair(f_vec)
+    rhs = f_vec
     for _ in range(t):
         rhs = m @ rhs
-    return float(np.max(np.abs(lhs - (rhs[:, 0] + 1j * rhs[:, 1]))))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def project_g1(x: np.ndarray, basis: VertexBasis) -> np.ndarray:
     """Orthogonal projection onto span{e_v}."""
-    return basis.e.T @ ((basis.e @ x) / basis.d)
+    return _vertex_coefficients(x, basis)[basis.tails]
 
 
 def project_g2(x: np.ndarray, basis: VertexBasis) -> np.ndarray:
@@ -237,13 +265,13 @@ def project_g2(x: np.ndarray, basis: VertexBasis) -> np.ndarray:
     return x - project_g1(x, basis)
 
 
-def g2_contraction(m: np.ndarray, g_vec: np.ndarray, basis: VertexBasis) -> float:
+def g2_contraction(m: ClassicalMap, g_vec: np.ndarray, basis: VertexBasis) -> float:
     """||M g|| / ||g|| for g orthogonal to span{e_v}; equals 1/(d-1)."""
     g_vec = np.asarray(g_vec, dtype=np.complex128)
     norm = float(np.linalg.norm(g_vec))
     if norm == 0.0:
         raise ValidationError("zero vector")
-    overlap = float(np.max(np.abs(basis.e @ g_vec))) / np.sqrt(basis.d)
+    overlap = float(np.max(np.abs(basis.overlaps(g_vec)))) / np.sqrt(basis.d)
     if not overlap <= G2_MEMBERSHIP_TOL * norm:
         raise ValidationError(
             f"vector has span(e_v) component {overlap:.3e}; not in the contraction space"
@@ -339,11 +367,11 @@ class DecayRow:
 
     @property
     def violated(self) -> bool:
-        return not np.isnan(self.bound) and self.norm > self.bound + 1e-12
+        return not np.isnan(self.bound) and not self.norm <= self.bound + 1e-12
 
 
 def decay_profile(
-    m: np.ndarray,
+    m: ClassicalMap,
     f: Observable,
     T: int,
     beta: float,
@@ -381,7 +409,7 @@ def decay_profile(
             kind = "vertex_span"
 
     rows = []
-    x = _real_pair(fvec)
+    x = fvec
     for t in range(1, T + 1):
         x = m @ x
         norm = float(np.linalg.norm(x))

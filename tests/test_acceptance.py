@@ -233,7 +233,7 @@ def test_criterion_11_return_path_identity():
     t = 2
     assert near_cycle_census(g, t) == frozenset()  # every b0 qualifies
     mg, a = et_assembly(g, length_seed=42)
-    m_power = np.linalg.matrix_power(classical_map(a), t)
+    m_power = np.linalg.matrix_power(classical_map(a).dense(), t)
     devs = []
     for samples in (50, 200, 800):
         mt = m_tilde(a, mg, t, 200.0, samples)

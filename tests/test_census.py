@@ -1,6 +1,9 @@
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qge
 from qge import (
@@ -22,6 +25,37 @@ from conftest import (
     oracle_near_census,
     petersen,
 )
+
+
+def bfs_min_return_lengths(bi, cap):
+    """The one-directional search the meet-in-the-middle one replaced: a
+    full BFS from the successors of each bond until it returns."""
+    two_b = bi.num_directed
+    succ = bi.successors
+    out = [None] * two_b
+    for b0 in range(bi.B):
+        dist = [-1] * two_b
+        queue = deque()
+        for c in succ[b0]:
+            dist[c] = 1
+            queue.append(c)
+        found = None
+        while queue:
+            b = queue.popleft()
+            if dist[b] >= cap:
+                continue
+            for c in succ[b]:
+                if c == b0:
+                    found = dist[b] + 1
+                    queue.clear()
+                    break
+                if dist[c] < 0:
+                    dist[c] = dist[b] + 1
+                    queue.append(c)
+        if found is not None and found <= cap:
+            out[b0] = found
+            out[b0 + bi.B] = found
+    return out
 
 
 class TestCycleCensus:
@@ -73,6 +107,28 @@ class TestMinReturnLengths:
         ours = qge.census.min_return_lengths(g.bond_index, 8)
         oracle = oracle_min_return(g, 8)
         assert ours == oracle
+
+    @pytest.mark.parametrize("graph", [k5, petersen, cage46])
+    def test_matches_oracle_all_caps(self, graph):
+        g = graph()
+        for cap in range(3, 13):
+            assert qge.census.min_return_lengths(g.bond_index, cap) == oracle_min_return(g, cap)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.sampled_from([8, 10, 12, 14, 16]),
+        d=st.sampled_from([3, 4, 5]),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    def test_matches_oracle_random(self, n, d, seed):
+        g = generate_random_regular(n, d, seed=seed)
+        for cap in range(3, 13):
+            assert qge.census.min_return_lengths(g.bond_index, cap) == oracle_min_return(g, cap)
+
+    def test_matches_full_bfs_n200(self):
+        g = generate_random_regular(200, 4, seed=29)
+        ours = qge.census.min_return_lengths(g.bond_index, 12)
+        assert ours == bfs_min_return_lengths(g.bond_index, 12)
 
     def test_reversal_symmetry(self):
         g = petersen()
@@ -141,7 +197,17 @@ class TestCensusReport:
         assert rep.c_set == frozenset()
         assert rep.to_json_dict() == {"t": 4, "c_bonds": [], "t_bonds": sorted(rep.t_set)}
 
+    def test_matches_separate_censuses(self):
+        graphs = [k5(), petersen(), cage46()]
+        graphs += [generate_random_regular(24, 4, seed=s) for s in range(3)]
+        for g in graphs:
+            for t in (2, 3, 4):
+                rep = census_report(g, t)
+                assert rep.c_set == (cycle_bond_census(g, t) if t >= 3 else frozenset())
+                assert rep.t_set == near_cycle_census(g, t)
+
     def test_t2_report_has_empty_cycle_set(self):
         rep = census_report(k5(), 2)
         assert rep.c_set == frozenset()
         assert rep.t_set == frozenset(range(20))
+

@@ -163,6 +163,22 @@ class TestAssemblyWiring:
         assert np.array_equal(a.S, oracle_s(g, _per_vertex(g, rule)))
 
     @pytest.mark.parametrize("g,rule", WIRING_CASES)
+    def test_classical_map_bitwise(self, g, rule):
+        m = classical_map(build_assembly(g, rule))
+        assert np.array_equal(m.dense(), np.abs(oracle_s(g, _per_vertex(g, rule))) ** 2)
+
+    @pytest.mark.parametrize("g,rule", WIRING_CASES)
+    def test_no_backscatter_reads_diagonals(self, g, rule):
+        s = oracle_s(g, _per_vertex(g, rule))
+        dense = bool(np.all(s[np.arange(2 * g.B), g.bond_index.rev] == 0.0))
+        assert build_assembly(g, rule).no_backscatter == dense
+
+    def test_s_built_on_first_use(self):
+        a = build_assembly(k5(), equi_transmitting_sigma(4))
+        assert "S" not in a.__dict__
+        assert a.S is a.S and not a.S.flags.writeable
+
+    @pytest.mark.parametrize("g,rule", WIRING_CASES)
     def test_structural_deviation_matches_dense(self, g, rule):
         s = build_assembly(g, rule).S
         dense = float(np.max(np.abs(s @ s.conj().T - np.eye(s.shape[0]))))
@@ -465,7 +481,7 @@ class TestMTilde:
     def test_t1_equals_m(self, k5_metric):
         # single-step phases cancel in modulus, so no k dependence at t=1
         _, mg, a = k5_metric
-        m = classical_map(a)
+        m = classical_map(a).dense()
         assert np.max(np.abs(m_tilde(a, mg, 1, 10.0, 4) - m)) < 1e-14
 
     def test_doubly_stochastic(self, k5_metric):
@@ -481,7 +497,7 @@ class TestMTilde:
         assert qge.near_cycle_census(g, 2) == frozenset()
         mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=42))
         a = build_assembly(mg, equi_transmitting_sigma(4))
-        m2 = np.linalg.matrix_power(classical_map(a), 2)
+        m2 = np.linalg.matrix_power(classical_map(a).dense(), 2)
         for samples in (20, 60):
             mt = m_tilde(a, mg, 2, 120.0, samples)
             assert np.max(np.abs(mt - m2)) < 1e-12

@@ -180,6 +180,10 @@ class TestSpectralReport:
         for seed in range(5):
             g = generate_random_regular(24, 4, seed=seed)
             assert girth(g) == oracle_girth(g)
+        for d in (3, 5):
+            for seed in range(5):
+                g = generate_random_regular(16, d, seed=seed)
+                assert girth(g) == oracle_girth(g)
 
 
 class TestRamanujan:

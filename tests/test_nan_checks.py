@@ -46,8 +46,8 @@ def _nan_sigma(d: int = 4) -> VertexScattering:
 def _nan_assembly():
     g = k5()
     mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=3))
-    s = np.full((2 * g.B, 2 * g.B), np.nan + 0j)
-    return g, mg, Assembly(bond_index=g.bond_index, S=s, vertex_rule=("nan",) * g.n)
+    entries = np.full((g.n, g.d, g.d), np.nan + 0j)
+    return g, mg, Assembly(bond_index=g.bond_index, entries=entries, vertex_rule=("nan",) * g.n)
 
 
 def _walk_setup():

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qge import (
+    DecayRow,
     IdentityFailureError,
     Observable,
     ParameterError,
     ValidationError,
+    VertexScattering,
     WalkBoundUnavailableError,
     build_assembly,
     classical_map,
@@ -47,43 +51,118 @@ def random_walk_setup(n, seed):
     return g, classical_map(a), vertex_basis(g.bond_index)
 
 
+def dense_basis(basis):
+    """The n x 2B indicator matrices e (outgoing) and e~ (incoming)."""
+    bonds = np.arange(len(basis.tails))
+    e = np.zeros((basis.n, len(bonds)))
+    et = np.zeros((basis.n, len(bonds)))
+    e[basis.tails, bonds] = 1.0
+    et[basis.heads, bonds] = 1.0
+    return e, et
+
+
+def _haar(d, rng):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return VertexScattering(kind="random", entries=q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+
+
+def _rule_cases():
+    """(graph, rule) pairs: K5, Petersen and random graphs with n <= 80
+    under equi-transmitting, Kirchhoff, mixed and random-unitary rules."""
+    rng = np.random.default_rng(12)
+    et, kh = equi_transmitting_sigma(4), kirchhoff_sigma(4)
+    pet = petersen()
+    cases = [
+        pytest.param(k5(), et, id="k5-et"),
+        pytest.param(k5(), kh, id="k5-kirchhoff"),
+        pytest.param(pet, kirchhoff_sigma(3), id="petersen-kirchhoff"),
+        pytest.param(pet, [_haar(3, rng) for _ in range(pet.n)], id="petersen-unitary"),
+    ]
+    for n, seed in ((20, 1), (80, 2)):
+        g = generate_random_regular(n, 4, seed=seed)
+        cases += [
+            pytest.param(g, et, id=f"random{n}-et"),
+            pytest.param(g, kh, id=f"random{n}-kirchhoff"),
+            pytest.param(g, [(et, kh)[v % 2] for v in range(g.n)], id=f"random{n}-mixed"),
+            pytest.param(g, [_haar(4, rng) for _ in range(g.n)], id=f"random{n}-unitary"),
+        ]
+    g = generate_random_regular(30, 5, seed=3)
+    cases.append(pytest.param(g, [_haar(5, rng) for _ in range(g.n)], id="random30-d5-unitary"))
+    return cases
+
+
+RULE_CASES = _rule_cases()
+
+
 class TestClassicalMap:
     def test_et_rows(self, k5_walk):
         _, m, _ = k5_walk
-        for row in m:
+        for row in m.dense():
             nz = row[row > 1e-15]
             assert len(nz) == 3
             assert np.allclose(nz, 1 / 3)
 
     def test_kirchhoff_rows(self):
         g = k5()
-        m = classical_map(build_assembly(g, kirchhoff_sigma(4)))
+        m = classical_map(build_assembly(g, kirchhoff_sigma(4))).dense()
         bi = g.bond_index
         refl = m[np.arange(2 * g.B), bi.rev]
         assert np.allclose(refl, 0.25)
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
     def test_column_sums(self, k5_walk):
-        _, m, _ = k5_walk
+        m = k5_walk[1].dense()
         assert np.max(np.abs(m.sum(axis=0) - 1.0)) < 1e-12
         assert np.max(np.abs(m.sum(axis=1) - 1.0)) < 1e-12
 
 
+    @pytest.mark.parametrize("g,rule", RULE_CASES)
+    def test_matvec_matches_dense(self, g, rule):
+        m = classical_map(build_assembly(g, rule))
+        dense = m.dense()
+        rng = np.random.default_rng(5)
+        two_b = 2 * g.B
+        for x in (
+            rng.normal(size=two_b),
+            rng.normal(size=(two_b, 3)),
+            rng.normal(size=two_b) + 1j * rng.normal(size=two_b),
+        ):
+            assert np.allclose(m @ x, dense @ x, rtol=1e-14, atol=1e-15)
+
+    def test_rejects_wrong_length(self, k5_walk):
+        _, m, _ = k5_walk
+        with pytest.raises(ValidationError):
+            m @ np.ones(21)
+
+
 class TestVertexBasis:
     def test_norms(self, k5_walk):
-        _, _, basis = k5_walk
-        assert np.allclose((basis.e**2).sum(axis=1), 4.0)
-        assert np.allclose((basis.e_tilde**2).sum(axis=1), 4.0)
+        e, e_tilde = dense_basis(k5_walk[2])
+        assert np.allclose((e**2).sum(axis=1), 4.0)
+        assert np.allclose((e_tilde**2).sum(axis=1), 4.0)
 
     def test_pairing_is_adjacency(self):
         g = petersen()
-        basis = vertex_basis(g.bond_index)
-        assert np.array_equal(basis.adjacency, g.adjacency)
+        e, e_tilde = dense_basis(vertex_basis(g.bond_index))
+        assert np.array_equal((e @ e_tilde.T).astype(np.int64), g.adjacency)
 
     def test_partition_of_bonds(self, k5_walk):
-        _, _, basis = k5_walk
-        assert np.array_equal(basis.e.sum(axis=0), np.ones(20))
-        assert np.array_equal(basis.e_tilde.sum(axis=0), np.ones(20))
+        e, e_tilde = dense_basis(k5_walk[2])
+        assert np.array_equal(e.sum(axis=0), np.ones(20))
+        assert np.array_equal(e_tilde.sum(axis=0), np.ones(20))
+
+
+    def test_index_routes_match_dense(self):
+        g, _, basis = random_walk_setup(20, 5)
+        e, e_tilde = dense_basis(basis)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=2 * g.B) + 1j * rng.normal(size=2 * g.B)
+        x_hat = rng.normal(size=2 * g.n) + 1j * rng.normal(size=2 * g.n)
+        assert np.allclose(basis.overlaps(x), e @ x, rtol=1e-14, atol=1e-14)
+        assert np.allclose(project_g1(x, basis), e.T @ ((e @ x) / g.d), rtol=1e-14, atol=1e-14)
+        dense_psi = e.T @ x_hat[: g.n] + e_tilde.T @ x_hat[g.n :]
+        assert np.allclose(psi(x_hat, basis), dense_psi, rtol=1e-14, atol=1e-14)
 
 
 class TestWalkIdentities:
@@ -110,6 +189,21 @@ class TestWalkIdentities:
             walk_action_identities(m, basis, strict=True)
 
 
+    @pytest.mark.parametrize("g,rule", RULE_CASES)
+    def test_matches_dense_route(self, g, rule):
+        # the dense computation on M e_v and M e~_v that the block form replaces
+        m = classical_map(build_assembly(g, rule))
+        basis = vertex_basis(g.bond_index)
+        e, e_tilde = dense_basis(basis)
+        dense = m.dense()
+        dev_out = float(np.max(np.abs(dense @ e.T - e_tilde.T)))
+        expected = (g.adjacency @ e_tilde - e) / (g.d - 1)
+        dev_in = float(np.max(np.abs(dense @ e_tilde.T - expected.T)))
+        rep = walk_action_identities(m, basis)
+        assert rep.max_dev_outgoing == pytest.approx(dev_out, abs=1e-14)
+        assert rep.max_dev_incoming == pytest.approx(dev_in, abs=1e-14)
+
+
 class TestSingularProfile:
     def test_k5_multiset(self, k5_walk):
         _, m, _ = k5_walk
@@ -123,11 +217,25 @@ class TestSingularProfile:
         assert np.allclose(sv[: g.n], 1.0, atol=1e-9)
         assert np.allclose(sv[g.n :], 1 / 3, atol=1e-9)
 
+    @pytest.mark.parametrize("g,rule", RULE_CASES)
+    def test_matches_dense_oracle(self, g, rule):
+        # squares against the eigenvalues of M^T M: the square root would
+        # amplify the oracle's rounding at the zero singular values of
+        # Kirchhoff blocks
+        m = classical_map(build_assembly(g, rule))
+        sv = singular_profile(m)
+        dense = m.dense()
+        oracle = np.linalg.eigvalsh(dense.T @ dense)[::-1]
+        assert sv.shape == (2 * g.B,)
+        assert np.all(np.diff(sv) <= 0.0)
+        assert np.max(np.abs(sv**2 - oracle)) < 1e-12
+
     def test_block_structure(self, k5_walk):
         # grouping bonds by tail vertex block-diagonalises M^T M into
         # identical d x d blocks with entries (d-1)/(d-1)^2, (d-2)/(d-1)^2
         g, m, basis = k5_walk
         d = g.d
+        m = m.dense()
         gram = m.T @ m
         j_block = ((d - 2) * np.ones((d, d)) + np.eye(d)) / (d - 1) ** 2
         bi = g.bond_index
@@ -220,7 +328,7 @@ class TestReducedEvolution:
     def test_t0_identity(self, k5_walk):
         g, m, basis = k5_walk
         coeffs = np.array([0.3, -1.2, 0.9, 0.0, 0.0])
-        f = basis.e.T @ coeffs
+        f = dense_basis(basis)[0].T @ coeffs
         assert reduced_consistency(g, m, f, 0) == 0.0
 
     def test_psi_kernel(self, k5_walk):
@@ -258,7 +366,7 @@ class TestG2Contraction:
     def test_e_v_rejected(self, k5_walk):
         _, m, basis = k5_walk
         with pytest.raises(ValidationError):
-            g2_contraction(m, basis.e[0], basis)
+            g2_contraction(m, dense_basis(basis)[0][0], basis)
 
     def test_many_random_vectors(self):
         _, m, basis = random_walk_setup(20, 3)
@@ -293,7 +401,7 @@ class TestDecayProfile:
         # falls back to the span{e_v} envelope
         g, m, basis = k5_walk
         coeffs = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
-        f = Observable.from_vector(basis.e.T @ coeffs)
+        f = Observable.from_vector(dense_basis(basis)[0].T @ coeffs)
         rows = decay_profile(m, f, 5, 3.0, basis)
         assert all(r.bound_kind == "vertex_span" for r in rows)
         fnorm = np.sqrt(8.0)
@@ -322,6 +430,44 @@ class TestDecayProfile:
         for r in rows:
             x = m @ x
             assert r.norm == pytest.approx(float(np.linalg.norm(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_norms_match_dense_route(self, seed):
+        # the route the gather replaces: dense |S|^2 on the real pair
+        # [f.real, f.imag]
+        g = generate_random_regular(60, 4, seed=seed)
+        a = build_assembly(g, equi_transmitting_sigma(4))
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=2 * g.B) + 1j * rng.normal(size=2 * g.B)
+        f = Observable.from_vector(raw - np.mean(raw))
+        beta = spectral_report(g).beta
+        rows = decay_profile(classical_map(a), f, 30, beta, vertex_basis(g.bond_index))
+        dense = np.abs(a.S) ** 2
+        x = np.stack([f.f.real, f.f.imag], axis=1)
+        for r in rows:
+            x = dense @ x
+            assert r.norm == pytest.approx(float(np.linalg.norm(x)), rel=1e-13)
+
+    def test_nan_norm_is_violated(self):
+        assert DecayRow(t=1, norm=float("nan"), bound=1.0, bound_kind="general").violated
+        assert not DecayRow(t=1, norm=0.5, bound=1.0, bound_kind="general").violated
+        assert not DecayRow(t=1, norm=float("nan"), bound=float("nan"), bound_kind="none").violated
+
+    def test_large_graph_without_dense_matrices(self):
+        # 2B = 80000: a dense S would take 95 GiB, an n x 2B basis 12 GiB
+        g = generate_random_regular(20000, 4, seed=5)
+        tracemalloc.start()
+        try:
+            a = build_assembly(g, equi_transmitting_sigma(4))
+            m = classical_map(a)
+            basis = vertex_basis(g.bond_index)
+            rows = decay_profile(m, parity_observable(g.bond_index), 30, 2.5, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert "S" not in a.__dict__  # the cached dense S was never built
+        assert len(rows) == 30 and all(np.isfinite(r.norm) for r in rows)
 
     def test_rejects_non_traceless(self, k5_walk):
         g, m, basis = k5_walk
