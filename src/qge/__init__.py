@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .bonds import BondIndex
 from .bounds import (
     BoundInputs,
-    VarianceBound,
     WormaldParams,
     choose_horizon,
     explicit_variance_bound,
@@ -21,7 +20,6 @@ from .bounds import (
     wormald_probability,
 )
 from .census import (
-    CensusReport,
     census_report,
     cycle_bond_census,
     lemma_sides,
@@ -44,10 +42,8 @@ from .errors import (
 )
 from .evolution import (
     Assembly,
-    FejerWeights,
     MetricGraph,
     Observable,
-    VarianceEstimate,
     build_assembly,
     constant_observable,
     draw_lengths,
@@ -58,14 +54,12 @@ from .evolution import (
     lemma_a_sides,
     m_tilde,
     parity_observable,
-    spectrum_scan,
     trace_correlator,
     variance_estimate,
 )
 from .experiment import ExperimentConfig, ExperimentRow, family_experiment, parse_config
 from .graphs import (
     Graph,
-    SpectralReport,
     export_graph,
     generate_random_regular,
     girth,
@@ -74,7 +68,6 @@ from .graphs import (
     spectral_report,
 )
 from .scattering import (
-    SkewHadamard,
     VertexScattering,
     equi_transmitting_sigma,
     is_equi_transmitting,
@@ -82,10 +75,7 @@ from .scattering import (
     skew_hadamard,
 )
 from .walk import (
-    ClassicalMap,
     DecayRow,
-    VertexBasis,
-    WalkIdentityReport,
     classical_map,
     decay_profile,
     g2_contraction,

@@ -29,6 +29,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _scatter(bi: BondIndex, blocks: np.ndarray) -> np.ndarray:
+    """The dense 2B x 2B matrix of per-vertex (n, d, d) blocks, entry
+    [in_bonds[v, i], out_bonds[v, j]] = blocks[v, i, j], zero elsewhere."""
+    m = np.zeros((bi.num_directed, bi.num_directed), dtype=blocks.dtype)
+    m[bi.in_bonds[:, :, None], bi.out_bonds[:, None, :]] = blocks
+    return m
+
+
 @dataclass(frozen=True)
 class BondIndex:
     """Index of the 2B directed bonds of a validated d-regular graph.

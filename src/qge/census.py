@@ -37,11 +37,24 @@ __all__ = [
 DEFAULT_WORK_BUDGET = 100_000_000
 
 
-def _check_budget(g: Graph, t: int, work_budget: int) -> None:
-    cost = 2 * g.B * t * (g.d - 1) ** t
+def _search_cost(g: Graph, cap: int) -> int:
+    """Bound on the bonds min_return_lengths(bi, cap) visits:
+    B * 2 * sum_{e=0}^{ceil(cap/2)} (d-1)^e.
+
+    Per root, round s = 1 .. cap-1 grows the smaller of forward layer i and
+    backward layer j, i + j = s, which holds at most (d-1)^floor(s/2) bonds,
+    by their d-1 successors each.  So each power (d-1)^e, 1 <= e <=
+    ceil(cap/2), is visited at most twice, and the d seed bonds fit in the
+    e = 0 terms.
+    """
+    return g.B * 2 * sum((g.d - 1) ** e for e in range(-(-cap // 2) + 1))
+
+
+def _check_budget(g: Graph, cap: int, work_budget: int) -> None:
+    cost = _search_cost(g, cap)
     if cost > work_budget:
         raise WorkBudgetError(
-            f"census at t={t} estimated cost {cost} exceeds budget {work_budget}"
+            f"census search to length {cap} estimated cost {cost} exceeds budget {work_budget}"
         )
 
 
@@ -130,7 +143,7 @@ def near_cycle_census(
     walk of length <= 2 t2, for some t1 + t2 = t with t2 >= 2."""
     if t < 2:
         raise ParameterError(f"near-cycle census horizon t={t} must be >= 2")
-    _check_budget(g, t, work_budget)
+    _check_budget(g, 2 * t, work_budget)
     bi = g.bond_index
     return _near_cycle_bonds(bi, min_return_lengths(bi, 2 * t), t)
 
@@ -189,7 +202,7 @@ def census_report(g: Graph, t: int, work_budget: int = DEFAULT_WORK_BUDGET) -> C
     """Both censuses at horizon t from one return-length search at 2t."""
     if t < 2:
         raise ParameterError(f"census horizon t={t} must be >= 2")
-    _check_budget(g, t, work_budget)
+    _check_budget(g, 2 * t, work_budget)
     bi = g.bond_index
     ret = min_return_lengths(bi, 2 * t)
     c_set = _cycle_edges(g, ret, t) if t >= 3 else frozenset()
@@ -207,12 +220,18 @@ def lemma_sides(
 ) -> tuple[int, Fraction]:
     """Exact integer sides of the census inequality at horizon t.
 
-    Returns (|near(t)|, (d-1)^(t-1)/(d-2) * |directed cycle bonds(2t)|); the
-    left side never exceeds the right.
+    Returns (|near(t)|, (d-1)^(t-1)/(d-2) * |directed cycle bonds(2t)|),
+    both from one return-length search at 2t; the left side never exceeds
+    the right.
     """
     if g.d < 3:
         raise ParameterError("census inequality needs d >= 3")
-    t_count = len(near_cycle_census(g, t, work_budget))
-    c_directed = 2 * len(cycle_bond_census(g, 2 * t, work_budget))
+    if t < 2:
+        raise ParameterError(f"census horizon t={t} must be >= 2")
+    _check_budget(g, 2 * t, work_budget)
+    bi = g.bond_index
+    ret = min_return_lengths(bi, 2 * t)
+    t_count = len(_near_cycle_bonds(bi, ret, t))
+    c_directed = 2 * len(_cycle_edges(g, ret, 2 * t))
     bound = Fraction((g.d - 1) ** (t - 1) * c_directed, g.d - 2)
     return t_count, bound

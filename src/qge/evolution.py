@@ -1,8 +1,8 @@
 """Quantum evolution on directed bonds.
 
-Wires per-vertex scattering matrices into the 2B x 2B bond matrix S (made
-dense only when U(k) needs it), forms the evolution U(k) with entries e^{i k L_b} S_{bc}, and provides the
-spectral diagnostics built on it: eigenbases, secular-root scans, the
+Forms the evolution U(k) with entries e^{i k L_b} S_{bc}, scattered
+straight from the per-vertex scattering matrices (no dense S is kept), and
+provides the spectral diagnostics built on it: eigenbases, the
 quantum-variance estimator, trace correlators, k-averaged squared-modulus
 matrices, and the Fejer window machinery.
 
@@ -17,18 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .bonds import BondIndex
+from .bonds import BondIndex, _scatter
 from .errors import (
     AssemblyError,
     NumericalError,
     ParameterError,
     ValidationError,
 )
-from .graphs import Graph
+from .graphs import Graph, _rng
 from .scattering import VertexScattering
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "build_assembly",
     "evolution",
     "eigenbasis",
-    "spectrum_scan",
     "VarianceEstimate",
     "variance_estimate",
     "trace_correlator",
@@ -88,18 +86,18 @@ class MetricGraph:
 
 
 def draw_lengths(b: int, seed: int, low: float = 1.0, high: float = 2.0) -> np.ndarray:
-    """Seeded uniform bond lengths in [low, high]; irrational length ratios
-    with probability one, which is what the k-averages rely on."""
-    rng = np.random.default_rng(np.uint64(seed))
-    return rng.uniform(low, high, size=b)
+    """Uniform bond lengths in [low, high] from a seed in [0, 2^64);
+    irrational length ratios with probability one, which is what the
+    k-averages rely on."""
+    return _rng(seed).uniform(low, high, size=b)
 
 
 @dataclass(frozen=True)
 class Assembly:
     """The (n, d, d) vertex matrices wired by the bond index.
 
-    entries[v] is sigma_v.  The dense bond matrix S is scattered from them
-    on first use; only U(k) needs it.
+    entries[v] is sigma_v.  No dense bond matrix S is held: U(k) is
+    scattered from the blocks (see evolution).
     """
 
     bond_index: BondIndex
@@ -108,16 +106,6 @@ class Assembly:
 
     def __post_init__(self):
         self.entries.setflags(write=False)
-
-    @cached_property
-    def S(self) -> np.ndarray:
-        bi = self.bond_index
-        two_b = bi.num_directed
-        s = np.zeros((two_b, two_b), dtype=np.complex128)
-        # S[in_bonds[v, i], out_bonds[v, j]] = sigma_v[j, i]
-        s[bi.in_bonds[:, :, None], bi.out_bonds[:, None, :]] = self.entries.transpose(0, 2, 1)
-        s.setflags(write=False)
-        return s
 
     @property
     def no_backscatter(self) -> bool:
@@ -168,9 +156,14 @@ def build_assembly(mg: MetricGraph | Graph, rule) -> Assembly:
 
 
 def evolution(a: Assembly, mg: MetricGraph, k: float) -> np.ndarray:
-    """U(k) with entries e^{i k L_b} S_{bc}; unitary for real k."""
+    """U(k) with entries e^{i k L_b} S_{bc}; unitary for real k.
+
+    One scatter from the vertex blocks:
+    U[in_bonds[v, i], out_bonds[v, j]] = e^{i k L[in_bonds[v, i]]} sigma_v[j, i].
+    """
+    bi = a.bond_index
     phases = np.exp(1j * k * mg.directed_lengths)
-    return phases[:, None] * a.S
+    return _scatter(bi, phases[bi.in_bonds][:, :, None] * a.entries.transpose(0, 2, 1))
 
 
 def _cayley_eigh(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -240,62 +233,6 @@ def eigenbasis(
     raise NumericalError(
         f"eigenbasis failed at every Cayley shift (tolerance {EIGENBASIS_TOL}): {'; '.join(failures)}"
     )
-
-
-def _nearest_signed_phase(a: Assembly, mg: MetricGraph, k: float) -> float:
-    lam = np.linalg.eigvals(evolution(a, mg, k))
-    ph = np.angle(lam) / (2.0 * np.pi)  # in (-1/2, 1/2]
-    return float(ph[np.argmin(np.abs(ph))])
-
-
-def spectrum_scan(
-    a: Assembly,
-    mg: MetricGraph,
-    k_range: tuple[float, float],
-    resolution: float,
-    root_tol: float = 1e-10,
-) -> list[float]:
-    """Approximate roots of det(U(k) - I) = 0 in [k_lo, k_hi].
-
-    Grid scan of the eigenphase nearest zero followed by bisection on its
-    sign change.  Eigenphases increase with k, so every root is an
-    up-crossing; the resolution must be finer than the root spacing for all
-    roots to be bracketed.  Diagnostic only: the variance estimator never
-    uses it.
-    """
-    k_lo, k_hi = float(k_range[0]), float(k_range[1])
-    if not (k_hi > k_lo):
-        raise ParameterError(f"empty scan range [{k_lo}, {k_hi}]")
-    if resolution <= 0:
-        raise ParameterError("resolution must be positive")
-    ks = np.arange(k_lo, k_hi + resolution / 2, resolution)
-    rho = [_nearest_signed_phase(a, mg, k) for k in ks]
-    roots: list[float] = []
-    for i, r in enumerate(rho):
-        if abs(r) < root_tol:
-            roots.append(float(ks[i]))
-    for i in range(len(ks) - 1):
-        lo, hi = float(ks[i]), float(ks[i + 1])
-        rlo, rhi = rho[i], rho[i + 1]
-        if not (rlo < -root_tol and rhi > root_tol):
-            continue
-        if abs(rlo) + abs(rhi) > 0.45:  # wrapped pair, not a crossing
-            continue
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if _nearest_signed_phase(a, mg, mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13 * max(1.0, abs(hi)):
-                break
-        roots.append(0.5 * (lo + hi))
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9 * max(1.0, abs(r)):
-            deduped.append(r)
-    return deduped
 
 
 @dataclass(frozen=True)
@@ -389,14 +326,11 @@ def variance_estimate(
     f: Observable,
     k_max: float,
     samples: int,
-    seed: int | None = None,
-    sampler: str = "grid",
 ) -> VarianceEstimate:
     """Estimate the k-averaged second moment of eigenvector matrix elements
     of diag(f) around their uniform average Tr diag(f) / 2B.
 
-    Default sampler is the equispaced midpoint grid on [0, k_max];
-    sampler="mc" draws the k values uniformly instead (seeded).  The
+    The k values are the equispaced midpoint grid on [0, k_max].  The
     standard error is the sample standard deviation of the per-k statistic
     divided by sqrt(samples); it is undefined (NaN, null in the JSON form)
     for a single sample.
@@ -407,13 +341,7 @@ def variance_estimate(
     two_b = a.bond_index.num_directed
     if f.dim != two_b:
         raise ValidationError(f"observable has dim {f.dim}, expected {two_b}")
-    if sampler == "grid":
-        ks = _sample_grid(k_max, samples)
-    elif sampler == "mc":
-        rng = np.random.default_rng(np.uint64(seed if seed is not None else 0))
-        ks = rng.uniform(0.0, k_max, size=samples)
-    else:
-        raise ParameterError(f"unknown sampler {sampler!r}")
+    ks = _sample_grid(k_max, samples)
 
     mean_element = f.trace() / two_b
 

@@ -30,6 +30,10 @@ from .scattering import equi_transmitting_sigma
 __all__ = ["ExperimentConfig", "ExperimentRow", "family_experiment", "parse_config"]
 
 LENGTH_SEED_OFFSET = 1_000_003  # decorrelates length draws from graph sampling
+# a row draws its graph at seed and its lengths at seed + LENGTH_SEED_OFFSET,
+# and both must lie in [0, 2^64)
+MAX_SEED = 2**64 - 1 - LENGTH_SEED_OFFSET
+CONFIG_KEYS = ("d", "n_list", "seeds", "K", "samples", "kappa", "output")
 
 EXPERIMENT_COLUMNS = [
     "n",
@@ -59,11 +63,13 @@ class ExperimentConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the key=value config format (keys: d, n_list, seeds, K, samples,
-    kappa, output; lists comma-separated).
+    """Parse the key=value config format (keys: CONFIG_KEYS, each at most
+    once; lists comma-separated).  An unknown or repeated key raises
+    ParseError.
 
     Values a sweep cannot run with (d < 3, n <= d, samples < 1, K or kappa
-    not finite and positive) raise ValidationError before any row is computed.
+    not finite and positive, a seed outside [0, MAX_SEED]) raise
+    ValidationError before any row is computed.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -73,7 +79,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ParseError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ParseError(f"config line {lineno}: unknown key {key!r}")
+        if key in entries:
+            raise ParseError(f"config line {lineno}: key {key!r} given twice")
+        entries[key] = value.strip()
     required = {"d", "n_list", "seeds"}
     missing = required - entries.keys()
     if missing:
@@ -95,6 +106,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValidationError(f"every n in n_list must exceed d={d}")
     if samples < 1:
         raise ValidationError(f"config samples={samples} must be >= 1")
+    if any(not 0 <= s <= MAX_SEED for s in seeds):
+        raise ValidationError(f"config seeds must lie in [0, {MAX_SEED}]")
     if not (0 < k_window < math.inf and 0 < kappa < math.inf):
         raise ValidationError(
             f"config K={k_window} and kappa={kappa} must be finite and positive"

@@ -28,6 +28,13 @@ __all__ = [
 
 EIG_TOL = 1e-9  # eigenvalue tolerance for multiplicity / bipartite detection
 
+
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's default generator for a seed in [0, 2^64)."""
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed {seed} must lie in [0, 2^64)")
+    return np.random.default_rng(np.uint64(seed))
+
 RAMANUJAN_TOL = 1e-9
 
 
@@ -109,7 +116,7 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_0
 
     Configuration model with full rejection of pairings containing loops or
     multiple edges; conditioned on simplicity the outcome is exactly uniform.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed, which must lie in [0, 2^64).
     """
     if d < 3:
         raise ParameterError(f"degree d={d} must be >= 3")
@@ -117,7 +124,7 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_0
         raise ParameterError(f"need d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise ParameterError(f"n*d = {n * d} must be even")
-    rng = np.random.default_rng(np.uint64(seed))
+    rng = _rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     for _ in range(max_attempts):
         perm = rng.permutation(stubs)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bonds import BondIndex
+from .bonds import BondIndex, _scatter
 from .errors import (
     IdentityFailureError,
     NumericalError,
@@ -84,10 +84,7 @@ class ClassicalMap:
 
     def dense(self) -> np.ndarray:
         """The 2B x 2B matrix M, for tests at small sizes."""
-        bi = self.bond_index
-        m = np.zeros((bi.num_directed, bi.num_directed))
-        m[bi.in_bonds[:, :, None], bi.out_bonds[:, None, :]] = self.weights.transpose(0, 2, 1)
-        return m
+        return _scatter(self.bond_index, self.weights.transpose(0, 2, 1))
 
 
 def classical_map(a: Assembly) -> ClassicalMap:

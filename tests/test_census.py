@@ -101,6 +101,40 @@ class TestCycleCensus:
             cycle_bond_census(k5(), 8, work_budget=10)
 
 
+class TestWorkBudget:
+    @pytest.mark.parametrize("n,d", [(200, 4), (60, 6), (26, 4)])
+    def test_visits_within_estimate(self, monkeypatch, n, d):
+        g = cage46() if n == 26 else generate_random_regular(n, d, seed=n)
+        visits = []
+        grow = qge.census._grow
+
+        def spy(front, layer, b0, side, other, succ, rev):
+            visits.append(sum(len(succ[b]) for b in front))
+            return grow(front, layer, b0, side, other, succ, rev)
+
+        monkeypatch.setattr(qge.census, "_grow", spy)
+        for cap in range(3, 13):
+            visits.clear()
+            qge.census.min_return_lengths(g.bond_index, cap)
+            # the d seed bonds per root plus every successor scanned
+            assert g.B * g.d + sum(visits) <= qge.census._search_cost(g, cap)
+
+    def test_charged_at_search_cap(self):
+        g = generate_random_regular(30, 4, seed=2)
+        cost = qge.census._search_cost
+        for t in (2, 3):
+            for census in (census_report, near_cycle_census):
+                census(g, t, work_budget=cost(g, 2 * t))
+                with pytest.raises(WorkBudgetError):
+                    census(g, t, work_budget=cost(g, 2 * t) - 1)
+            lemma_sides(g, t, work_budget=cost(g, 2 * t))
+            with pytest.raises(WorkBudgetError):
+                lemma_sides(g, t, work_budget=cost(g, 2 * t) - 1)
+        cycle_bond_census(g, 5, work_budget=cost(g, 5))
+        with pytest.raises(WorkBudgetError):
+            cycle_bond_census(g, 5, work_budget=cost(g, 5) - 1)
+
+
 class TestMinReturnLengths:
     def test_matches_oracle(self):
         g = generate_random_regular(16, 4, seed=3)
@@ -189,6 +223,30 @@ class TestCensusInequality:
         rhs = Fraction(3**2 * 2 * len(oracle_cycle_census(g, 6)), 2)
         assert lhs <= rhs
         assert lemma_sides(g, 3) == (lhs, rhs)
+
+    def test_one_search_matches_separate_censuses(self, monkeypatch):
+        # the graphs of criterion 10
+        graphs = [k5(), petersen()]
+        sizes = [12, 14, 16, 18, 20, 22, 24, 26, 28, 30]
+        graphs += [generate_random_regular(n, 4, seed=s) for s, n in enumerate(sizes)]
+        search = qge.census.min_return_lengths
+        for g in graphs:
+            for t in (2, 3, 4):
+                c_directed = 2 * len(cycle_bond_census(g, 2 * t))
+                separate = (
+                    len(near_cycle_census(g, t)),
+                    Fraction((g.d - 1) ** (t - 1) * c_directed, g.d - 2),
+                )
+                caps = []
+
+                def spy(bi, cap):
+                    caps.append(cap)
+                    return search(bi, cap)
+
+                with monkeypatch.context() as m:
+                    m.setattr(qge.census, "min_return_lengths", spy)
+                    assert lemma_sides(g, t) == separate
+                assert caps == [2 * t]
 
 
 class TestCensusReport:

@@ -335,17 +335,62 @@ class TestExitCodes:
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
-    @pytest.mark.parametrize(
-        "bad",
-        ["samples=0", "K=0", "kappa=-1", "d=2\nn_list=10", "n_list=10,4", "K=inf", "kappa=inf"],
-    )
-    def test_invalid_config_is_3(self, tmp_path, bad):
+    @staticmethod
+    def _config(tmp_path, bad: str, extra: str = "") -> tuple[Path, Path]:
+        """A small sweep config whose key=value lines `bad` replace its own."""
         cfg = tmp_path / "exp.cfg"
         out = tmp_path / "sweep.csv"
-        # later keys override earlier ones
-        cfg.write_text(f"d=4\nn_list=10\nseeds=1\nK=10\nsamples=5\n{bad}\noutput={out}\n")
+        entries = {"d": "4", "n_list": "10", "seeds": "1", "K": "10", "samples": "5"}
+        entries.update(line.split("=", 1) for line in bad.splitlines())
+        body = "".join(f"{k}={v}\n" for k, v in entries.items())
+        cfg.write_text(f"{body}{extra}output={out}\n")
+        return cfg, out
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "samples=0", "K=0", "kappa=-1", "d=2\nn_list=10", "n_list=10,4", "K=inf", "kappa=inf",
+            "seeds=1,-3", f"seeds={2**64 - 1}",
+        ],
+    )
+    def test_invalid_config_is_3(self, tmp_path, bad):
+        cfg, out = self._config(tmp_path, bad)
         assert run("experiment", "--config", str(cfg)) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, line",
+        [("sample=50\n", 6), ("samples=50\n", 6), ("seeds=2\n", 6), ("# note\nd=5\n", 7)],
+    )
+    def test_invalid_config_is_2(self, tmp_path, capsys, extra, line):
+        # an unknown key (a typo of samples) or a repeated key
+        cfg, out = self._config(tmp_path, "", extra)
+        assert run("experiment", "--config", str(cfg)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ParseError"
+        assert f"line {line}:" in json.loads(err[0])["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "gen", "--n", "10", "--d", "4", "--seed", "-1"],
+            ["graph", "gen", "--n", "10", "--d", "4", "--seed", str(2**64)],
+            ["variance", "--graph", "K5", "--samples", "5", "--length-seed", "-5"],
+            ["experiment", "--config", "CFG"],
+        ],
+        ids=["gen-negative", "gen-2^64", "variance-length-seed", "config-seeds"],
+    )
+    def test_bad_seed_is_3(self, k5_file, tmp_path, capsys, argv):
+        cfg, _ = self._config(tmp_path, "seeds=-3")
+        out = tmp_path / "out.txt"
+        argv = [{"K5": str(k5_file), "CFG": str(cfg)}.get(a, a) for a in argv]
+        assert run(*argv, "--out", str(out)) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] in {"ParameterError", "ValidationError"}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("option, value", [("--K", "inf"), ("--K", "nan"), ("--kappa", "inf")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qge.experiment
-from qge import ExperimentConfig, ParseError, family_experiment, parse_config
+from qge import ExperimentConfig, ParseError, ValidationError, family_experiment, parse_config
 from qge.experiment import EXPERIMENT_COLUMNS
 
 
@@ -49,6 +49,27 @@ class TestParseConfig:
     def test_bad_line(self):
         with pytest.raises(ParseError):
             parse_config("d=4\nn_list=10\nseeds=1\njunk line\n")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("sample = 5", "config line 4: unknown key 'sample'"),
+            ("samples = 5\nsamples = 6", "config line 5: key 'samples' given twice"),
+            ("d = 4", "config line 4: key 'd' given twice"),
+        ],
+    )
+    def test_unknown_or_repeated_key(self, extra, message):
+        with pytest.raises(ParseError, match=message):
+            parse_config(f"d=4\nn_list=10\nseeds=1\n{extra}\n")
+
+    @pytest.mark.parametrize("seeds", ["-1", "0, -3", str(qge.experiment.MAX_SEED + 1)])
+    def test_seed_out_of_range(self, seeds):
+        with pytest.raises(ValidationError, match="seeds"):
+            parse_config(f"d=4\nn_list=10\nseeds={seeds}\n")
+
+    def test_largest_seed(self):
+        cfg = parse_config(f"d=4\nn_list=10\nseeds=0, {qge.experiment.MAX_SEED}\n")
+        assert cfg.seeds == (0, qge.experiment.MAX_SEED)
 
 
 class TestFamilyExperiment:

@@ -9,6 +9,7 @@ from qge import (
     ParseError,
     SamplingError,
     ValidationError,
+    draw_lengths,
     export_graph,
     generate_random_regular,
     girth,
@@ -83,6 +84,13 @@ class TestGenerator:
             generate_random_regular(4, 4, seed=0)
         with pytest.raises(ParameterError):
             generate_random_regular(10, 2, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            generate_random_regular(10, 4, seed=seed)
+        with pytest.raises(ParameterError, match="seed"):
+            draw_lengths(10, seed=seed)
 
     def test_rejection_budget(self):
         with pytest.raises(SamplingError):
