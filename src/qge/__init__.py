@@ -48,7 +48,6 @@ from .evolution import (
     constant_observable,
     draw_lengths,
     eigenbasis,
-    evolution,
     fejer,
     fejer_kernel,
     lemma_a_sides,

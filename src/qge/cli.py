@@ -121,7 +121,7 @@ def _cmd_graph_info(args) -> int:
         "n": report.n,
         "d": report.d,
         "B": g.B,
-        "mu": list(report.mu),
+        "mu": None if report.mu is None else list(report.mu),
         "beta": report.beta,
         "is_connected": report.is_connected,
         "is_bipartite": report.is_bipartite,

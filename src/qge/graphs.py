@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .bonds import BondIndex
-from .errors import ParameterError, ParseError, SamplingError, ValidationError
+from .errors import NumericalError, ParameterError, ParseError, SamplingError, ValidationError
 
 __all__ = [
     "Graph",
@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 EIG_TOL = 1e-9  # eigenvalue tolerance for multiplicity / bipartite detection
+DENSE_SPECTRUM_MAX_N = 512  # above this many vertices beta comes from Lanczos
+LANCZOS_TOL = 1e-10  # residual estimate at which an extreme Ritz pair has converged
+LANCZOS_FIRST_CHECK = 30  # Lanczos step of the first convergence check
+LANCZOS_SEED = 0  # seed of the Gaussian start vector
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -96,7 +100,8 @@ class Graph:
 class SpectralReport:
     """Connectivity-matrix spectrum and derived structural facts.
 
-    mu is the full eigenvalue list in decreasing order.  beta is
+    mu is the full eigenvalue list in decreasing order, or None above
+    DENSE_SPECTRUM_MAX_N vertices, where it is not computed.  beta is
     d - max |mu| over the non-trivial spectrum, where one eigenvalue d is
     removed per connected component and one eigenvalue -d per bipartite
     component.  girth is None for an acyclic graph.
@@ -104,7 +109,7 @@ class SpectralReport:
 
     n: int
     d: int
-    mu: tuple[float, ...]
+    mu: tuple[float, ...] | None
     beta: float
     is_connected: bool
     is_bipartite: bool
@@ -181,26 +186,29 @@ def export_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def _component_bipartite_flags(g: Graph) -> list[bool]:
-    """2-colouring BFS per connected component; one bipartite flag each."""
-    color = [-1] * g.n
+def _components(g: Graph) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+    """One 2-colouring BFS over the graph: each vertex's component label and
+    colour (0 or 1), and one bipartite flag per component."""
+    label = [-1] * g.n
+    color = [0] * g.n
     flags = []
     for start in range(g.n):
-        if color[start] >= 0:
+        if label[start] >= 0:
             continue
         ok = True
-        color[start] = 0
+        label[start] = len(flags)
         queue = deque([start])
         while queue:
             u = queue.popleft()
             for v in g.neighbors[u]:
-                if color[v] < 0:
+                if label[v] < 0:
+                    label[v] = label[u]
                     color[v] = 1 - color[u]
                     queue.append(v)
                 elif color[v] == color[u]:
                     ok = False
         flags.append(ok)
-    return flags
+    return np.array(label), np.array(color), flags
 
 
 def girth(g: Graph) -> int | None:
@@ -239,18 +247,15 @@ def girth(g: Graph) -> int | None:
     return best
 
 
-def spectral_report(g: Graph) -> SpectralReport:
-    """Full eigenvalue list of the connectivity matrix plus derived facts.
+def _dense_spectrum(g: Graph, flags: list[bool]) -> tuple[tuple[float, ...], float]:
+    """Full eigenvalue list (decreasing) of the connectivity matrix and beta.
 
-    Connectivity and bipartiteness are decided structurally (traversal and
-    2-colouring); the eigenvalue multiplicities of +/-d are cross-checked
-    against them so numerics never decide alone.
+    The eigenvalue multiplicities of +/-d are cross-checked against the
+    component count and the bipartite flags.
     """
     c = g.adjacency.astype(np.float64)
     mu = np.linalg.eigvalsh(c)[::-1]  # decreasing
-    flags = _component_bipartite_flags(g)
     comps = len(flags)
-    bipartite = all(flags)
     n_bip = sum(flags)  # one -d eigenvalue per bipartite component
 
     mult_top = int(np.sum(mu > g.d - EIG_TOL))
@@ -270,20 +275,109 @@ def spectral_report(g: Graph) -> SpectralReport:
     # bipartite component.
     nontrivial = mu[mult_top : len(mu) - n_bip] if n_bip else mu[mult_top:]
     beta = g.d - float(np.max(np.abs(nontrivial))) if len(nontrivial) else float(g.d)
+    return tuple(float(x) for x in mu), beta
 
+
+def _lanczos_extremes(matvec, deflate, n: int, max_steps: int) -> tuple[float, float]:
+    """Lowest and highest eigenvalue of a symmetric operator on the
+    (non-empty) complement of the vectors that `deflate` projects out.
+
+    Three-term Lanczos from a seeded Gaussian start, with no
+    reorthogonalisation against the Krylov basis: the deflated vectors are
+    projected out of every new vector instead, so rounding cannot grow
+    them back.  The extreme Ritz pairs are trusted once their residual
+    estimates beta_j |s_{j,i}| fall below LANCZOS_TOL (Paige 1980); they are
+    checked on a growing schedule, since each check is a tridiagonal eigh.
+    """
+    q = deflate(_rng(LANCZOS_SEED).standard_normal(n))
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros(n)
+    alphas: list[float] = []
+    betas: list[float] = []
+    check = LANCZOS_FIRST_CHECK
+    for j in range(1, max_steps + 1):
+        w = deflate(matvec(q))
+        if betas:
+            w -= betas[-1] * q_prev
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        betas.append(float(np.linalg.norm(w)))
+        if j == check or j == max_steps or betas[-1] < LANCZOS_TOL:
+            t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+            theta, s = np.linalg.eigh(t)
+            if betas[-1] * max(abs(s[-1, 0]), abs(s[-1, -1])) < LANCZOS_TOL:
+                return float(theta[0]), float(theta[-1])
+            check = j + max(10, j // 4)
+        q_prev, q = q, w / betas[-1]
+    raise NumericalError(
+        f"Lanczos did not resolve the extreme eigenvalues in {max_steps} steps"
+    )
+
+
+def _lanczos_gap(g: Graph, label: np.ndarray, color: np.ndarray, flags: list[bool]) -> float:
+    """beta from the extreme non-trivial eigenvalues, by Lanczos on the
+    adjacency gather with the structural eigenvectors deflated.
+
+    The structural vectors are one normalised indicator per component
+    (eigenvalue d) and one normalised +/-1 colouring per bipartite
+    component (eigenvalue -d); the two colour classes of a regular
+    bipartite component have equal size, so the vectors are orthonormal and
+    are projected out component by component.  They span everything only
+    when every component is a single edge (d = 1); then beta = d, as on the
+    dense route.
+    """
+    comps, n_bip = len(flags), sum(flags)
+    if comps + n_bip == g.n:
+        return float(g.d)
+    bi = g.bond_index
+    nbr = bi.heads[bi.out_bonds.T]  # (d, n): a sum over rows, not along short ones
+    size = np.bincount(label).astype(np.float64)
+    sign = np.where(np.array(flags)[label], 1.0 - 2.0 * color, 0.0)
+
+    def deflate(w: np.ndarray) -> np.ndarray:
+        w = w - (np.bincount(label, weights=w) / size)[label]
+        if n_bip:
+            w -= sign * (np.bincount(label, weights=sign * w) / size)[label]
+        return w
+
+    lo, hi = _lanczos_extremes(lambda x: x[nbr].sum(axis=0), deflate, g.n, max_steps=g.n)
+    if hi > g.d - EIG_TOL or lo < -g.d + EIG_TOL:
+        raise ValidationError(
+            f"extreme Ritz values {lo}, {hi} after deflating {comps} component and "
+            f"{n_bip} bipartite vectors: one lies within {EIG_TOL} of +/-d"
+        )
+    return g.d - max(-lo, hi)
+
+
+def spectral_report(g: Graph) -> SpectralReport:
+    """Spectral gap of the connectivity matrix plus derived facts.
+
+    Connectivity and bipartiteness are decided structurally, by one
+    traversal with 2-colouring.  Up to DENSE_SPECTRUM_MAX_N vertices the
+    full spectrum comes from a dense eigensolve, whose multiplicities of
+    +/-d are cross-checked against the traversal; above it, beta comes
+    from deflated Lanczos, which rejects any Ritz value at +/-d, and mu is
+    None.  Either way numerics never decide alone.
+    """
+    label, color, flags = _components(g)
+    if g.n <= DENSE_SPECTRUM_MAX_N:
+        mu, beta = _dense_spectrum(g, flags)
+    else:
+        mu, beta = None, _lanczos_gap(g, label, color, flags)
     return SpectralReport(
         n=g.n,
         d=g.d,
-        mu=tuple(float(x) for x in mu),
+        mu=mu,
         beta=beta,
-        is_connected=comps == 1,
-        is_bipartite=bipartite,
+        is_connected=len(flags) == 1,
+        is_bipartite=all(flags),
         girth=girth(g),
     )
 
 
 def is_ramanujan(report: SpectralReport) -> bool:
-    """True iff every non-trivial |mu_i| <= 2 sqrt(d-1) + tol.
+    """True iff every non-trivial |mu_i| <= 2 sqrt(d-1) + tol, that is
+    d - beta <= 2 sqrt(d-1) + tol.
 
     Only defined for connected, non-bipartite graphs.
     """
@@ -291,5 +385,4 @@ def is_ramanujan(report: SpectralReport) -> bool:
         raise ValidationError("Ramanujan test requires a connected graph")
     if report.is_bipartite:
         raise ValidationError("Ramanujan test requires a non-bipartite graph")
-    nontrivial = np.array(report.mu[1:])
-    return bool(np.all(np.abs(nontrivial) <= 2.0 * np.sqrt(report.d - 1) + RAMANUJAN_TOL))
+    return bool(report.d - report.beta <= 2.0 * np.sqrt(report.d - 1) + RAMANUJAN_TOL)

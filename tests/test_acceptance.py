@@ -74,7 +74,7 @@ def test_criterion_01_unitarity_and_no_backscatter():
         idx = np.arange(2 * g.B)
         eye = np.eye(2 * g.B)
         for k in rng.uniform(0.0, 100.0, size=100):
-            u = qge.evolution(a, mg, k)
+            u = qge.evolution.evolution(a, mg, k)
             worst_unitarity = max(
                 worst_unitarity, float(np.max(np.abs(u @ u.conj().T - eye)))
             )

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from qge import (
     draw_lengths,
     eigenbasis,
     equi_transmitting_sigma,
-    evolution,
     fejer,
     fejer_kernel,
     generate_random_regular,
@@ -34,11 +32,10 @@ from qge import (
     variance_estimate,
 )
 
-from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, _unitarity_deviation
+import qge.evolution as evolution_module
+from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, _unitarity_deviation, evolution
 
 from conftest import cage46, k5, petersen
-
-evolution_module = importlib.import_module("qge.evolution")  # qge.evolution is also a function
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +223,12 @@ class TestEvolution:
         for k in rng.uniform(0, 100, size=25):
             u = evolution(a, mg, k)
             assert np.max(np.abs(u @ u.conj().T - np.eye(n))) < 1e-10
+
+    def test_package_attribute_is_the_module(self):
+        # the package does not shadow its submodule with the function
+        assert qge.evolution is evolution_module
+        assert qge.evolution.variance_estimate is variance_estimate
+        assert qge.evolution.evolution is evolution
 
 
 class TestEigenbasis:

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from qge import (
     Graph,
+    NumericalError,
     ParameterError,
     ParseError,
     SamplingError,
@@ -17,6 +21,8 @@ from qge import (
     is_ramanujan,
     spectral_report,
 )
+from qge import graphs
+from qge.cli import main
 
 from conftest import cage46, k5, k5_chain, oracle_girth, petersen
 
@@ -192,6 +198,152 @@ class TestSpectralReport:
             for seed in range(5):
                 g = generate_random_regular(16, d, seed=seed)
                 assert girth(g) == oracle_girth(g)
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    edges, base = [], 0
+    for g in parts:
+        edges.extend((u + base, v + base) for u, v in g.edges)
+        base += g.n
+    return Graph(n=base, d=parts[0].d, edges=tuple(edges))
+
+
+def double_cover(g: Graph) -> Graph:
+    """Bipartite double cover: vertex v becomes (v, 0) = v and (v, 1) = v + n."""
+    edges = [(u, v + g.n) for u, v in g.edges] + [(v, u + g.n) for u, v in g.edges]
+    return Graph(n=2 * g.n, d=g.d, edges=tuple(edges))
+
+
+def dense_report(g: Graph):
+    """The report of the dense eigvalsh route, which serves as the oracle."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(graphs, "DENSE_SPECTRUM_MAX_N", g.n)
+        return spectral_report(g)
+
+
+def assert_routes_agree(g: Graph):
+    assert g.n > graphs.DENSE_SPECTRUM_MAX_N
+    rep, oracle = spectral_report(g), dense_report(g)
+    assert rep.mu is None and len(oracle.mu) == g.n
+    assert abs(rep.beta - oracle.beta) <= 1e-8
+    assert (rep.is_connected, rep.is_bipartite, rep.girth) == (
+        oracle.is_connected,
+        oracle.is_bipartite,
+        oracle.girth,
+    )
+    if rep.is_connected and not rep.is_bipartite:
+        assert is_ramanujan(rep) == is_ramanujan(oracle)
+    else:
+        for r in (rep, oracle):
+            with pytest.raises(ValidationError):
+                is_ramanujan(r)
+    return rep
+
+
+@pytest.fixture(scope="module")
+def g600():
+    return generate_random_regular(600, 4, seed=3)
+
+
+class TestLanczosRoute:
+    """Above DENSE_SPECTRUM_MAX_N vertices beta comes from deflated Lanczos;
+    the dense eigvalsh route is the oracle."""
+
+    @pytest.mark.parametrize(
+        "d, n", [(3, 514), (3, 1200), (4, 513), (4, 1000), (4, 2000), (5, 600), (5, 1500)]
+    )
+    def test_matches_dense_random(self, d, n):
+        for seed in (1, 2):
+            assert_routes_agree(generate_random_regular(n, d, seed=seed))
+
+    def test_two_components(self, g600):
+        rep = assert_routes_agree(disjoint_union(g600, g600))
+        assert not rep.is_connected
+
+    def test_bipartite_double_cover(self, g600):
+        rep = assert_routes_agree(double_cover(g600))
+        assert rep.is_connected and rep.is_bipartite
+
+    def test_mixed_components(self, g600):
+        rep = assert_routes_agree(disjoint_union(g600, double_cover(g600)))
+        assert not rep.is_connected and not rep.is_bipartite
+
+    @pytest.mark.parametrize("d, size", [(2, 3), (1, 2)], ids=["triangles", "matching"])
+    def test_degenerate_components(self, d, size):
+        # 173 disjoint triangles: the deflated spectrum is -1 alone, and
+        # Lanczos breaks down at once (beta = 2 - 1); 260 disjoint edges:
+        # nothing is left after deflation, and beta = d = 1
+        cell = Graph(n=size, d=d, edges=tuple((u, v) for u in range(size) for v in range(u + 1, size)))
+        rep = assert_routes_agree(disjoint_union(*[cell] * (520 // size)))
+        assert rep.beta == pytest.approx(1.0, abs=1e-12)
+
+    def test_tiny_gap_chain(self):
+        rep = assert_routes_agree(k5_chain(103))
+        assert rep.beta < 1e-3
+
+    def test_route_threshold(self):
+        at = generate_random_regular(graphs.DENSE_SPECTRUM_MAX_N, 4, seed=1)
+        above = generate_random_regular(graphs.DENSE_SPECTRUM_MAX_N + 1, 4, seed=1)
+        assert len(spectral_report(at).mu) == at.n
+        assert spectral_report(above).mu is None
+
+    @pytest.mark.parametrize("drop", ["bipartite", "component"])
+    def test_undeflated_structure_rejected(self, g600, monkeypatch, drop):
+        # a traversal that misses a structural vector leaves an eigenvalue
+        # -d or d in the deflated operator, which the route must reject
+        g = double_cover(g600) if drop == "bipartite" else disjoint_union(g600, g600)
+        real = graphs._components
+
+        def wrong(g):
+            label, color, flags = real(g)
+            if drop == "bipartite":
+                return label, color, [False] * len(flags)
+            return np.zeros_like(label), color, [False]
+
+        monkeypatch.setattr(graphs, "_components", wrong)
+        with pytest.raises(ValidationError, match="within"):
+            spectral_report(g)
+
+    def test_large_graph_memory(self):
+        # a dense route would need a 3.2 GB adjacency matrix
+        g = generate_random_regular(20000, 4, seed=5)
+        tracemalloc.start()
+        try:
+            rep = spectral_report(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert rep.mu is None
+        assert np.isfinite(rep.beta) and 0.0 < rep.beta < g.d
+
+    def test_non_convergence_is_numerical_error(self, g600, monkeypatch, tmp_path, capsys):
+        real = graphs._lanczos_extremes
+        monkeypatch.setattr(
+            graphs, "_lanczos_extremes", lambda *args, max_steps: real(*args, max_steps=20)
+        )
+        with pytest.raises(NumericalError, match="20 steps"):
+            spectral_report(g600)
+        path = tmp_path / "g.txt"
+        path.write_text(export_graph(g600))
+        out = tmp_path / "info.json"
+        assert main(["graph", "info", str(path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "NumericalError"
+        assert not out.exists()
+
+    def test_cli_info_above_threshold(self, g600, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(export_graph(g600))
+        out = tmp_path / "info.json"
+        assert main(["graph", "info", str(path), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["mu"] is None
+        assert payload["is_connected"] and not payload["is_bipartite"]
+        # oracle: connected and not bipartite, so only the top eigenvalue is trivial
+        mu = np.linalg.eigvalsh(g600.adjacency.astype(float))
+        assert abs(payload["beta"] - (4 - np.max(np.abs(mu[:-1])))) <= 1e-8
 
 
 class TestRamanujan:

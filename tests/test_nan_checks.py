@@ -1,8 +1,6 @@
 """Every invariant check fails closed: a NaN deviation raises the check's own
 exception instead of comparing false against the tolerance and passing."""
 
-import importlib
-
 import numpy as np
 import pytest
 
@@ -28,11 +26,10 @@ from qge import (
     z_closed_form,
     z_sequence,
 )
+import qge.evolution as evolution_module
 from qge.evolution import Assembly, MetricGraph
 
 from conftest import k5
-
-evolution_module = importlib.import_module("qge.evolution")  # qge.evolution is also a function
 
 
 def _nan_sigma(d: int = 4) -> VertexScattering:

@@ -16,7 +16,6 @@ from qge import (
     classical_map,
     decay_profile,
     equi_transmitting_sigma,
-    evolution,
     g2_contraction,
     generate_random_regular,
     kirchhoff_sigma,
@@ -36,6 +35,7 @@ from qge import (
     z_closed_form,
     z_sequence,
 )
+from qge.evolution import evolution
 
 from conftest import k5, petersen
 
