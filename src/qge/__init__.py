@@ -57,12 +57,11 @@ from .evolution import (
     variance_estimate,
 )
 from .experiment import ExperimentConfig, ExperimentRow, family_experiment, parse_config
+from .fileio import export_graph, import_graph
 from .graphs import (
     Graph,
-    export_graph,
     generate_random_regular,
     girth,
-    import_graph,
     is_ramanujan,
     spectral_report,
 )

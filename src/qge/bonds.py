@@ -56,9 +56,9 @@ class BondIndex:
     def from_graph(cls, g: Graph) -> "BondIndex":
         """Bond index of a Graph, whose validation (range, loops, repeats,
         regularity) makes every row of out_bonds exactly d long."""
-        uv = np.array(g.edges, dtype=np.int64).reshape(g.B, 2)
-        tails = np.concatenate([uv[:, 0], uv[:, 1]])
-        heads = np.concatenate([uv[:, 1], uv[:, 0]])
+        u, v = g.edges.T
+        tails = np.concatenate([u, v])
+        heads = np.concatenate([v, u])
         two_b = 2 * g.B
         rev = (np.arange(two_b) + g.B) % two_b
         out_bonds = np.lexsort((heads, tails)).reshape(g.n, g.d)

@@ -38,7 +38,7 @@ from .fileio import (
     write_csv_atomic,
     write_json_atomic,
 )
-from .graphs import Graph, generate_random_regular, is_ramanujan, spectral_report
+from .graphs import Graph, generate_random_regular, girth, is_ramanujan, spectral_report
 from .manifest import RunManifest
 from .scattering import equi_transmitting_sigma, kirchhoff_sigma
 from .svgplot import line_plot
@@ -114,6 +114,7 @@ def _cmd_graph_gen(args) -> int:
 def _cmd_graph_info(args) -> int:
     g = load_graph(args.graph)
     report = spectral_report(g)
+    gth = girth(g)
     ramanujan = None
     if report.is_connected and not report.is_bipartite:
         ramanujan = is_ramanujan(report)
@@ -125,7 +126,7 @@ def _cmd_graph_info(args) -> int:
         "beta": report.beta,
         "is_connected": report.is_connected,
         "is_bipartite": report.is_bipartite,
-        "girth": report.girth if report.girth is not None else "acyclic",
+        "girth": gth if gth is not None else "acyclic",
         "ramanujan": ramanujan,
     }
     _emit_json(args.out, payload, _manifest(args))

