@@ -75,6 +75,8 @@ class BoundInputs:
     B: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ParameterError(f"bound inputs must be finite: {self}")
         if self.kappa <= 0:
             raise ParameterError("kappa must be positive")
         if self.d < 3:
@@ -117,8 +119,6 @@ def explicit_variance_bound(bi: BoundInputs) -> VarianceBound:
     """
     kappa, d, beta, T, census, b = bi.kappa, bi.d, bi.beta, bi.T, bi.census, bi.B
     const = walk_decay_constant(d, beta)  # raises when beta >= d-2
-    # sanity of the geometric-window majorisation: T-1-T(d-1) < 0 for d >= 2
-    assert T - 1 - T * (d - 1) < 0
 
     term_diag = kappa**2 / T
     term_walk = 2.0 * kappa**2 * const * (d - 1) * (d - 1 - beta) / (T * beta**2)

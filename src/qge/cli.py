@@ -53,6 +53,7 @@ _OBSERVABLES = {"parity": parity_observable, "const": constant_observable}
 _ROUTING = {"command", "func", "out", "plot"}
 # parsed options naming a file the command reads
 _INPUT_FILES = ("graph", "config", "lengths", "obs")
+_SINGULAR_GROUP_TOL = 1e-9  # `walk singular` groups values closer than this
 
 
 def _observable_for(name: str, g: Graph, kappa: float):
@@ -196,7 +197,7 @@ def _cmd_walk_singular(args) -> int:
     values = singular_profile(classical_map(build_assembly(g, _SIGMAS[args.sigma](g.d))))
     groups: list[list[float]] = []
     for v in values:
-        if groups and abs(groups[-1][0] - v) < 1e-9:
+        if groups and abs(groups[-1][0] - v) < _SINGULAR_GROUP_TOL:
             groups[-1].append(float(v))
         else:
             groups.append([float(v)])

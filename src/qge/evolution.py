@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check, imag_residue, stochasticity_deviation, unitarity_deviation
 from .bonds import BondIndex, _scatter
 from .errors import (
     AssemblyError,
@@ -53,6 +54,9 @@ __all__ = [
 S_UNITARITY_TOL = 1e-10
 EIGENBASIS_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-10
+OBSERVABLE_TOL = 1e-12  # |f| above kappa, and |Tr f| per bond and unit of sup|f|
+M_TILDE_TOL = 1e-8  # row and column sums of the k-averaged |U^t|^2
+LEMMA_A_TOL = 1e-8  # imaginary residue and lhs - rhs of the windowed trace inequality
 # Cayley shifts alpha of eigenbasis, tried in order: two generic angles
 # 1.6 rad apart, so a U(k) with an eigenvalue near -e^{-i alpha} for one
 # of them is well conditioned for the other.
@@ -119,14 +123,13 @@ def _unitarity_deviation(bi: BondIndex, entries: np.ndarray) -> float:
     When out_bonds and in_bonds are permutations of the bonds, S is a
     block-diagonal matrix of transposed vertex matrices with rows and
     columns permuted, so its deviation is the worst per-vertex one,
-    max_v |sigma_v^H sigma_v - I|.  A broken wiring reads as infinite.
+    max_v |sigma_v^T conj(sigma_v) - I|.  A broken wiring reads as infinite.
     """
     bonds = np.arange(bi.num_directed)
     for wiring in (bi.out_bonds, bi.in_bonds):
         if not np.array_equal(np.sort(wiring, axis=None), bonds):
             return math.inf
-    gram = np.einsum("vji,vjk->vik", entries.conj(), entries)
-    return float(np.max(np.abs(gram - np.eye(entries.shape[1]))))
+    return unitarity_deviation(entries.transpose(0, 2, 1))
 
 
 def build_assembly(mg: MetricGraph | Graph, rule) -> Assembly:
@@ -149,9 +152,7 @@ def build_assembly(mg: MetricGraph | Graph, rule) -> Assembly:
             raise AssemblyError(f"vertex {v}: matrix size {sig.d} != degree {g.d}")
 
     entries = np.stack([sig.entries for sig in sigmas])
-    dev = _unitarity_deviation(bi, entries)
-    if not dev < S_UNITARITY_TOL:
-        raise NumericalError(f"assembled S not unitary (deviation {dev:.3e})")
+    check(_unitarity_deviation(bi, entries), S_UNITARITY_TOL, NumericalError, "assembled S")
     return Assembly(bond_index=bi, entries=entries, vertex_rule=tuple(sig.kind for sig in sigmas))
 
 
@@ -215,9 +216,7 @@ def eigenbasis(
     """
     u = np.asarray(u, dtype=np.complex128)
     if not assume_unitary:
-        dev = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-        if not dev < EIGENBASIS_TOL:
-            raise ValidationError(f"eigenbasis requires a unitary matrix (deviation {dev:.3e})")
+        check(unitarity_deviation(u), EIGENBASIS_TOL, ValidationError, "eigenbasis input")
     failures = []
     for alpha in _CAYLEY_SHIFTS:
         try:
@@ -254,11 +253,9 @@ class Observable:
         if not np.all(np.isfinite(f)):
             raise ValidationError("observable entries must be finite")
         sup = float(np.max(np.abs(f))) if f.size else 0.0
-        if kappa is None:
-            kappa = sup
-        elif not sup <= kappa + 1e-12:
-            raise ValidationError(f"|f| reaches {sup}, above the stated bound {kappa}")
-        traceless = abs(complex(np.sum(f))) < 1e-12 * max(1, len(f))
+        kappa = sup if kappa is None else kappa
+        check(sup - kappa, OBSERVABLE_TOL, ValidationError, f"|f| = {sup} above its bound {kappa}")
+        traceless = abs(complex(np.sum(f))) < OBSERVABLE_TOL * max(1, len(f)) * max(1.0, sup)
         return cls(f=f, kappa=float(kappa), traceless=traceless)
 
     @property
@@ -368,12 +365,8 @@ def trace_correlator(a: Assembly, mg: MetricGraph, f: Observable, t: int, k: flo
     u = evolution(a, mg, k)
     ut = np.linalg.matrix_power(u, t)
     w = np.abs(ut) ** 2
-    val = complex(np.conj(f.f) @ w @ f.f)
-    if not abs(val.imag) <= IMAG_RESIDUE_TOL * max(1.0, abs(val.real)):
-        raise NumericalError(
-            f"trace correlator has imaginary residue {val.imag:.3e}; "
-            "analytically real only for real observables"
-        )
+    val = complex(np.conj(f.f) @ w @ f.f)  # real for real f
+    check(imag_residue(val), IMAG_RESIDUE_TOL, NumericalError, "trace correlator imaginary part")
     return val.real
 
 
@@ -382,7 +375,7 @@ def m_tilde(
 ) -> np.ndarray:
     """Entrywise k-average of |U(k)^t|^2 over the sample grid.
 
-    Doubly stochastic (each |U^t|^2 is, U being unitary); checked to 1e-8.
+    Doubly stochastic (each |U^t|^2 is, U being unitary); checked to M_TILDE_TOL.
     """
     if t < 0:
         raise ParameterError("t must be >= 0")
@@ -396,12 +389,7 @@ def m_tilde(
     for k in ks:
         acc += np.abs(np.linalg.matrix_power(evolution(a, mg, k), t)) ** 2
     acc /= samples
-    worst = max(
-        float(np.max(np.abs(acc.sum(axis=0) - 1.0))),
-        float(np.max(np.abs(acc.sum(axis=1) - 1.0))),
-    )
-    if not worst < 1e-8:
-        raise NumericalError(f"k-averaged matrix not doubly stochastic ({worst:.3e})")
+    check(stochasticity_deviation(acc), M_TILDE_TOL, NumericalError, "k-averaged |U^t|^2 sums")
     return acc
 
 
@@ -451,7 +439,7 @@ def lemma_a_sides(u: np.ndarray, a_mat: np.ndarray, T: int) -> tuple[float, floa
 
     lhs = (1/N) sum_j |<u_j, A u_j>|^2 over a computed eigenbasis;
     rhs = (1/N) sum_{t=-T..T} w_hat(t) Tr(A* U^t A U^-t).
-    Always lhs <= rhs + 1e-8; a violation marks a numerical fault and raises.
+    Always lhs - rhs < LEMMA_A_TOL; a violation marks a numerical fault and raises.
     """
     u = np.asarray(u, dtype=np.complex128)
     a_mat = np.asarray(a_mat, dtype=np.complex128)
@@ -471,10 +459,7 @@ def lemma_a_sides(u: np.ndarray, a_mat: np.ndarray, T: int) -> tuple[float, floa
             continue
         term = np.trace(a_dag @ p)
         total += wt * (term + np.conj(term))  # the t and -t terms pair up
-    total = complex(total)
-    if not abs(total.imag) <= 1e-8 * max(1.0, abs(total.real)):
-        raise NumericalError(f"windowed trace sum has imaginary residue {total.imag:.3e}")
-    rhs = total.real / n
-    if not lhs <= rhs + 1e-8:
-        raise NumericalError(f"trace inequality violated: lhs={lhs} rhs={rhs}")
+    check(imag_residue(total), LEMMA_A_TOL, NumericalError, "windowed trace sum imaginary part")
+    rhs = float(total.real) / n
+    check(lhs - rhs, LEMMA_A_TOL, NumericalError, f"trace inequality lhs={lhs} rhs={rhs}")
     return lhs, rhs

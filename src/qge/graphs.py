@@ -6,9 +6,10 @@ every vertex has degree exactly d, no loops, no repeated edges, 2B = n d.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -303,7 +304,7 @@ def _lanczos_gap(g: Graph, label: np.ndarray, color: np.ndarray, flags: list[boo
     if comps + n_bip == g.n:
         return float(g.d)
     bi = g.bond_index
-    nbr = bi.heads[bi.out_bonds.T]  # (d, n): a sum over rows, not along short ones
+    nbr = bi.heads[bi.out_bonds.T]  # (d, n); the matvec adds its rows left to right
     size = np.bincount(label).astype(np.float64)
     sign = np.where(np.array(flags)[label], 1.0 - 2.0 * color, 0.0)
 
@@ -313,7 +314,9 @@ def _lanczos_gap(g: Graph, label: np.ndarray, color: np.ndarray, flags: list[boo
             w -= sign * (np.bincount(label, weights=sign * w) / size)[label]
         return w
 
-    lo, hi = _lanczos_extremes(lambda x: x[nbr].sum(axis=0), deflate, g.n, max_steps=g.n)
+    lo, hi = _lanczos_extremes(
+        lambda x: reduce(operator.add, (x[row] for row in nbr)), deflate, g.n, max_steps=g.n
+    )
     if hi > g.d - EIG_TOL or lo < -g.d + EIG_TOL:
         raise ValidationError(
             f"extreme Ritz values {lo}, {hi} after deflating {comps} component and "

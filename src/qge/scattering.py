@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check, unitarity_deviation
 from .errors import (
     HadamardOrderError,
     NoEquiTransmittingMatrixError,
@@ -33,10 +34,6 @@ __all__ = [
 UNITARITY_TOL = 1e-10
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
 @dataclass(frozen=True)
 class VertexScattering:
     """A d x d unitary vertex matrix together with the rule that built it."""
@@ -48,9 +45,7 @@ class VertexScattering:
         m = self.entries
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ParameterError("vertex scattering matrix must be square")
-        dev = _max_abs(m @ m.conj().T - np.eye(m.shape[0]))
-        if not dev < UNITARITY_TOL:
-            raise NumericalError(f"vertex matrix not unitary (deviation {dev:.3e})")
+        check(unitarity_deviation(m), UNITARITY_TOL, NumericalError, "vertex matrix unitarity")
         self.entries.setflags(write=False)
 
     @property
@@ -179,9 +174,9 @@ def is_equi_transmitting(m: np.ndarray, tol: float = 1e-9) -> bool:
     d = m.shape[0]
     if d < 2:
         return False
-    if _max_abs(m @ m.conj().T - np.eye(d)) >= tol:
-        return False
-    if _max_abs(np.diag(m)) >= tol:
-        return False
     off = np.abs(m[~np.eye(d, dtype=bool)])
-    return bool(np.all(np.abs(off - 1.0 / np.sqrt(d - 1)) < tol))
+    return bool(
+        unitarity_deviation(m) < tol
+        and np.all(np.abs(np.diag(m)) < tol)
+        and np.all(np.abs(off - 1.0 / np.sqrt(d - 1)) < tol)
+    )

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _checks  # not `check`: z_sequence has a parameter of that name
 from .bonds import BondIndex, _scatter
 from .errors import (
     IdentityFailureError,
@@ -53,6 +54,9 @@ __all__ = [
 STOCHASTICITY_TOL = 1e-10
 IDENTITY_TOL = 1e-10
 G2_MEMBERSHIP_TOL = 1e-10
+Z_TOL = 1e-9  # recurrence against closed form, and the closed form's imaginary part
+Z_DEGENERATE_TOL = 1e-12  # |sqrt(omega^2 - 1)| below which the closed form degenerates
+DECAY_SLACK = 1e-12  # how far a decay norm may exceed its bound
 
 
 @dataclass(frozen=True)
@@ -94,12 +98,8 @@ def classical_map(a: Assembly) -> ClassicalMap:
     sums weights[v, j, :], so the check runs on the vertex blocks.
     """
     w = np.abs(a.entries) ** 2
-    worst = max(
-        float(np.max(np.abs(w.sum(axis=1) - 1.0))),
-        float(np.max(np.abs(w.sum(axis=2) - 1.0))),
-    )
-    if not worst <= STOCHASTICITY_TOL:
-        raise StochasticityError(f"row/column sums deviate by {worst:.3e}")
+    dev = _checks.stochasticity_deviation(w)
+    _checks.check(dev, STOCHASTICITY_TOL, StochasticityError, "M row/column sums")
     return ClassicalMap(bond_index=a.bond_index, weights=w)
 
 
@@ -165,16 +165,9 @@ def walk_action_identities(
     dev_out = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
     expected = (1.0 - np.eye(d)) / (d - 1)
     dev_in = float(np.max(np.abs(w - expected)))
-    report = WalkIdentityReport(
-        max_dev_outgoing=dev_out,
-        max_dev_incoming=dev_in,
-        equi_transmitting=max(dev_out, dev_in) <= IDENTITY_TOL,
-    )
-    if strict and not report.equi_transmitting:
-        raise IdentityFailureError(
-            f"vertex-vector identities deviate by {report.max_dev:.3e} on an "
-            "assembly asserted equi-transmitting; wiring bug or wrong sigma"
-        )
+    report = WalkIdentityReport(dev_out, dev_in, max(dev_out, dev_in) < IDENTITY_TOL)
+    if strict:  # the assembly was asserted equi-transmitting: wiring bug or wrong sigma
+        _checks.check(report.max_dev, IDENTITY_TOL, IdentityFailureError, "vertex identities")
     return report
 
 
@@ -232,11 +225,8 @@ def reduced_consistency(g: Graph, m: ClassicalMap, f, t: int) -> float:
         coeffs = _vertex_coefficients(f, basis)
         f_vec = f
         resid = float(np.max(np.abs(f - coeffs[basis.tails])))
-        if not resid <= G2_MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(f)))):
-            raise ValidationError(
-                f"observable is outside span(e_v) by {resid:.3e}; "
-                "reduced evolution only represents that span"
-            )
+        tol = G2_MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(f))))
+        _checks.check(resid, tol, ValidationError, "f outside span(e_v)")
     else:
         raise ValidationError("f must have length n (coefficients) or 2B (bond vector)")
 
@@ -269,10 +259,7 @@ def g2_contraction(m: ClassicalMap, g_vec: np.ndarray, basis: VertexBasis) -> fl
     if norm == 0.0:
         raise ValidationError("zero vector")
     overlap = float(np.max(np.abs(basis.overlaps(g_vec)))) / np.sqrt(basis.d)
-    if not overlap <= G2_MEMBERSHIP_TOL * norm:
-        raise ValidationError(
-            f"vector has span(e_v) component {overlap:.3e}; not in the contraction space"
-        )
+    _checks.check(overlap, G2_MEMBERSHIP_TOL * norm, ValidationError, "span(e_v) component")
     return float(np.linalg.norm(m @ g_vec)) / norm
 
 
@@ -280,7 +267,7 @@ def z_sequence(mu: float, d: int, T: int, check: bool = True) -> np.ndarray:
     """z_0..z_T from z_t = (mu z_{t-1} - z_{t-2})/(d-1), z_0 = 0, z_1 = 1.
 
     When the closed form is well-conditioned (omega away from +-1) the two
-    are compared at 1e-9 relative to the sequence scale; disagreement means
+    are compared at Z_TOL relative to the sequence scale; disagreement means
     a broken implementation and raises.
     """
     if d < 3:
@@ -298,10 +285,7 @@ def z_sequence(mu: float, d: int, T: int, check: bool = True) -> np.ndarray:
             closed = z_closed_form(mu, d, T)
             scale = max(1.0, float(np.max(np.abs(z))))
             worst = float(np.max(np.abs(z - closed)))
-            if not worst <= 1e-9 * scale:
-                raise NumericalError(
-                    f"recurrence and closed form disagree by {worst:.3e}"
-                )
+            _checks.check(worst, Z_TOL * scale, NumericalError, "z recurrence against closed form")
     return z
 
 
@@ -314,16 +298,15 @@ def z_closed_form(mu: float, d: int, T: int) -> np.ndarray:
         raise ParameterError("d must be >= 3")
     omega = complex(mu / (2.0 * np.sqrt(d - 1.0)))
     disc = cmath.sqrt(omega * omega - 1.0)
-    if abs(disc) < 1e-12:
+    if abs(disc) < Z_DEGENERATE_TOL:
         raise ParameterError("closed form degenerates at |mu| = 2 sqrt(d-1)")
     root = np.sqrt(d - 1.0)
     lam_p = (omega + disc) / root
     lam_m = (omega - disc) / root
     ts = np.arange(T + 1)
     vals = (root / (2.0 * disc)) * (lam_p**ts - lam_m**ts)
-    worst = float(np.max(np.abs(vals.imag)))
-    if not worst <= 1e-9 * max(1.0, float(np.max(np.abs(vals.real)))):
-        raise NumericalError(f"closed form has imaginary residue {worst:.3e}")
+    residue = _checks.imag_residue(vals)
+    _checks.check(residue, Z_TOL, NumericalError, "z closed form imaginary part")
     return vals.real
 
 
@@ -364,7 +347,7 @@ class DecayRow:
 
     @property
     def violated(self) -> bool:
-        return not np.isnan(self.bound) and not self.norm <= self.bound + 1e-12
+        return not np.isnan(self.bound) and not self.norm <= self.bound + DECAY_SLACK
 
 
 def decay_profile(
@@ -398,12 +381,8 @@ def decay_profile(
     if beta < d - 2:
         kind = "general"
         const = walk_decay_constant(d, beta)
-    else:
-        in_span = float(np.linalg.norm(project_g2(fvec, basis))) <= G2_MEMBERSHIP_TOL * max(
-            1.0, fnorm
-        )
-        if in_span:
-            kind = "vertex_span"
+    elif np.linalg.norm(project_g2(fvec, basis)) <= G2_MEMBERSHIP_TOL * max(1.0, fnorm):
+        kind = "vertex_span"
 
     rows = []
     x = fvec

@@ -136,6 +136,24 @@ class TestExplicitVarianceBound:
         with pytest.raises(ParameterError):
             BoundInputs(kappa=1.0, d=4, beta=1.0, T=0, census=0, B=40)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kappa", math.nan),
+            ("kappa", math.inf),
+            ("census", math.nan),
+            ("B", math.nan),
+            ("d", math.nan),
+            ("T", math.inf),
+        ],
+    )
+    def test_non_finite_input_rejected(self, field, value):
+        # each of these once reached explicit_variance_bound and gave total = nan
+        inputs = dict(kappa=1.0, d=4, beta=1.0, T=3, census=0, B=40)
+        inputs[field] = value
+        with pytest.raises(ParameterError, match="finite"):
+            BoundInputs(**inputs)
+
 
 class TestChooseHorizon:
     def test_examples(self):

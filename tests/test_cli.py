@@ -164,6 +164,16 @@ class TestWalkCommands:
             assert float(norm) <= float(bound)
         ET.fromstring(svg.read_text())  # valid XML
 
+    def test_decay_at_large_kappa(self, tmp_path):
+        # the parity observable at kappa = 1e6 is traceless up to rounding
+        # at the scale of kappa, so the decay bounds apply
+        gpath = tmp_path / "g.txt"
+        gpath.write_text(qge.export_graph(qge.generate_random_regular(81, 4, seed=1)))
+        out = tmp_path / "decay.csv"
+        argv = ["walk", "decay", "--graph", str(gpath), "--T", "5", "--kappa", "1e6"]
+        assert run(*argv, "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 2 + 5
+
     def test_decay_computes_no_girth(self, k5_file, tmp_path, monkeypatch):
         # walk decay reads only beta; graph info reports the girth, so it
         # shows that the spy sees every call

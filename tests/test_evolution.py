@@ -548,6 +548,15 @@ class TestObservable:
         assert f.traceless
         assert f.kappa == pytest.approx(1.2)
 
+    def test_parity_traceless_at_large_kappa(self):
+        # mean-centring leaves a trace of about 1.6e-8 at kappa = 1e6: rounding
+        # at the scale of |f|, which the traceless slack must scale with
+        bi = generate_random_regular(81, 4, seed=1).bond_index
+        f = parity_observable(bi, 1e6)
+        assert abs(f.trace()) > 1e-12 * bi.num_directed
+        assert f.traceless
+        assert not constant_observable(bi, 1e6).traceless
+
     def test_bound_enforced(self):
         with pytest.raises(ValidationError):
             Observable.from_vector([3.0, 0.0], kappa=1.0)

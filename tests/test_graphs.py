@@ -392,6 +392,44 @@ class TestLanczosRoute:
         rep = assert_routes_agree(k5_chain(103))
         assert rep.beta < 1e-3
 
+    @pytest.mark.parametrize(
+        "name, beta_hex",
+        [
+            ("random-d3-n514-s1", "0x1.6cfa5a4764200p-3"),
+            ("random-d3-n514-s2", "0x1.4ba0cb1b78490p-3"),
+            ("random-d3-n1200-s1", "0x1.58e70d600e0d0p-3"),
+            ("random-d3-n1200-s2", "0x1.6b1e8d73983e0p-3"),
+            ("random-d4-n513-s1", "0x1.11a107ca65becp-1"),
+            ("random-d4-n513-s2", "0x1.1412562e88f44p-1"),
+            ("random-d4-n1000-s1", "0x1.19793862620dcp-1"),
+            ("random-d4-n1000-s2", "0x1.157da0d8b56b8p-1"),
+            ("random-d4-n2000-s1", "0x1.1510d849e8e68p-1"),
+            ("random-d4-n2000-s2", "0x1.130e1dce6cf48p-1"),
+            ("random-d5-n600-s1", "0x1.08385eed9325ep+0"),
+            ("random-d5-n600-s2", "0x1.0196d3fb8fcfcp+0"),
+            ("random-d5-n1500-s1", "0x1.01aa373b593d4p+0"),
+            ("random-d5-n1500-s2", "0x1.fe10233b556e0p-1"),
+            ("two-components", "0x1.187b9cfd3ddccp-1"),
+            ("double-cover", "0x1.187b9cfd3ddc4p-1"),
+            ("mixed", "0x1.187b9cfd3ddc4p-1"),
+            ("k5-chain", "0x1.16b3b21c3a000p-12"),
+        ],
+    )
+    def test_beta_bits_pinned(self, g600, name, beta_hex):
+        # the adjacency gather adds the d neighbour rows left to right; these
+        # bits pin that order, so a change to it cannot shift beta unnoticed
+        if name.startswith("random"):
+            d, n, seed = (int(part[1:]) for part in name.split("-")[1:])
+            g = generate_random_regular(n, d, seed=seed)
+        else:
+            g = {
+                "two-components": lambda: disjoint_union(g600, g600),
+                "double-cover": lambda: double_cover(g600),
+                "mixed": lambda: disjoint_union(g600, double_cover(g600)),
+                "k5-chain": lambda: k5_chain(103),
+            }[name]()
+        assert spectral_report(g).beta.hex() == beta_hex
+
     def test_route_threshold(self):
         at = generate_random_regular(graphs.DENSE_SPECTRUM_MAX_N, 4, seed=1)
         above = generate_random_regular(graphs.DENSE_SPECTRUM_MAX_N + 1, 4, seed=1)

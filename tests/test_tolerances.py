@@ -1,0 +1,94 @@
+"""Every tolerance is a named constant and every raising check goes through
+qge._checks.check, which fails closed."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qge
+from qge import NumericalError
+from qge._checks import check, imag_residue, stochasticity_deviation, unitarity_deviation
+
+SOURCES = sorted(Path(qge.__file__).parent.glob("*.py"))
+
+
+def _bare_tolerances(path: Path) -> list[str]:
+    """Float literals in (0, 1e-6) anywhere inside a comparison."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Compare):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Constant) and type(sub.value) is float and 0 < sub.value < 1e-6:
+                found.append(f"{path.name}:{sub.lineno}: {sub.value!r}")
+    return found
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"evolution.py", "walk.py", "scattering.py", "_checks.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_bare_tolerance_in_comparisons(path):
+    assert _bare_tolerances(path) == []
+
+
+def test_rule_sees_a_bare_tolerance(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("ok = x < TOL\nbad = abs(x) <= 1e-9 * scale\nfine = x < 1e-3\n")
+    assert _bare_tolerances(path) == ["probe.py:2: 1e-09"]
+
+
+class TestCheck:
+    def test_below_tolerance_passes(self):
+        assert check(0.5e-10, 1e-10, NumericalError, "probe") is None
+
+    def test_equal_to_tolerance_raises(self):
+        with pytest.raises(NumericalError):
+            check(1e-10, 1e-10, NumericalError, "probe")
+
+    @pytest.mark.parametrize("dev", [math.nan, math.inf])
+    def test_non_finite_deviation_raises(self, dev):
+        with pytest.raises(NumericalError):
+            check(dev, 1e-10, NumericalError, "probe")
+
+    def test_raises_the_given_exception(self):
+        with pytest.raises(qge.ValidationError):
+            check(1.0, 1e-10, qge.ValidationError, "probe")
+
+    def test_message_names_both_numbers(self):
+        with pytest.raises(NumericalError) as info:
+            check(3.25e-7, 1e-8, NumericalError, "probe deviation")
+        message = str(info.value)
+        assert message.startswith("probe deviation")
+        assert "3.250e-07" in message and "1.000e-08" in message
+
+
+class TestMeasures:
+    def test_unitarity_batched(self):
+        u = np.stack([np.eye(3), 2.0 * np.eye(3), np.eye(3)])
+        assert unitarity_deviation(u) == 3.0
+        assert unitarity_deviation(u[0]) == 0.0
+        assert unitarity_deviation(np.zeros((0, 0))) == 0.0
+
+    def test_stochasticity_rows_and_columns(self):
+        w = np.array([[0.5, 0.5], [0.25, 0.75]])
+        assert stochasticity_deviation(w) == 0.25  # columns sum to 0.75, 1.25
+        assert stochasticity_deviation(w.T) == 0.25
+
+    def test_stochasticity_nan_anywhere(self):
+        w = np.full((2, 2, 2), 0.5)
+        w[1, 0, 1] = np.nan
+        assert math.isnan(stochasticity_deviation(w))
+
+    def test_imag_residue_relative_to_real_part(self):
+        assert imag_residue(3.0 + 1e-9j) == pytest.approx(1e-9 / 3.0)
+        assert imag_residue(0.5 + 1e-9j) == 1e-9
+        assert imag_residue(np.array([2.0 + 0j, 4.0 + 1e-8j])) == pytest.approx(2.5e-9)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(1.0, math.inf), [1.0, math.nan]])
+    def test_imag_residue_non_finite_is_infinite(self, z):
+        assert imag_residue(z) == math.inf
