@@ -61,6 +61,13 @@ LEMMA_A_TOL = 1e-8  # imaginary residue and lhs - rhs of the windowed trace ineq
 # 1.6 rad apart, so a U(k) with an eigenvalue near -e^{-i alpha} for one
 # of them is well conditioned for the other.
 _CAYLEY_SHIFTS = (0.7, 2.3)
+# The bond-reversal route of eigenbasis (see _reversal_attempt): M^2
+# eigenphases closer than _PAIR_GAP (rad) form one cluster, and a Cayley
+# eigenvalue |h| above _POLE_BOUND makes it redo the solve at another
+# shift.  Below the bound every angle is 2 / _POLE_BOUND from the pole, so
+# no cluster wraps round it while _PAIR_GAP < 4 / _POLE_BOUND.
+_PAIR_GAP = 1e-3
+_POLE_BOUND = 2e3
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,14 @@ class Assembly:
 
     def __post_init__(self):
         self.entries.setflags(write=False)
+
+    @property
+    def antisymmetric(self) -> bool:
+        """sigma_v^T = -sigma_v at every vertex (as for equi-transmitting
+        sigma_v), so that J W J = -W^T for the bond reversal J and
+        W = D^{-1/2} U(k) D^{1/2}, D = diag(e^{i k L}); variance_estimate
+        then solves each U(k) by the bond-reversal route of eigenbasis."""
+        return bool(np.array_equal(self.entries.transpose(0, 2, 1), -self.entries))
 
     @property
     def no_backscatter(self) -> bool:
@@ -192,8 +207,169 @@ def _cayley_eigh(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return theta, q
 
 
+def _dense_attempt(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """_cayley_eigh at shift alpha with its worst column residual."""
+    theta, q = _cayley_eigh(u, alpha)
+    residual = u @ q - q * np.exp(2j * np.pi * theta)[None, :]
+    return theta, q, float(np.max(np.linalg.norm(residual, axis=0)))
+
+
+def _apply_sparse(w: np.ndarray, succ: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """W z for the W with W[b, succ[b, j]] = w[b, j] and no other nonzero,
+    one row gather per successor slot."""
+    y = z[succ[:, 0]]
+    y *= w[:, :1]
+    for j in range(1, succ.shape[1]):
+        rows = z[succ[:, j]]
+        rows *= w[:, j, None]
+        y += rows
+    return y
+
+
+def _pair_square(w: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """M^2 = V0^H W^2 V0, dense.  Row b of W^2 has its (d-1)^2 nonzeros at
+    the successors of the successors of b, all distinct in a simple graph
+    without back-scattering."""
+    n = len(succ)
+    half = n // 2
+    w2 = np.zeros((n, n), dtype=np.complex128)
+    w2[np.arange(n)[:, None, None], succ[succ]] = 0.5 * w[:, :, None] * w[succ]  # W^2 / 2
+    s, t = w2[:half] + w2[half:], w2[:half] - w2[half:]
+    del w2
+    m2 = np.empty((n, n), dtype=np.complex128)
+    np.add(s[:, :half], s[:, half:], out=m2[:half, :half])
+    np.subtract(s[:, :half], s[:, half:], out=m2[:half, half:])
+    np.add(t[:, :half], t[:, half:], out=m2[half:, :half])
+    np.subtract(t[:, :half], t[:, half:], out=m2[half:, half:])
+    m2[:half, half:] *= 1j
+    m2[half:, :half] *= -1j
+    return m2
+
+
+def _pair_vectors(o: np.ndarray) -> np.ndarray:
+    """V0 (o1 + i o2)/sqrt 2 and V0 (o1 - i o2)/sqrt 2 in columns 2p and
+    2p + 1, for the real columns o1 = o[:, 2p] and o2 = o[:, 2p + 1].
+
+    Split each column into its rows below B (o1t, o2t) and from B on
+    (o1b, o2b).  The + vector has top ((o1t - o2b) + i (o2t + o1b))/2 and
+    the - vector top ((o1t + o2b) + i (o1b - o2t))/2; each one's bottom is
+    the conjugate of the other's top.  Real arithmetic throughout.
+    """
+    n = len(o)
+    half = n // 2
+    o1t, o2t, o1b, o2b = o[:half, 0::2], o[:half, 1::2], o[half:, 0::2], o[half:, 1::2]
+    z = np.empty((n, n), dtype=np.complex128)
+    top = z[:half]
+    np.subtract(o1t, o2b, out=top.real[:, 0::2])
+    np.add(o2t, o1b, out=top.imag[:, 0::2])
+    np.add(o1t, o2b, out=top.real[:, 1::2])
+    np.subtract(o1b, o2t, out=top.imag[:, 1::2])
+    top *= 0.5
+    np.conjugate(top[:, 1::2], out=z[half:, 0::2])
+    np.conjugate(top[:, 0::2], out=z[half:, 1::2])
+    return z
+
+
+def _real_cayley(m2: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley eigenvalues h_j = tan((phi_j + alpha)/2), ascending, and the
+    real orthonormal eigenvectors of the complex symmetric unitary m2 with
+    eigenvalues e^{i phi_j}.  With e^{i alpha} m2 = P + i Q, P and Q are
+    commuting real symmetric matrices and the Cayley transform is
+    (I + P)^{-1} Q: one real solve (dgesv) and one real eigh (dsyevd).
+    Raises LinAlgError when I + P is exactly singular."""
+    v = m2 * np.exp(1j * alpha)
+    a = v.real.copy()
+    a[np.diag_indices(len(a))] += 1.0  # I + P
+    h2 = np.linalg.solve(a, v.imag)
+    del a, v
+    h2 += h2.T  # 2 H, dropping its rounding-level antisymmetric part
+    w2, o = np.linalg.eigh(h2)
+    return 0.5 * w2, o
+
+
+def _pole_turn(h: np.ndarray) -> float:
+    """The change of shift that moves the Cayley pole (angle pi) into the
+    middle of the widest gap of the Cayley angles 2 arctan h."""
+    t = 2.0 * np.arctan(h)
+    gaps = np.diff(t, append=t[0] + 2.0 * np.pi)
+    j = int(np.argmax(gaps))
+    return float(np.pi - (t[j] + 0.5 * gaps[j]))
+
+
+def _reversal_attempt(
+    u: np.ndarray, half_phases: np.ndarray, succ: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenbasis of a u = D W D^{-1}, D = diag(half_phases), whose W is
+    supported on the successor pattern and satisfies J W J = -W^T for the
+    bond reversal J (b <-> b + B), with its worst column residual.
+
+    In the pair basis V0, whose columns are (e_b + e_{b+B})/sqrt 2 and
+    then i (e_b - e_{b+B})/sqrt 2 for b < B (so V0 V0^T = J),
+    M = V0^H W V0 is complex skew-symmetric and unitary, so M^2 is complex
+    symmetric and its real eigenvectors come from _real_cayley.  Each
+    eigenvalue of M^2 is (exactly) double; on its real eigenvector pair
+    (o1, o2) the block of M is [[0, a], [-a, 0]], so (o1 +- i o2)/sqrt 2
+    are eigenvectors of M, and V0 maps them to eigenvectors of W
+    (_pair_vectors).  Eigenphases of M^2 closer than _PAIR_GAP form one
+    cluster; the vectors of a cluster larger than a pair span an invariant
+    subspace of W, whose small block _cayley_eigh diagonalises.
+    A first shift whose Cayley transform reaches _POLE_BOUND is redone
+    with the pole in the middle of the widest gap of its angles (a
+    singular first solve, at the second of _CAYLEY_SHIFTS).  Raises
+    LinAlgError when u leaves the pattern, a cluster is odd or both
+    shifts fail; a u without the symmetry fails there or at the residual.
+    """
+    n = u.shape[0]
+    rows = np.arange(n)[:, None]
+    entries = u[rows, succ]
+    if np.count_nonzero(u) != np.count_nonzero(entries):
+        raise np.linalg.LinAlgError("u has entries off the successor pattern")
+    w = half_phases.conj()[:, None] * entries * half_phases[succ]  # W[b, succ[b, j]]
+    del entries
+    m2 = _pair_square(w, succ)
+    alpha = _CAYLEY_SHIFTS[0]
+    try:
+        h, o = _real_cayley(m2, alpha)
+    except np.linalg.LinAlgError:
+        h = None
+    if h is None or not np.max(np.abs(h)) < _POLE_BOUND:
+        alpha = _CAYLEY_SHIFTS[1] if h is None else alpha + _pole_turn(h)
+        h, o = _real_cayley(m2, alpha)
+        if not np.max(np.abs(h)) < _POLE_BOUND:
+            raise np.linalg.LinAlgError(f"Cayley pole at both shifts: max |h| {np.max(np.abs(h)):.3e}")
+    del m2
+    t = 2.0 * np.arctan(h)  # ascending Cayley angles phi_j + alpha
+
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(t) >= _PAIR_GAP) + 1, [n]))
+    sizes = np.diff(bounds)
+    if np.any(sizes % 2):
+        raise np.linalg.LinAlgError(f"odd cluster of M^2 eigenphases, sizes {sorted(set(sizes.tolist()))}")
+    # every cluster starts at an even column: columns (2p, 2p + 1) are a pair
+    z = _pair_vectors(o)
+    del o
+    for start, size in zip(bounds[:-1][sizes > 2].tolist(), sizes[sizes > 2].tolist()):
+        zg = z[:, start : start + size]
+        block = zg.conj().T @ _apply_sparse(w, succ, zg)
+        # the block's eigenvalues lie near +-e^{i phi/2}: the shift puts
+        # the pole a quarter turn from both
+        phi = float(np.mean(t[start : start + size])) - alpha
+        _, cb = _cayley_eigh(block, 0.5 * (np.pi - phi))
+        z[:, start : start + size] = zg @ cb
+
+    y = _apply_sparse(w, succ, z)
+    theta = (np.angle(np.vecdot(z, y, axis=0)) / (2.0 * np.pi)) % 1.0
+    theta[theta == 1.0] = 0.0  # (-tiny) % 1.0 rounds up to 1.0
+    y -= z * np.exp(2j * np.pi * theta)
+    worst = float(np.sqrt(np.max(np.vecdot(y, y, axis=0).real)))
+    z *= half_phases[:, None]
+    return theta, z, worst
+
+
 def eigenbasis(
-    u: np.ndarray, *, assume_unitary: bool = False
+    u: np.ndarray,
+    *,
+    assume_unitary: bool = False,
+    reversal: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases theta_j in [0, 1) and an orthonormal eigenvector basis.
 
@@ -208,6 +384,12 @@ def eigenbasis(
     Degenerate eigenphases get an arbitrary orthonormal basis of their
     eigenspace.  The eigenphases are not sorted.
 
+    reversal=(h, succ) states the bond-reversal structure of a U(k) whose
+    vertex matrices are antisymmetric (see variance_estimate): h is
+    e^{i k L / 2} per directed bond and succ the (2B, d-1) successor
+    array.  The real route of _reversal_attempt is then tried first, under
+    the same residual gate; when it fails, the route above runs unchanged.
+
     A u that is not unitary to EIGENBASIS_TOL raises ValidationError.
     assume_unitary=True skips that dense O(N^3) check for a caller that
     already knows the answer: U(k) = diag(e^{i k L}) S deviates from
@@ -217,20 +399,21 @@ def eigenbasis(
     u = np.asarray(u, dtype=np.complex128)
     if not assume_unitary:
         check(unitarity_deviation(u), EIGENBASIS_TOL, ValidationError, "eigenbasis input")
+    attempts = [(f"alpha={alpha}", _dense_attempt, (u, alpha)) for alpha in _CAYLEY_SHIFTS]
+    if reversal is not None:
+        attempts.insert(0, ("bond reversal", _reversal_attempt, (u, *reversal)))
     failures = []
-    for alpha in _CAYLEY_SHIFTS:
+    for name, attempt, args in attempts:
         try:
-            theta, q = _cayley_eigh(u, alpha)
+            theta, q, worst = attempt(*args)
         except np.linalg.LinAlgError as exc:
-            failures.append(f"alpha={alpha}: {exc}")
+            failures.append(f"{name}: {exc}")
             continue
-        residual = u @ q - q * np.exp(2j * np.pi * theta)[None, :]
-        worst = float(np.max(np.linalg.norm(residual, axis=0)))
         if worst < EIGENBASIS_TOL:
             return theta, q
-        failures.append(f"alpha={alpha}: residual {worst:.3e}")
+        failures.append(f"{name}: residual {worst:.3e}")
     raise NumericalError(
-        f"eigenbasis failed at every Cayley shift (tolerance {EIGENBASIS_TOL}): {'; '.join(failures)}"
+        f"eigenbasis failed at every route (tolerance {EIGENBASIS_TOL}): {'; '.join(failures)}"
     )
 
 
@@ -331,6 +514,11 @@ def variance_estimate(
     standard error is the sample standard deviation of the per-k statistic
     divided by sqrt(samples); it is undefined (NaN, null in the JSON form)
     for a single sample.
+
+    When every vertex matrix is antisymmetric (Assembly.antisymmetric),
+    each eigenbasis call gets the bond-reversal structure of U(k), so the
+    real route serves it; the eigenvectors, and so the estimate, then
+    differ from the complex route's in the last digits.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -341,9 +529,12 @@ def variance_estimate(
     ks = _sample_grid(k_max, samples)
 
     mean_element = f.trace() / two_b
+    half_lengths = 0.5 * mg.directed_lengths
+    succ = np.asarray(a.bond_index.successors) if a.antisymmetric else None
 
     def per_k(k: float) -> float:
-        _, q = eigenbasis(evolution(a, mg, k), assume_unitary=True)
+        reversal = None if succ is None else (np.exp(1j * k * half_lengths), succ)
+        _, q = eigenbasis(evolution(a, mg, k), assume_unitary=True, reversal=reversal)
         elements = np.einsum("bj,b->j", np.abs(q) ** 2, f.f)
         return float(np.sum(np.abs(elements - mean_element) ** 2)) / two_b
 

@@ -50,9 +50,15 @@ __all__ = [
 
 
 def content_lines(text: str) -> list[str]:
-    """The stripped lines of a line-based format, without blank and "#" lines."""
-    lines = (ln.strip() for ln in text.splitlines())
-    return [ln for ln in lines if ln and not ln.startswith("#")]
+    """The stripped lines of a line-based format, without blank and "#" lines.
+
+    Strips in one C-level map and filters per line only for what the text
+    holds: a text without "#" loses just its blank lines, if it has any.
+    """
+    lines = list(map(str.strip, text.splitlines()))
+    if "#" in text:
+        return [ln for ln in lines if ln and ln[0] != "#"]
+    return [ln for ln in lines if ln] if "" in lines else lines
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

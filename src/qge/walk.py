@@ -274,6 +274,8 @@ def z_sequence(mu: float, d: int, T: int, check: bool = True) -> np.ndarray:
         raise ParameterError("d must be >= 3")
     if T < 0:
         raise ParameterError("T must be >= 0")
+    if not np.isfinite(mu):
+        raise ParameterError(f"mu={mu} must be finite")
     z = np.zeros(T + 1)
     if T >= 1:
         z[1] = 1.0

@@ -362,6 +362,169 @@ class TestCayleyAgainstSchur:
         assert len(calls) == len(_CAYLEY_SHIFTS)
 
 
+def _reversal(mg, k):
+    """The reversal structure variance_estimate passes for U(k)."""
+    return np.exp(0.5j * k * mg.directed_lengths), np.asarray(mg.graph.bond_index.successors)
+
+
+def _spy(monkeypatch, name):
+    """Record the argument tuples of evolution_module.<name> and pass them on."""
+    calls = []
+    real = getattr(evolution_module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolution_module, name, spy)
+    return calls
+
+
+def _planted_pole(g, k, gap=1e-6):
+    """(MetricGraph, rotated ET rule) whose U(k) has an eigenvalue lambda with
+    |1 + e^{i alpha_0} lambda^2| = gap: the vertex matrix e^{i beta} sigma_ET
+    stays antisymmetric and turns every lambda^2 by e^{2 i beta}."""
+    mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=g.n))
+    theta, _ = schur_eigenbasis(evolution(build_assembly(mg, equi_transmitting_sigma(4)), mg, k))
+    beta = 0.5 * (np.pi + gap - _CAYLEY_SHIFTS[0] - 4.0 * np.pi * theta[0])
+    rotated = np.exp(1j * beta) * equi_transmitting_sigma(4).entries
+    return mg, VertexScattering(kind="rotated_et", entries=rotated)
+
+
+def _pole_distance(u):
+    theta, _ = schur_eigenbasis(u)
+    return float(np.min(np.abs(1.0 + np.exp(1j * _CAYLEY_SHIFTS[0] + 4j * np.pi * theta))))
+
+
+class TestReversalRoute:
+    """The bond-reversal route of eigenbasis and its selection."""
+
+    @pytest.mark.parametrize("g,rule", WIRING_CASES)
+    def test_antisymmetric_reads_every_vertex(self, g, rule):
+        # only the equi-transmitting (H - I)/sqrt(d-1) is antisymmetric here;
+        # the mixed rule has Kirchhoff vertices
+        expected = all(sig.kind.startswith("equi") for sig in _per_vertex(g, rule))
+        assert build_assembly(g, rule).antisymmetric == expected
+
+    def test_pole_takes_second_shift(self, monkeypatch):
+        g, k = generate_random_regular(20, 4, seed=2), 3.3
+        mg, rule = _planted_pole(g, k)
+        u = evolution(build_assembly(mg, rule), mg, k)
+        assert _pole_distance(u) == pytest.approx(1e-6, rel=1e-3)
+        solves = _spy(monkeypatch, "_real_cayley")
+        dense = _spy(monkeypatch, "_dense_attempt")
+        theta, q = eigenbasis(u, reversal=_reversal(mg, k))
+        assert len(solves) == 2 and solves[1][1] != _CAYLEY_SHIFTS[0]
+        assert dense == []
+        assert max_residual(u, theta, q) < 1e-10
+        assert phase_distance(theta, schur_eigenbasis(u)[0]) <= 1e-10
+        assert np.max(np.abs(q.conj().T @ q - np.eye(len(q)))) < 1e-12
+
+    @pytest.mark.parametrize("make", [k5, cage46], ids=["k5", "cage46"])
+    def test_equal_lengths_clusters(self, make, monkeypatch):
+        g = make()
+        mg = MetricGraph(graph=g, lengths=np.ones(g.B))
+        a = build_assembly(mg, equi_transmitting_sigma(4))
+        blocks = _spy(monkeypatch, "_cayley_eigh")
+        dense = _spy(monkeypatch, "_dense_attempt")
+        for k in (0.3, 1.1, 2.0):
+            u = evolution(a, mg, k)
+            theta, q = eigenbasis(u, reversal=_reversal(mg, k))
+            assert phase_distance(theta, schur_eigenbasis(u)[0]) <= 1e-10
+            assert np.max(np.abs(q.conj().T @ q - np.eye(len(q)))) < 1e-12
+        assert dense == []
+        assert blocks and all(2 < len(args[0]) < 2 * g.B for args in blocks)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            kirchhoff_sigma(4),
+            # zero diagonal but sigma^T != -sigma
+            VertexScattering(
+                kind="phased_et",
+                entries=np.diag(np.exp(1j * np.arange(4.0)))
+                @ equi_transmitting_sigma(4).entries
+                @ np.diag(np.exp(-1j * np.arange(4.0))),
+            ),
+        ],
+        ids=["kirchhoff", "phased-et"],
+    )
+    def test_structure_without_symmetry_is_general_route(self, rule, monkeypatch):
+        g, k = generate_random_regular(20, 4, seed=2), 3.3
+        mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=3))
+        a = build_assembly(mg, rule)
+        assert not a.antisymmetric
+        u = evolution(a, mg, k)
+        theta_ref, q_ref = eigenbasis(u)
+        dense = _spy(monkeypatch, "_dense_attempt")
+        theta, q = eigenbasis(u, reversal=_reversal(mg, k))
+        assert len(dense) == 1
+        assert np.array_equal(theta, theta_ref) and np.array_equal(q, q_ref)
+
+    def test_every_route_failing_raises(self, monkeypatch):
+        # the reversal route fails at both shifts, the dense route at its gate
+        g = generate_random_regular(20, 4, seed=2)
+        mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=3))
+        u = evolution(build_assembly(mg, equi_transmitting_sigma(4)), mg, 3.3)
+        monkeypatch.setattr(evolution_module, "_POLE_BOUND", 0.0)
+        monkeypatch.setattr(evolution_module, "EIGENBASIS_TOL", 0.0)
+        with pytest.raises(NumericalError, match="bond reversal: .*; alpha=.*; alpha="):
+            eigenbasis(u, assume_unitary=True, reversal=_reversal(mg, 3.3))
+
+
+def _count_case(kind):
+    """(MetricGraph, Assembly, samples, k_max) of one call-count scenario."""
+    g20 = generate_random_regular(20, 4, seed=2)
+    et = equi_transmitting_sigma(4)
+    if kind == "second-shift":  # one sample at k = 3.3, planted at the Cayley pole
+        mg, rule = _planted_pole(g20, 3.3)
+        return mg, build_assembly(mg, rule), 1, 6.6
+    if kind == "clusters":
+        mg = MetricGraph(graph=k5(), lengths=np.ones(10))
+        return mg, build_assembly(mg, et), 4, 40.0
+    if kind == "unitary":
+        g = generate_random_regular(24, 3, seed=6)
+        rule = [_random_unitary(3, v) for v in range(g.n)]
+    else:
+        g, rule = g20, kirchhoff_sigma(4) if kind == "kirchhoff" else et
+    mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=g.n))
+    return mg, build_assembly(mg, rule), 4, 40.0
+
+
+class TestEigenbasisCallCount:
+    """variance_estimate makes exactly one public eigenbasis call per
+    k-sample whatever route serves it (the benchmark's traced pass counts
+    them); retries, cluster blocks and fallbacks stay in private helpers."""
+
+    @pytest.mark.parametrize(
+        "kind,patch,reduced,dense,solves",
+        [
+            ("et", {}, 4, 0, 4),
+            ("kirchhoff", {}, 0, 4, 0),
+            ("unitary", {}, 0, 4, 0),
+            ("second-shift", {}, 1, 0, 2),
+            ("clusters", {}, 4, 0, 4),
+            ("fallback", {"_POLE_BOUND": 0.0}, 4, 4, 8),
+        ],
+    )
+    def test_one_call_per_sample(self, kind, patch, reduced, dense, solves, monkeypatch):
+        mg, a, samples, k_max = _count_case("et" if kind == "fallback" else kind)
+        for name, value in patch.items():
+            monkeypatch.setattr(evolution_module, name, value)
+        calls = {
+            name: _spy(monkeypatch, name)
+            for name in ("eigenbasis", "_reversal_attempt", "_dense_attempt", "_real_cayley", "_cayley_eigh")
+        }
+        est = variance_estimate(a, mg, parity_observable(mg.graph.bond_index), k_max, samples)
+        assert np.isfinite(est.estimate)
+        assert len(calls["eigenbasis"]) == samples
+        assert len(calls["_reversal_attempt"]) == reduced
+        assert len(calls["_dense_attempt"]) == dense
+        assert len(calls["_real_cayley"]) == solves
+        blocks = [args[0] for args in calls["_cayley_eigh"] if len(args[0]) < 2 * mg.graph.B]
+        assert bool(blocks) == (kind == "clusters")
+
+
 class TestVarianceEstimate:
     def test_constant_observable_zero(self, k5_metric):
         g, mg, a = k5_metric

@@ -266,6 +266,13 @@ class TestZMachinery:
         assert z[0] == 0.0 and z[1] == 1.0
         assert z[2] == pytest.approx(1.3 / 3)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("check", [True, False])
+    def test_non_finite_mu_rejected(self, mu, check):
+        # a NaN mu used to return [0, 1, nan, ...]: its closed-form guard reads False
+        with pytest.raises(ParameterError):
+            z_sequence(mu, 4, 4, check=check)
+
     def test_closed_form_agreement(self):
         for mu in np.linspace(-3.0, 3.0, 41):
             z = z_sequence(float(mu), 4, 40)
