@@ -8,7 +8,7 @@ bound that ties the two together.
 
 __version__ = "0.1.0"
 
-from .bonds import BondIndex
+from .bonds import BondIndex, BondOperator
 from .bounds import (
     BoundInputs,
     WormaldParams,
@@ -41,7 +41,6 @@ from .errors import (
     WorkBudgetError,
 )
 from .evolution import (
-    Assembly,
     MetricGraph,
     Observable,
     build_assembly,

@@ -7,34 +7,30 @@ the same order.  The reversal involution is therefore b -> (b + B) mod 2B.
 The wiring of the graph is stated once, by `out_bonds`: row v lists the
 bonds leaving v in increasing head order, so column j is the slot that a
 vertex's j-th smallest neighbour occupies in its vertex matrix.  Incoming
-bonds, successors, neighbour lists and the adjacency matrix derive from it.
+bonds, successors, neighbour lists and the adjacency matrix derive from it,
+and so does every BondOperator: S, the walk M and U(k).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import ValidationError
+
 if TYPE_CHECKING:
     from .graphs import Graph
 
-__all__ = ["BondIndex"]
+__all__ = ["BondIndex", "BondOperator"]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _scatter(bi: BondIndex, blocks: np.ndarray) -> np.ndarray:
-    """The dense 2B x 2B matrix of per-vertex (n, d, d) blocks, entry
-    [in_bonds[v, i], out_bonds[v, j]] = blocks[v, i, j], zero elsewhere."""
-    m = np.zeros((bi.num_directed, bi.num_directed), dtype=blocks.dtype)
-    m[bi.in_bonds[:, :, None], bi.out_bonds[:, None, :]] = blocks
-    return m
 
 
 @dataclass(frozen=True)
@@ -92,10 +88,114 @@ class BondIndex:
         return _frozen(c)
 
     @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Non-backtracking successors: bonds c with tail(c) = head(b), c != rev(b),
-        in slot order."""
+    def successors(self) -> np.ndarray:
+        """Non-backtracking successors, the read-only (2B, d-1) array whose
+        row b lists the bonds c with tail(c) = head(b), c != rev(b), in
+        slot order."""
         cand = self.out_bonds[self.heads]
         keep = cand != self.rev[:, None]
-        rows = cand[keep].reshape(self.num_directed, -1)
-        return tuple(map(tuple, rows.tolist()))
+        return _frozen(cand[keep].reshape(self.num_directed, -1))
+
+
+@dataclass(frozen=True)
+class BondOperator:
+    """diag(phases) X on the 2B directed bonds (phases=None: all ones),
+    where X[in_bonds[v, i], out_bonds[v, j]] = blocks[v, j, i] is wired
+    from per-vertex (n, d, d) blocks and zero elsewhere.  With the vertex
+    matrices sigma_v as blocks X is S, and S.with_phases(e^{ikL}) is U(k);
+    with the blocks |sigma_v|^2 it is the walk M.  X[b, rev(b)] is the
+    diagonal entry of b's slot at head(b), so zero diagonals mean no
+    back-scattering.  `o @ x` is one gather (see `gather`) on a (2B,) or
+    (2B, m) array, in O(2B d m), and `o.dense()` one scatter.
+    """
+
+    bond_index: BondIndex
+    blocks: np.ndarray = field(repr=False)
+    phases: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.blocks.setflags(write=False)
+
+    def with_phases(self, phases: np.ndarray) -> BondOperator:
+        """diag(phases) X, sharing the block facts computed once for X."""
+        op = BondOperator(self.bond_index, self.blocks, phases)
+        op.__dict__.update((name, getattr(self, name)) for name in ("antisymmetric", "gather", "_gram"))
+        return op
+
+    @cached_property
+    def antisymmetric(self) -> bool:
+        """blocks[v]^T = -blocks[v] at every vertex, as for equi-transmitting
+        sigma_v: then J W J = -W^T for the bond reversal J and the gauged
+        W = D X D, D = diag(sqrt(phases)) (see evolution.eigenbasis)."""
+        return bool(np.array_equal(self.blocks.transpose(0, 2, 1), -self.blocks))
+
+    @property
+    def no_backscatter(self) -> bool:
+        return bool(np.all(np.diagonal(self.blocks, axis1=1, axis2=2) == 0.0))
+
+    @cached_property
+    def gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """(c, w), both (2B, s), with (X x)[b] = sum_j w[b, j] x[c[b, j]]:
+        c[b] holds the d-1 successors of b or, when some block has a
+        non-zero diagonal, all d bonds leaving head(b), rev(b) included."""
+        bi = self.bond_index
+        d = bi.out_bonds.shape[1]
+        slot = np.empty(bi.num_directed, dtype=np.int64)
+        slot[bi.in_bonds] = np.arange(d)  # b = in_bonds[heads[b], slot[b]]
+        rows = self.blocks[bi.heads, :, slot]  # rows[b, j] = X[b, out_bonds[heads[b], j]]
+        if not self.no_backscatter:
+            return _frozen(bi.out_bonds[bi.heads]), _frozen(rows)
+        keep = np.arange(d) != slot[:, None]
+        return bi.successors, _frozen(rows[keep].reshape(bi.num_directed, d - 1))
+
+    @cached_property
+    def _gram(self) -> np.ndarray | None:
+        """blocks[v]^T conj(blocks[v]), the blocks of X X^H when out_bonds and
+        in_bonds each list every bond once (X is then block diagonal up to
+        row and column permutations); None for any other wiring."""
+        bi = self.bond_index
+        bonds = np.arange(bi.num_directed)
+        if not all(np.array_equal(np.sort(w, axis=None), bonds) for w in (bi.out_bonds, bi.in_bonds)):
+            return None
+        rows = self.blocks.transpose(0, 2, 1)
+        return rows @ rows.conj().transpose(0, 2, 1)
+
+    def unitarity_deviation(self) -> float:
+        """max |O O^H - I| from the blocks: O O^H has the blocks
+        diag(p_v) gram_v diag(p_v)^H, p_v the phases of the bonds entering
+        v.  A broken wiring reads as infinite."""
+        gram = self._gram
+        if gram is None:
+            return math.inf
+        if self.phases is not None:
+            p = self.phases[self.bond_index.in_bonds]
+            gram = p[:, :, None] * gram * p.conj()[:, None, :]
+        return float(np.max(np.abs(gram - np.eye(gram.shape[-1]))))
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        two_b = self.bond_index.num_directed
+        if x.ndim not in (1, 2) or x.shape[0] != two_b:
+            raise ValidationError(f"operator acts on {two_b} bonds, got shape {x.shape}")
+        index, coef = self.gather
+        if self.phases is not None:
+            coef = self.phases[:, None] * coef
+        x = x.astype(np.result_type(x, coef), copy=False)
+        coef = coef.reshape(coef.shape + (1,) * (x.ndim - 1))
+        y = x[index[:, 0]]
+        y *= coef[:, 0]
+        for j in range(1, index.shape[1]):
+            rows = x[index[:, j]]
+            rows *= coef[:, j]
+            y += rows
+        return y
+
+    def dense(self) -> np.ndarray:
+        """The dense 2B x 2B matrix, by one scatter of the blocks."""
+        bi = self.bond_index
+        blocks = self.blocks.transpose(0, 2, 1)
+        if self.phases is not None:
+            blocks = self.phases[bi.in_bonds][:, :, None] * blocks
+        m = np.zeros((bi.num_directed,) * 2, dtype=blocks.dtype)
+        m[bi.in_bonds[:, :, None], bi.out_bonds[:, None, :]] = blocks
+        return m

@@ -75,7 +75,7 @@ def min_return_lengths(bi: BondIndex, cap: int) -> list[int | None]:
     allocated once: a bond's entry is current when its stamp is b0.
     """
     two_b = bi.num_directed
-    succ = bi.successors
+    succ = bi.successors.tolist()
     rev = bi.rev.tolist()
     # (stamp, distance) per side; the backward side is indexed by the
     # reversed bond
@@ -155,7 +155,7 @@ def _near_cycle_bonds(bi: BondIndex, ret: list[int | None], t: int) -> frozenset
     non-backtracking bond digraph are rev[succ(rev c)].
     """
     two_b = bi.num_directed
-    succ = bi.successors
+    succ = bi.successors.tolist()
     rev = bi.rev.tolist()
     members: set[int] = set()
     for t2 in range(2, t + 1):

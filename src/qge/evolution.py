@@ -1,10 +1,10 @@
 """Quantum evolution on directed bonds.
 
-Forms the evolution U(k) with entries e^{i k L_b} S_{bc}, scattered
-straight from the per-vertex scattering matrices (no dense S is kept), and
-provides the spectral diagnostics built on it: eigenbases, the
-quantum-variance estimator, trace correlators, k-averaged squared-modulus
-matrices, and the Fejer window machinery.
+Forms the evolution U(k) with entries e^{i k L_b} S_{bc}, the bond
+operator S re-phased (no dense S is kept), and provides the spectral
+diagnostics built on it: eigenbases, the quantum-variance estimator, trace
+correlators, k-averaged squared-modulus matrices, and the Fejer window
+machinery.
 
 Orientation convention: S_{bc} is nonzero exactly when directed bond b feeds
 into the vertex that bond c leaves, and then equals the vertex-matrix
@@ -16,12 +16,12 @@ BondIndex.out_bonds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import check, imag_residue, stochasticity_deviation, unitarity_deviation
-from .bonds import BondIndex, _scatter
+from .bonds import BondIndex, BondOperator
 from .errors import (
     AssemblyError,
     NumericalError,
@@ -33,7 +33,6 @@ from .scattering import VertexScattering
 
 __all__ = [
     "MetricGraph",
-    "Assembly",
     "Observable",
     "FejerWeights",
     "draw_lengths",
@@ -103,53 +102,9 @@ def draw_lengths(b: int, seed: int, low: float = 1.0, high: float = 2.0) -> np.n
     return _rng(seed).uniform(low, high, size=b)
 
 
-@dataclass(frozen=True)
-class Assembly:
-    """The (n, d, d) vertex matrices wired by the bond index.
-
-    entries[v] is sigma_v.  No dense bond matrix S is held: U(k) is
-    scattered from the blocks (see evolution).
-    """
-
-    bond_index: BondIndex
-    entries: np.ndarray = field(repr=False)
-    vertex_rule: tuple[str, ...]
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-    @property
-    def antisymmetric(self) -> bool:
-        """sigma_v^T = -sigma_v at every vertex (as for equi-transmitting
-        sigma_v), so that J W J = -W^T for the bond reversal J and
-        W = D^{-1/2} U(k) D^{1/2}, D = diag(e^{i k L}); variance_estimate
-        then solves each U(k) by the bond-reversal route of eigenbasis."""
-        return bool(np.array_equal(self.entries.transpose(0, 2, 1), -self.entries))
-
-    @property
-    def no_backscatter(self) -> bool:
-        # in_bonds[v, i] reverses out_bonds[v, i], so S[b, rev b] = sigma_v[i, i]
-        return bool(np.all(np.diagonal(self.entries, axis1=1, axis2=2) == 0.0))
-
-
-def _unitarity_deviation(bi: BondIndex, entries: np.ndarray) -> float:
-    """max |S S^* - I| of the S wired from the (n, d, d) vertex matrices.
-
-    When out_bonds and in_bonds are permutations of the bonds, S is a
-    block-diagonal matrix of transposed vertex matrices with rows and
-    columns permuted, so its deviation is the worst per-vertex one,
-    max_v |sigma_v^T conj(sigma_v) - I|.  A broken wiring reads as infinite.
-    """
-    bonds = np.arange(bi.num_directed)
-    for wiring in (bi.out_bonds, bi.in_bonds):
-        if not np.array_equal(np.sort(wiring, axis=None), bonds):
-            return math.inf
-    return unitarity_deviation(entries.transpose(0, 2, 1))
-
-
-def build_assembly(mg: MetricGraph | Graph, rule) -> Assembly:
-    """Wire the vertex matrices of a per-vertex scattering rule into an
-    Assembly, whose S is checked unitary through them.
+def build_assembly(mg: MetricGraph | Graph, rule) -> BondOperator:
+    """Wire the vertex matrices of a per-vertex scattering rule into the
+    bond operator S, checked unitary through its blocks.
 
     `rule` is a single VertexScattering applied at every vertex, or a
     sequence with one entry per vertex.  Every matrix must be d x d.
@@ -166,20 +121,18 @@ def build_assembly(mg: MetricGraph | Graph, rule) -> Assembly:
         if sig.d != g.d:
             raise AssemblyError(f"vertex {v}: matrix size {sig.d} != degree {g.d}")
 
-    entries = np.stack([sig.entries for sig in sigmas])
-    check(_unitarity_deviation(bi, entries), S_UNITARITY_TOL, NumericalError, "assembled S")
-    return Assembly(bond_index=bi, entries=entries, vertex_rule=tuple(sig.kind for sig in sigmas))
+    s = BondOperator(bi, np.stack([sig.entries for sig in sigmas]))
+    check(s.unitarity_deviation(), S_UNITARITY_TOL, NumericalError, "assembled S")
+    return s
 
 
-def evolution(a: Assembly, mg: MetricGraph, k: float) -> np.ndarray:
-    """U(k) with entries e^{i k L_b} S_{bc}; unitary for real k.
+def evolution(s: BondOperator, mg: MetricGraph, k: float) -> np.ndarray:
+    """The dense U(k) with entries e^{i k L_b} S_{bc}; unitary for real k.
 
     One scatter from the vertex blocks:
     U[in_bonds[v, i], out_bonds[v, j]] = e^{i k L[in_bonds[v, i]]} sigma_v[j, i].
     """
-    bi = a.bond_index
-    phases = np.exp(1j * k * mg.directed_lengths)
-    return _scatter(bi, phases[bi.in_bonds][:, :, None] * a.entries.transpose(0, 2, 1))
+    return s.with_phases(np.exp(1j * k * mg.directed_lengths)).dense()
 
 
 def _cayley_eigh(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -207,23 +160,17 @@ def _cayley_eigh(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return theta, q
 
 
-def _dense_attempt(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """_cayley_eigh at shift alpha with its worst column residual."""
-    theta, q = _cayley_eigh(u, alpha)
-    residual = u @ q - q * np.exp(2j * np.pi * theta)[None, :]
-    return theta, q, float(np.max(np.linalg.norm(residual, axis=0)))
+def _worst_residual(y: np.ndarray, q: np.ndarray, theta: np.ndarray) -> float:
+    """max_j |y_j - e^{2 pi i theta_j} q_j| for y = U q; overwrites y."""
+    y -= q * np.exp(2j * np.pi * theta)
+    return float(np.sqrt(np.max(np.vecdot(y, y, axis=0).real)))
 
 
-def _apply_sparse(w: np.ndarray, succ: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """W z for the W with W[b, succ[b, j]] = w[b, j] and no other nonzero,
-    one row gather per successor slot."""
-    y = z[succ[:, 0]]
-    y *= w[:, :1]
-    for j in range(1, succ.shape[1]):
-        rows = z[succ[:, j]]
-        rows *= w[:, j, None]
-        y += rows
-    return y
+def _dense_attempt(u: np.ndarray | BondOperator, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """_cayley_eigh of u, scattered when an operator, at shift alpha, with
+    its worst column residual by u's own product."""
+    theta, q = _cayley_eigh(u.dense() if isinstance(u, BondOperator) else u, alpha)
+    return theta, q, _worst_residual(u @ q, q, theta)
 
 
 def _pair_square(w: np.ndarray, succ: np.ndarray) -> np.ndarray:
@@ -296,12 +243,11 @@ def _pole_turn(h: np.ndarray) -> float:
     return float(np.pi - (t[j] + 0.5 * gaps[j]))
 
 
-def _reversal_attempt(
-    u: np.ndarray, half_phases: np.ndarray, succ: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenbasis of a u = D W D^{-1}, D = diag(half_phases), whose W is
-    supported on the successor pattern and satisfies J W J = -W^T for the
-    bond reversal J (b <-> b + B), with its worst column residual.
+def _reversal_attempt(u: BondOperator) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenbasis of u = diag(phases) X with antisymmetric blocks, with its
+    worst column residual.  In the gauge D = diag(sqrt(phases)), u = D W D^-1
+    for W = D X D, supported on the successor pattern, and J W J = -W^T for
+    the bond reversal J (b <-> b + B) when phases[b] = phases[J b].
 
     In the pair basis V0, whose columns are (e_b + e_{b+B})/sqrt 2 and
     then i (e_b - e_{b+B})/sqrt 2 for b < B (so V0 V0^T = J),
@@ -312,21 +258,17 @@ def _reversal_attempt(
     are eigenvectors of M, and V0 maps them to eigenvectors of W
     (_pair_vectors).  Eigenphases of M^2 closer than _PAIR_GAP form one
     cluster; the vectors of a cluster larger than a pair span an invariant
-    subspace of W, whose small block _cayley_eigh diagonalises.
+    subspace, whose small block _cayley_eigh diagonalises.
     A first shift whose Cayley transform reaches _POLE_BOUND is redone
     with the pole in the middle of the widest gap of its angles (a
     singular first solve, at the second of _CAYLEY_SHIFTS).  Raises
-    LinAlgError when u leaves the pattern, a cluster is odd or both
-    shifts fail; a u without the symmetry fails there or at the residual.
+    LinAlgError when a cluster is odd or both shifts fail; a u without the
+    symmetry fails there or at the residual.  No dense u is formed.
     """
-    n = u.shape[0]
-    rows = np.arange(n)[:, None]
-    entries = u[rows, succ]
-    if np.count_nonzero(u) != np.count_nonzero(entries):
-        raise np.linalg.LinAlgError("u has entries off the successor pattern")
-    w = half_phases.conj()[:, None] * entries * half_phases[succ]  # W[b, succ[b, j]]
-    del entries
-    m2 = _pair_square(w, succ)
+    n = u.bond_index.num_directed
+    succ, coef = u.gather  # zero diagonals: the d-1 successor slots
+    half = np.sqrt(u.phases) if u.phases is not None else np.ones(n)
+    m2 = _pair_square(half[:, None] * coef * half[succ], succ)  # W[b, succ[b, j]]
     alpha = _CAYLEY_SHIFTS[0]
     try:
         h, o = _real_cayley(m2, alpha)
@@ -345,32 +287,25 @@ def _reversal_attempt(
     if np.any(sizes % 2):
         raise np.linalg.LinAlgError(f"odd cluster of M^2 eigenphases, sizes {sorted(set(sizes.tolist()))}")
     # every cluster starts at an even column: columns (2p, 2p + 1) are a pair
-    z = _pair_vectors(o)
+    q = _pair_vectors(o)
     del o
+    q *= half[:, None]  # eigenvectors of W to those of u
     for start, size in zip(bounds[:-1][sizes > 2].tolist(), sizes[sizes > 2].tolist()):
-        zg = z[:, start : start + size]
-        block = zg.conj().T @ _apply_sparse(w, succ, zg)
+        qg = q[:, start : start + size]
+        block = qg.conj().T @ (u @ qg)
         # the block's eigenvalues lie near +-e^{i phi/2}: the shift puts
         # the pole a quarter turn from both
         phi = float(np.mean(t[start : start + size])) - alpha
         _, cb = _cayley_eigh(block, 0.5 * (np.pi - phi))
-        z[:, start : start + size] = zg @ cb
+        q[:, start : start + size] = qg @ cb
 
-    y = _apply_sparse(w, succ, z)
-    theta = (np.angle(np.vecdot(z, y, axis=0)) / (2.0 * np.pi)) % 1.0
+    y = u @ q
+    theta = (np.angle(np.vecdot(q, y, axis=0)) / (2.0 * np.pi)) % 1.0
     theta[theta == 1.0] = 0.0  # (-tiny) % 1.0 rounds up to 1.0
-    y -= z * np.exp(2j * np.pi * theta)
-    worst = float(np.sqrt(np.max(np.vecdot(y, y, axis=0).real)))
-    z *= half_phases[:, None]
-    return theta, z, worst
+    return theta, q, _worst_residual(y, q, theta)
 
 
-def eigenbasis(
-    u: np.ndarray,
-    *,
-    assume_unitary: bool = False,
-    reversal: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def eigenbasis(u: np.ndarray | BondOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases theta_j in [0, 1) and an orthonormal eigenvector basis.
 
     U phi_j = e^{2 pi i theta_j} phi_j.  Computed as the Hermitian
@@ -384,24 +319,22 @@ def eigenbasis(
     Degenerate eigenphases get an arbitrary orthonormal basis of their
     eigenspace.  The eigenphases are not sorted.
 
-    reversal=(h, succ) states the bond-reversal structure of a U(k) whose
-    vertex matrices are antisymmetric (see variance_estimate): h is
-    e^{i k L / 2} per directed bond and succ the (2B, d-1) successor
-    array.  The real route of _reversal_attempt is then tried first, under
-    the same residual gate; when it fails, the route above runs unchanged.
+    u is a dense array or a BondOperator such as U(k) = S.with_phases(e^{i k L}),
+    whose unitarity is read from its blocks and phases and whose residuals
+    are formed by its gather.  When its blocks are antisymmetric, the real
+    route of _reversal_attempt is tried first, under the same residual
+    gate; when it fails, the route above runs on u.dense().
 
     A u that is not unitary to EIGENBASIS_TOL raises ValidationError.
-    assume_unitary=True skips that dense O(N^3) check for a caller that
-    already knows the answer: U(k) = diag(e^{i k L}) S deviates from
-    unitarity exactly as S does, and build_assembly checks S to
-    S_UNITARITY_TOL.  The residual gate applies either way.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    if not assume_unitary:
-        check(unitarity_deviation(u), EIGENBASIS_TOL, ValidationError, "eigenbasis input")
+    operator = isinstance(u, BondOperator)
+    if not operator:
+        u = np.asarray(u, dtype=np.complex128)
+    dev = u.unitarity_deviation() if operator else unitarity_deviation(u)
+    check(dev, EIGENBASIS_TOL, ValidationError, "eigenbasis input")
     attempts = [(f"alpha={alpha}", _dense_attempt, (u, alpha)) for alpha in _CAYLEY_SHIFTS]
-    if reversal is not None:
-        attempts.insert(0, ("bond reversal", _reversal_attempt, (u, *reversal)))
+    if operator and u.antisymmetric:
+        attempts.insert(0, ("bond reversal", _reversal_attempt, (u,)))
     failures = []
     for name, attempt, args in attempts:
         try:
@@ -501,7 +434,7 @@ class VarianceEstimate:
 
 
 def variance_estimate(
-    a: Assembly,
+    s: BondOperator,
     mg: MetricGraph,
     f: Observable,
     k_max: float,
@@ -515,26 +448,24 @@ def variance_estimate(
     divided by sqrt(samples); it is undefined (NaN, null in the JSON form)
     for a single sample.
 
-    When every vertex matrix is antisymmetric (Assembly.antisymmetric),
-    each eigenbasis call gets the bond-reversal structure of U(k), so the
-    real route serves it; the eigenvectors, and so the estimate, then
-    differ from the complex route's in the last digits.
+    Each eigenbasis call gets U(k) as the operator S.with_phases(e^{i k L}),
+    so the real bond-reversal route serves antisymmetric vertex matrices;
+    the eigenvectors, and so the estimate, then differ from the complex
+    route's in the last digits.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     _check_window(k_max)
-    two_b = a.bond_index.num_directed
+    two_b = s.bond_index.num_directed
     if f.dim != two_b:
         raise ValidationError(f"observable has dim {f.dim}, expected {two_b}")
     ks = _sample_grid(k_max, samples)
 
     mean_element = f.trace() / two_b
-    half_lengths = 0.5 * mg.directed_lengths
-    succ = np.asarray(a.bond_index.successors) if a.antisymmetric else None
+    lengths = mg.directed_lengths
 
     def per_k(k: float) -> float:
-        reversal = None if succ is None else (np.exp(1j * k * half_lengths), succ)
-        _, q = eigenbasis(evolution(a, mg, k), assume_unitary=True, reversal=reversal)
+        _, q = eigenbasis(s.with_phases(np.exp(1j * k * lengths)))
         elements = np.einsum("bj,b->j", np.abs(q) ** 2, f.f)
         return float(np.sum(np.abs(elements - mean_element) ** 2)) / two_b
 
@@ -542,18 +473,18 @@ def variance_estimate(
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else math.nan
     return VarianceEstimate(
-        estimate=estimate, stderr=stderr, B=a.bond_index.B, K=float(k_max), samples=samples
+        estimate=estimate, stderr=stderr, B=s.bond_index.B, K=float(k_max), samples=samples
     )
 
 
-def trace_correlator(a: Assembly, mg: MetricGraph, f: Observable, t: int, k: float) -> float:
+def trace_correlator(s: BondOperator, mg: MetricGraph, f: Observable, t: int, k: float) -> float:
     """Tr(diag(f)* U(k)^t diag(f) U(k)^-t), a real quantity for real f.
 
     Imaginary residue beyond tolerance raises instead of being truncated.
     """
     if t < 0:
         raise ParameterError("t must be >= 0")
-    u = evolution(a, mg, k)
+    u = evolution(s, mg, k)
     ut = np.linalg.matrix_power(u, t)
     w = np.abs(ut) ** 2
     val = complex(np.conj(f.f) @ w @ f.f)  # real for real f
@@ -562,7 +493,7 @@ def trace_correlator(a: Assembly, mg: MetricGraph, f: Observable, t: int, k: flo
 
 
 def m_tilde(
-    a: Assembly, mg: MetricGraph, t: int, k_max: float, samples: int
+    s: BondOperator, mg: MetricGraph, t: int, k_max: float, samples: int
 ) -> np.ndarray:
     """Entrywise k-average of |U(k)^t|^2 over the sample grid.
 
@@ -573,12 +504,12 @@ def m_tilde(
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     _check_window(k_max)
-    two_b = a.bond_index.num_directed
+    two_b = s.bond_index.num_directed
     ks = _sample_grid(k_max, samples)
 
     acc = np.zeros((two_b, two_b))
     for k in ks:
-        acc += np.abs(np.linalg.matrix_power(evolution(a, mg, k), t)) ** 2
+        acc += np.abs(np.linalg.matrix_power(evolution(s, mg, k), t)) ** 2
     acc /= samples
     check(stochasticity_deviation(acc), M_TILDE_TOL, NumericalError, "k-averaged |U^t|^2 sums")
     return acc

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _checks  # not `check`: z_sequence has a parameter of that name
-from .bonds import BondIndex, _scatter
+from .bonds import BondIndex, BondOperator
 from .errors import (
     IdentityFailureError,
     NumericalError,
@@ -25,11 +25,10 @@ from .errors import (
     ValidationError,
     WalkBoundUnavailableError,
 )
-from .evolution import Assembly, Observable
+from .evolution import Observable
 from .graphs import Graph
 
 __all__ = [
-    "ClassicalMap",
     "VertexBasis",
     "WalkIdentityReport",
     "DecayRow",
@@ -59,48 +58,19 @@ Z_DEGENERATE_TOL = 1e-12  # |sqrt(omega^2 - 1)| below which the closed form dege
 DECAY_SLACK = 1e-12  # how far a decay norm may exceed its bound
 
 
-@dataclass(frozen=True)
-class ClassicalMap:
-    """M = |S|^2 held as its per-vertex blocks.
+def classical_map(s: BondOperator) -> BondOperator:
+    """M = |S|^2 entrywise, the bond operator with the blocks |sigma_v|^2;
+    doubly stochastic or the assembly is corrupt.
 
-    weights[v] = |sigma_v|^2 entrywise, and M[in_bonds[v, i], out_bonds[v, j]]
-    = weights[v, j, i]: M is block-diagonal up to row and column
-    permutations, with d non-zeros per row.  `m @ x` applies M to a (2B,)
-    or (2B, k) array by one gather over the wiring, in O(2B d).
+    Row in_bonds[v, i] of M sums blocks[v, :, i] and column out_bonds[v, j]
+    sums blocks[v, j, :], so the check runs on the vertex blocks.  M is
+    block-diagonal up to row and column permutations, with d non-zeros per
+    row, and `m @ x` is its gather.
     """
-
-    bond_index: BondIndex
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.weights.setflags(write=False)
-
-    def __matmul__(self, x) -> np.ndarray:
-        bi = self.bond_index
-        x = np.asarray(x)
-        if x.ndim not in (1, 2) or x.shape[0] != bi.num_directed:
-            raise ValidationError(f"M acts on {bi.num_directed} bonds, got shape {x.shape}")
-        # (Mx)[in_bonds[v, i]] = sum_j weights[v, j, i] x[out_bonds[v, j]]
-        mx_in = np.einsum("vji,vj...->vi...", self.weights, x[bi.out_bonds])
-        out = np.empty(x.shape, dtype=mx_in.dtype)
-        out[bi.in_bonds] = mx_in
-        return out
-
-    def dense(self) -> np.ndarray:
-        """The 2B x 2B matrix M, for tests at small sizes."""
-        return _scatter(self.bond_index, self.weights.transpose(0, 2, 1))
-
-
-def classical_map(a: Assembly) -> ClassicalMap:
-    """M = |S|^2 entrywise; doubly stochastic or the assembly is corrupt.
-
-    Row in_bonds[v, i] of M sums weights[v, :, i] and column out_bonds[v, j]
-    sums weights[v, j, :], so the check runs on the vertex blocks.
-    """
-    w = np.abs(a.entries) ** 2
+    w = np.abs(s.blocks) ** 2
     dev = _checks.stochasticity_deviation(w)
     _checks.check(dev, STOCHASTICITY_TOL, StochasticityError, "M row/column sums")
-    return ClassicalMap(bond_index=a.bond_index, weights=w)
+    return BondOperator(s.bond_index, w)
 
 
 @dataclass(frozen=True)
@@ -142,16 +112,16 @@ class WalkIdentityReport:
 
 
 def walk_action_identities(
-    m: ClassicalMap, basis: VertexBasis, strict: bool = False
+    m: BondOperator, basis: VertexBasis, strict: bool = False
 ) -> WalkIdentityReport:
     """Check M e_v = e~_v and M e~_v = (sum_{w~v} e~_w - e_v)/(d-1) for all v.
 
-    Row b = in_bonds[v, i] of M has its d non-zeros weights[v, :, i] on the
+    Row b = in_bonds[v, i] of M has its d non-zeros blocks[v, :, i] on the
     bonds leaving v, which all lie in e_v and of which the j-th lies in
     e~_w for w the j-th neighbour of v; the i-th leaves towards tail(b).
-    So entry b of M e_v is the row sum, entry b of M e~_w is weights[v, j, i],
+    So entry b of M e_v is the row sum, entry b of M e~_w is blocks[v, j, i],
     and both identities are statements about the blocks: unit row sums, and
-    weights[v, j, i] = (1 - [i = j])/(d-1).  Every other entry of both sides
+    blocks[v, j, i] = (1 - [i = j])/(d-1).  Every other entry of both sides
     is zero.
 
     The first identity holds for every unitary assembly (columns of each
@@ -161,7 +131,7 @@ def walk_action_identities(
     asserted an equi-transmitting assembly.
     """
     d = basis.d
-    w = m.weights
+    w = m.blocks
     dev_out = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
     expected = (1.0 - np.eye(d)) / (d - 1)
     dev_in = float(np.max(np.abs(w - expected)))
@@ -171,10 +141,10 @@ def walk_action_identities(
     return report
 
 
-def singular_profile(m: ClassicalMap) -> np.ndarray:
+def singular_profile(m: BondOperator) -> np.ndarray:
     """Singular values of M in decreasing order: M is block-diagonal up to
     row and column permutations, so they are those of its vertex blocks."""
-    values = np.linalg.svd(m.weights, compute_uv=False)
+    values = np.linalg.svd(m.blocks, compute_uv=False)
     return np.sort(values, axis=None)[::-1]
 
 
@@ -208,7 +178,7 @@ def _vertex_coefficients(f: np.ndarray, basis: VertexBasis) -> np.ndarray:
     return basis.overlaps(f) / basis.d
 
 
-def reduced_consistency(g: Graph, m: ClassicalMap, f, t: int) -> float:
+def reduced_consistency(g: Graph, m: BondOperator, f, t: int) -> float:
     """Max deviation between psi(C_hat^t phi~(f)) and M^t f for f in span{e_v}.
 
     f may be given as n vertex coefficients or as a full 2B bond vector
@@ -252,7 +222,7 @@ def project_g2(x: np.ndarray, basis: VertexBasis) -> np.ndarray:
     return x - project_g1(x, basis)
 
 
-def g2_contraction(m: ClassicalMap, g_vec: np.ndarray, basis: VertexBasis) -> float:
+def g2_contraction(m: BondOperator, g_vec: np.ndarray, basis: VertexBasis) -> float:
     """||M g|| / ||g|| for g orthogonal to span{e_v}; equals 1/(d-1)."""
     g_vec = np.asarray(g_vec, dtype=np.complex128)
     norm = float(np.linalg.norm(g_vec))
@@ -353,7 +323,7 @@ class DecayRow:
 
 
 def decay_profile(
-    m: ClassicalMap,
+    m: BondOperator,
     f: Observable,
     T: int,
     beta: float,

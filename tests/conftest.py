@@ -1,5 +1,5 @@
-"""Shared graph builders, independent census oracles, and the acceptance
-summary printer.
+"""Shared graph builders, independent census oracles, the bond-operator
+product check, and the acceptance summary printer.
 
 The oracles here deliberately use a different mechanism than the package:
 censuses and girths are recomputed from integer powers of the directed-bond
@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qge import Graph
+from qge import Graph, MetricGraph, build_assembly, classical_map, draw_lengths
 
 
 def k5() -> Graph:
@@ -82,6 +82,23 @@ def k5_chain(m: int) -> Graph:
 
 # ---------------------------------------------------------------------------
 # independent census oracles (integer matrix powers of the bond digraph)
+
+
+def assert_products_match_dense(g: Graph, rule) -> None:
+    """o @ x equals o.dense() @ x (rtol 1e-14, atol 1e-15, well inside
+    1e-13) for S, M = |S|^2 and U(k), on real and complex, (2B,) and
+    (2B, 3) arrays x: the gather against the scatter, including a complex
+    U(k) applied to a real x."""
+    s = build_assembly(g, rule)
+    lengths = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=g.n)).directed_lengths
+    rng = np.random.default_rng(5)
+    two_b = 2 * g.B
+    xs = [rng.normal(size=two_b), rng.normal(size=(two_b, 3))]
+    xs += [x + 1j * rng.normal(size=x.shape) for x in xs]
+    for o in (s, classical_map(s), s.with_phases(np.exp(1.3j * lengths))):
+        dense = o.dense()
+        for x in xs:
+            assert np.allclose(o @ x, dense @ x, rtol=1e-14, atol=1e-15)
 
 
 def hashimoto_matrix(g: Graph) -> np.ndarray:

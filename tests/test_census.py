@@ -31,7 +31,7 @@ def bfs_min_return_lengths(bi, cap):
     """The one-directional search the meet-in-the-middle one replaced: a
     full BFS from the successors of each bond until it returns."""
     two_b = bi.num_directed
-    succ = bi.successors
+    succ = bi.successors.tolist()
     out = [None] * two_b
     for b0 in range(bi.B):
         dist = [-1] * two_b

@@ -9,6 +9,7 @@ from scipy.stats import unitary_group
 import qge
 from qge import (
     AssemblyError,
+    BondOperator,
     MetricGraph,
     NumericalError,
     Observable,
@@ -33,9 +34,9 @@ from qge import (
 )
 
 import qge.evolution as evolution_module
-from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, _unitarity_deviation, evolution
+from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, evolution
 
-from conftest import cage46, k5, petersen
+from conftest import assert_products_match_dense, cage46, k5, petersen
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,14 @@ class TestAssembly:
                 if s[b, c] != 0:
                     assert bi.heads[b] == bi.tails[c]
 
+    def test_with_phases_shares_block_facts(self, k5_metric):
+        # variance_estimate re-phases S once per k; the block facts are
+        # computed once, for S
+        _, mg, a = k5_metric
+        u = a.with_phases(np.exp(1j * 2.2 * mg.directed_lengths))
+        assert u.gather is a.gather and u._gram is a._gram
+        assert u.antisymmetric and u.no_backscatter
+
     def test_size_mismatch(self):
         with pytest.raises(AssemblyError):
             build_assembly(k5(), equi_transmitting_sigma(8))
@@ -90,7 +99,7 @@ class TestAssembly:
     def test_per_vertex_rule(self):
         g = k5()
         a = build_assembly(g, [kirchhoff_sigma(4)] * 5)
-        assert a.vertex_rule == ("kirchhoff[d=4]",) * 5
+        assert np.array_equal(a.blocks, np.stack([kirchhoff_sigma(4).entries] * 5))
 
     def test_rule_length_mismatch(self):
         with pytest.raises(AssemblyError):
@@ -178,10 +187,16 @@ class TestAssemblyWiring:
 
     @pytest.mark.parametrize("g,rule", WIRING_CASES)
     def test_structural_deviation_matches_dense(self, g, rule):
-        s = evolution(build_assembly(g, rule), MetricGraph(graph=g, lengths=np.ones(g.B)), 0.0)
-        dense = float(np.max(np.abs(s @ s.conj().T - np.eye(s.shape[0]))))
-        entries = np.stack([sig.entries for sig in _per_vertex(g, rule)])
-        assert abs(_unitarity_deviation(g.bond_index, entries) - dense) <= 1e-14
+        s = build_assembly(g, rule)
+        phases = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=g.n)).directed_lengths
+        for o in (s, s.with_phases(np.exp(1.3j * phases)), s.with_phases(np.full(2 * g.B, 1.5))):
+            u = o.dense()
+            dense = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+            assert abs(o.unitarity_deviation() - dense) <= 1e-14
+
+    @pytest.mark.parametrize("g,rule", WIRING_CASES)
+    def test_matvec_matches_dense(self, g, rule):
+        assert_products_match_dense(g, rule)
 
     def test_non_unitary_sigma_raises(self):
         bad = object.__new__(VertexScattering)  # bypasses the vertex-level check
@@ -252,10 +267,19 @@ class TestEigenbasis:
         with pytest.raises(ValidationError):
             eigenbasis(2.0 * np.eye(4, dtype=complex))
 
-    def test_assume_unitary_keeps_residual_gate(self):
-        # the skipped unitarity check leaves the residual gate to reject u
+    def test_residual_gate_backs_the_input_check(self, monkeypatch):
+        # with the unitarity check passed, the residual gate alone rejects u
+        monkeypatch.setattr(evolution_module, "unitarity_deviation", lambda u: 0.0)
         with pytest.raises(NumericalError):
-            eigenbasis(2.0 * np.eye(4, dtype=complex), assume_unitary=True)
+            eigenbasis(2.0 * np.eye(4, dtype=complex))
+
+    def test_rejects_non_unitary_operators(self, k5_metric):
+        # neither the walk M nor S with phases of modulus 2 is unitary
+        _, mg, a = k5_metric
+        phases = np.exp(1j * 2.2 * mg.directed_lengths)
+        for u in (classical_map(a), a.with_phases(2 * phases)):
+            with pytest.raises(ValidationError):
+                eigenbasis(u)
 
     def test_phase_just_below_zero_is_zero(self):
         # (-1e-16) % 1.0 rounds to 1.0, outside [0, 1)
@@ -304,9 +328,9 @@ class TestCayleyAgainstSchur:
         values = [variance_estimate(a, mg, f, 2.0 * k, 1).estimate for k in ks]
         oracle_calls = []
 
-        def oracle(u, **kwargs):
-            oracle_calls.append(kwargs)
-            return schur_eigenbasis(u)
+        def oracle(u):
+            oracle_calls.append(u)
+            return schur_eigenbasis(u.dense())
 
         monkeypatch.setattr(evolution_module, "eigenbasis", oracle)
         reference = [variance_estimate(a, mg, f, 2.0 * k, 1).estimate for k in ks]
@@ -362,9 +386,9 @@ class TestCayleyAgainstSchur:
         assert len(calls) == len(_CAYLEY_SHIFTS)
 
 
-def _reversal(mg, k):
-    """The reversal structure variance_estimate passes for U(k)."""
-    return np.exp(0.5j * k * mg.directed_lengths), np.asarray(mg.graph.bond_index.successors)
+def _u(a, mg, k):
+    """U(k) as the bond operator variance_estimate passes to eigenbasis."""
+    return a.with_phases(np.exp(1j * k * mg.directed_lengths))
 
 
 def _spy(monkeypatch, name):
@@ -409,11 +433,12 @@ class TestReversalRoute:
     def test_pole_takes_second_shift(self, monkeypatch):
         g, k = generate_random_regular(20, 4, seed=2), 3.3
         mg, rule = _planted_pole(g, k)
-        u = evolution(build_assembly(mg, rule), mg, k)
+        op = _u(build_assembly(mg, rule), mg, k)
+        u = op.dense()
         assert _pole_distance(u) == pytest.approx(1e-6, rel=1e-3)
         solves = _spy(monkeypatch, "_real_cayley")
         dense = _spy(monkeypatch, "_dense_attempt")
-        theta, q = eigenbasis(u, reversal=_reversal(mg, k))
+        theta, q = eigenbasis(op)
         assert len(solves) == 2 and solves[1][1] != _CAYLEY_SHIFTS[0]
         assert dense == []
         assert max_residual(u, theta, q) < 1e-10
@@ -429,7 +454,7 @@ class TestReversalRoute:
         dense = _spy(monkeypatch, "_dense_attempt")
         for k in (0.3, 1.1, 2.0):
             u = evolution(a, mg, k)
-            theta, q = eigenbasis(u, reversal=_reversal(mg, k))
+            theta, q = eigenbasis(_u(a, mg, k))
             assert phase_distance(theta, schur_eigenbasis(u)[0]) <= 1e-10
             assert np.max(np.abs(q.conj().T @ q - np.eye(len(q)))) < 1e-12
         assert dense == []
@@ -454,26 +479,28 @@ class TestReversalRoute:
         mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=3))
         a = build_assembly(mg, rule)
         assert not a.antisymmetric
-        u = evolution(a, mg, k)
-        theta_ref, q_ref = eigenbasis(u)
+        theta_ref, q_ref = eigenbasis(evolution(a, mg, k))
+        reduced = _spy(monkeypatch, "_reversal_attempt")
         dense = _spy(monkeypatch, "_dense_attempt")
-        theta, q = eigenbasis(u, reversal=_reversal(mg, k))
-        assert len(dense) == 1
+        theta, q = eigenbasis(_u(a, mg, k))
+        assert reduced == [] and len(dense) == 1
         assert np.array_equal(theta, theta_ref) and np.array_equal(q, q_ref)
 
     def test_every_route_failing_raises(self, monkeypatch):
-        # the reversal route fails at both shifts, the dense route at its gate
+        # the reversal route fails at both shifts, the dense route at its
+        # gate; the input check is passed so that the gate sees tolerance 0
         g = generate_random_regular(20, 4, seed=2)
         mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=3))
-        u = evolution(build_assembly(mg, equi_transmitting_sigma(4)), mg, 3.3)
+        u = _u(build_assembly(mg, equi_transmitting_sigma(4)), mg, 3.3)
+        monkeypatch.setattr(BondOperator, "unitarity_deviation", lambda self: -1.0)
         monkeypatch.setattr(evolution_module, "_POLE_BOUND", 0.0)
         monkeypatch.setattr(evolution_module, "EIGENBASIS_TOL", 0.0)
         with pytest.raises(NumericalError, match="bond reversal: .*; alpha=.*; alpha="):
-            eigenbasis(u, assume_unitary=True, reversal=_reversal(mg, 3.3))
+            eigenbasis(u)
 
 
 def _count_case(kind):
-    """(MetricGraph, Assembly, samples, k_max) of one call-count scenario."""
+    """(MetricGraph, S, samples, k_max) of one call-count scenario."""
     g20 = generate_random_regular(20, 4, seed=2)
     et = equi_transmitting_sigma(4)
     if kind == "second-shift":  # one sample at k = 3.3, planted at the Cayley pole
@@ -494,7 +521,8 @@ def _count_case(kind):
 class TestEigenbasisCallCount:
     """variance_estimate makes exactly one public eigenbasis call per
     k-sample whatever route serves it (the benchmark's traced pass counts
-    them); retries, cluster blocks and fallbacks stay in private helpers."""
+    them); retries, cluster blocks and fallbacks stay in private helpers.
+    Only the complex route forms a dense U(k), once per sample."""
 
     @pytest.mark.parametrize(
         "kind,patch,reduced,dense,solves",
@@ -515,11 +543,15 @@ class TestEigenbasisCallCount:
             name: _spy(monkeypatch, name)
             for name in ("eigenbasis", "_reversal_attempt", "_dense_attempt", "_real_cayley", "_cayley_eigh")
         }
+        scatters = []
+        real_dense = BondOperator.dense
+        monkeypatch.setattr(BondOperator, "dense", lambda o: scatters.append(o) or real_dense(o))
         est = variance_estimate(a, mg, parity_observable(mg.graph.bond_index), k_max, samples)
         assert np.isfinite(est.estimate)
         assert len(calls["eigenbasis"]) == samples
         assert len(calls["_reversal_attempt"]) == reduced
         assert len(calls["_dense_attempt"]) == dense
+        assert len(scatters) == dense
         assert len(calls["_real_cayley"]) == solves
         blocks = [args[0] for args in calls["_cayley_eigh"] if len(args[0]) < 2 * mg.graph.B]
         assert bool(blocks) == (kind == "clusters")

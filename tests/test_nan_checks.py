@@ -6,6 +6,7 @@ import pytest
 
 import qge
 from qge import (
+    BondOperator,
     NumericalError,
     Observable,
     StochasticityError,
@@ -27,7 +28,7 @@ from qge import (
     z_sequence,
 )
 import qge.evolution as evolution_module
-from qge.evolution import Assembly, MetricGraph
+from qge.evolution import MetricGraph
 
 from conftest import k5
 
@@ -44,7 +45,7 @@ def _nan_assembly():
     g = k5()
     mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=3))
     entries = np.full((g.n, g.d, g.d), np.nan + 0j)
-    return g, mg, Assembly(bond_index=g.bond_index, entries=entries, vertex_rule=("nan",) * g.n)
+    return g, mg, BondOperator(g.bond_index, entries)
 
 
 def _walk_setup():
@@ -64,8 +65,14 @@ def _eigenbasis(monkeypatch):
     eigenbasis(np.full((3, 3), np.nan + 0j))
 
 
+def _eigenbasis_operator(monkeypatch):
+    eigenbasis(_nan_assembly()[2])
+
+
 def _eigenbasis_residual_gate(monkeypatch):
-    eigenbasis(np.full((3, 3), np.nan + 0j), assume_unitary=True)
+    # past the input check, the residual gate alone must reject u
+    monkeypatch.setattr(evolution_module, "unitarity_deviation", lambda u: 0.0)
+    eigenbasis(np.full((3, 3), np.nan + 0j))
 
 
 def _observable_bound(monkeypatch):
@@ -125,6 +132,7 @@ def _z_closed_form(monkeypatch):
         (_vertex_scattering, NumericalError),
         (_build_assembly, NumericalError),
         (_eigenbasis, ValidationError),
+        (_eigenbasis_operator, ValidationError),
         (_eigenbasis_residual_gate, NumericalError),
         (_observable_bound, ValidationError),
         (_trace_correlator, NumericalError),

@@ -37,7 +37,7 @@ from qge import (
 )
 from qge.evolution import evolution
 
-from conftest import k5, petersen
+from conftest import assert_products_match_dense, k5, petersen
 
 
 @pytest.fixture(scope="module")
@@ -121,16 +121,7 @@ class TestClassicalMap:
 
     @pytest.mark.parametrize("g,rule", RULE_CASES)
     def test_matvec_matches_dense(self, g, rule):
-        m = classical_map(build_assembly(g, rule))
-        dense = m.dense()
-        rng = np.random.default_rng(5)
-        two_b = 2 * g.B
-        for x in (
-            rng.normal(size=two_b),
-            rng.normal(size=(two_b, 3)),
-            rng.normal(size=two_b) + 1j * rng.normal(size=two_b),
-        ):
-            assert np.allclose(m @ x, dense @ x, rtol=1e-14, atol=1e-15)
+        assert_products_match_dense(g, rule)
 
     def test_rejects_wrong_length(self, k5_walk):
         _, m, _ = k5_walk
