@@ -118,6 +118,10 @@ class BondOperator:
 
     def with_phases(self, phases: np.ndarray) -> BondOperator:
         """diag(phases) X, sharing the block facts computed once for X."""
+        phases = np.asarray(phases)
+        two_b = self.bond_index.num_directed
+        if phases.shape != (two_b,):
+            raise ValidationError(f"phases for {two_b} bonds, got shape {phases.shape}")
         op = BondOperator(self.bond_index, self.blocks, phases)
         op.__dict__.update((name, getattr(self, name)) for name in ("antisymmetric", "gather", "_gram"))
         return op

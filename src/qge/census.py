@@ -17,9 +17,10 @@ integer inequality when the right-hand census counts directed bonds
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .bonds import BondIndex
 from .errors import ParameterError, ValidationError, WorkBudgetError
@@ -34,18 +35,25 @@ __all__ = [
     "min_return_lengths",
 ]
 
-DEFAULT_WORK_BUDGET = 100_000_000
+# about a minute of search at the slowest rate measured on a 2-core Xeon,
+# 1.9e7 bound units (see _search_cost) per second
+DEFAULT_WORK_BUDGET = 1_000_000_000
+
+# root bonds searched together, fewer when their stamps, 2 * block * 2B
+# bytes, would exceed _STAMP_BYTES
+_BLOCK = 128
+_STAMP_BYTES = 1 << 28
 
 
 def _search_cost(g: Graph, cap: int) -> int:
     """Bound on the bonds min_return_lengths(bi, cap) visits:
     B * 2 * sum_{e=0}^{ceil(cap/2)} (d-1)^e.
 
-    Per root, round s = 1 .. cap-1 grows the smaller of forward layer i and
-    backward layer j, i + j = s, which holds at most (d-1)^floor(s/2) bonds,
-    by their d-1 successors each.  So each power (d-1)^e, 1 <= e <=
-    ceil(cap/2), is visited at most twice, and the d seed bonds fit in the
-    e = 0 terms.
+    Per root the forward side holds at most (d-1)^i walks at depth
+    i <= ceil(cap/2) and the backward side (d-1)^j at depth
+    j <= floor(cap/2), each bond found by one successor scan; so each power
+    (d-1)^e is visited at most twice, the root and its d-1 successors
+    (the seeds) included.
     """
     return g.B * 2 * sum((g.d - 1) ** e for e in range(-(-cap // 2) + 1))
 
@@ -58,71 +66,93 @@ def _check_budget(g: Graph, cap: int, work_budget: int) -> None:
         )
 
 
+def _predecessors(bi: BondIndex) -> np.ndarray:
+    """(2B, d-1) array whose row c lists the bonds b with c in successors[b]:
+    b -> c is a non-backtracking step exactly when rev(c) -> rev(b) is."""
+    return bi.rev[bi.successors[bi.rev]]
+
+
 def min_return_lengths(bi: BondIndex, cap: int) -> list[int | None]:
     """For every directed bond, the length of the shortest closed
     non-backtracking walk through it, or None if longer than cap.
 
     Bidirectional breadth-first search over the non-backtracking successor
-    relation, meeting in the middle.  Forward layer i holds the bonds first
-    reached i >= 1 steps after b0; backward layer j the bonds that first
-    reach b0 in j steps, found as forward layer j from rev(b0) mapped back
-    through rev (c -> c' is a step exactly when rev(c') -> rev(c) is).  Each
-    round grows the smaller frontier by one layer and checks its new bonds
-    against the other side.  Once the layers reach i and j without a
-    meeting, every closed walk through b0 is longer than i + j, because
-    one of its bonds would lie in both searches; so the first meeting,
-    made on growing to i + j, is the shortest return.  The stamp arrays are
-    allocated once: a bond's entry is current when its stamp is b0.
+    relation, meeting in the middle, for up to _BLOCK root bonds b0 < B at
+    a time on numpy arrays.  Forward layer i holds the walks of i >= 1 steps from
+    b0; backward layer j the walks of j steps that end on b0, grown through
+    the predecessors.  Each round grows the forward side while i <= j and
+    the backward side otherwise, so round s = i + j reaches depths
+    ceil(s/2) and floor(s/2), and checks each new bond against the other
+    side's stamps.  Once round s - 1 ends without a meeting, every closed
+    walk through b0 is longer than s - 1, because its bond at forward depth
+    ceil(L/2) would have met the other side in round L; so every meeting in
+    round s is a return of length exactly s, and the search records s and
+    drops b0 from both sides.  Layers keep every walk, repeats included, so
+    that bond is there; and the stamps need only say which bonds a side has
+    reached, not at what depth.  They are one uint8 array per side, keyed by
+    (root slot, bond) and allocated once: an entry is current when it holds
+    the block's generation, and both arrays are cleared only when the
+    generation wraps.  A closed walk through b0 reverses to one through
+    rev(b0), which gets the same length.
     """
     two_b = bi.num_directed
-    succ = bi.successors.tolist()
-    rev = bi.rev.tolist()
-    # (stamp, distance) per side; the backward side is indexed by the
-    # reversed bond
-    fwd = ([-1] * two_b, [0] * two_b)
-    bwd = ([-1] * two_b, [0] * two_b)
-    out: list[int | None] = [None] * two_b
-    for b0 in range(bi.B):
-        r0 = rev[b0]
-        bwd[0][r0], bwd[1][r0] = b0, 0
-        for c in succ[b0]:
-            fwd[0][c], fwd[1][c] = b0, 1
-        fwd_front, bwd_front = list(succ[b0]), [r0]
-        i, j = 1, 0
-        found = None
-        while found is None and i + j < cap and fwd_front and bwd_front:
-            if len(fwd_front) <= len(bwd_front):
-                i += 1
-                fwd_front, found = _grow(fwd_front, i, b0, fwd, bwd, succ, rev)
-            else:
-                j += 1
-                bwd_front, found = _grow(bwd_front, j, b0, bwd, fwd, succ, rev)
-        if found is not None:
-            # a closed walk through b0 reverses to one through rev(b0)
-            out[b0] = found
-            out[r0] = found
-    return out
+    steps = (bi.successors, _predecessors(bi))
+    block = max(1, min(_BLOCK, bi.B, _STAMP_BYTES // (2 * two_b)))
+    stamps = np.zeros((2, block * two_b), dtype=np.uint8)
+    ret = np.zeros(two_b, dtype=np.int64)
+    for count, first in enumerate(range(0, bi.B, block)):
+        gen = count % 255 + 1
+        if gen == 1:
+            stamps[:] = 0
+        roots = np.arange(first, min(first + block, bi.B))
+        ret[roots] = _block_returns(roots, cap, steps, stamps, gen)
+    ret[bi.rev[: bi.B]] = ret[: bi.B]
+    return [r or None for r in ret.tolist()]
 
 
-def _grow(front, layer, b0, side, other, succ, rev):
-    """Grow one side of the search from b0 by a layer: the new bonds, and
-    the return length if one of them meets the other side."""
-    stamp, dist = side
-    other_stamp, other_dist = other
-    new = []
-    for b in front:
-        for c in succ[b]:
-            if stamp[c] != b0:
-                stamp[c] = b0
-                dist[c] = layer
-                new.append(c)
-                if other_stamp[rev[c]] == b0:
-                    return new, layer + other_dist[rev[c]]
-    return new, None
+def _block_returns(roots, cap, steps, stamps, gen) -> np.ndarray:
+    """Return lengths up to cap of a block of roots (0: none).  A frontier
+    is (keys, bonds), keys = slot * 2B + bond for the root's slot in the
+    block."""
+    two_b = len(steps[0])
+    found = np.zeros(len(roots), dtype=np.int64)
+    slots = np.arange(len(roots)) * two_b
+    succ = steps[0][roots]
+    fronts = [((slots[:, None] + succ).ravel(), succ.ravel()), (slots + roots, roots)]
+    for side, (keys, _) in enumerate(fronts):
+        stamps[side][keys] = gen
+    depth = [1, 0]
+    while depth[0] + depth[1] < cap:
+        side = 0 if depth[0] <= depth[1] else 1
+        depth[side] += 1
+        keys, bonds = fronts[side]
+        alive = found[keys // two_b] == 0
+        if not alive.any():
+            break
+        keys, bonds = _advance(keys[alive], bonds[alive], steps[side])
+        met = stamps[1 - side][keys] == gen
+        if depth[0] + depth[1] < cap:
+            stamps[side][keys] = gen
+            fronts[side] = (keys, bonds)
+        found[keys[met] // two_b] = depth[0] + depth[1]
+    return found
 
 
-def _cycle_edges(g: Graph, ret: list[int | None], t: int) -> frozenset[int]:
-    return frozenset(e for e in range(g.B) if ret[e] is not None and ret[e] <= t)
+def _advance(keys, bonds, step):
+    """The next layer of a frontier: every walk extended by each bond in
+    its row of `step`, keeping its root's slot."""
+    nxt = step.take(bonds, axis=0).ravel()
+    return np.repeat(keys - bonds, step.shape[1]) + nxt, nxt
+
+
+def _returns(bi: BondIndex, cap: int) -> np.ndarray:
+    """min_return_lengths as a float array: None becomes nan, which no
+    comparison admits."""
+    return np.array(min_return_lengths(bi, cap), dtype=float)
+
+
+def _cycle_edges(ret: np.ndarray, B: int, t: int) -> frozenset[int]:
+    return frozenset(np.flatnonzero(ret[:B] <= t).tolist())
 
 
 def cycle_bond_census(
@@ -133,7 +163,7 @@ def cycle_bond_census(
     if t < 3:
         raise ParameterError(f"cycle census horizon t={t} must be >= 3")
     _check_budget(g, t, work_budget)
-    return _cycle_edges(g, min_return_lengths(g.bond_index, t), t)
+    return _cycle_edges(_returns(g.bond_index, t), g.B, t)
 
 
 def near_cycle_census(
@@ -145,41 +175,28 @@ def near_cycle_census(
         raise ParameterError(f"near-cycle census horizon t={t} must be >= 2")
     _check_budget(g, 2 * t, work_budget)
     bi = g.bond_index
-    return _near_cycle_bonds(bi, min_return_lengths(bi, 2 * t), t)
+    return _near_cycle_bonds(bi, _returns(bi, 2 * t), t)
 
 
-def _near_cycle_bonds(bi: BondIndex, ret: list[int | None], t: int) -> frozenset[int]:
+def _near_cycle_bonds(bi: BondIndex, ret: np.ndarray, t: int) -> frozenset[int]:
     """Near-cycle census at t from the return lengths up to cap 2t.
 
-    Searches backwards from the cycle bonds; the predecessors of c in the
-    non-backtracking bond digraph are rev[succ(rev c)].
+    For each t2, a breadth-first search backwards from the bonds returning
+    within 2 t2, t - t2 layers deep over whole frontier arrays.
     """
-    two_b = bi.num_directed
-    succ = bi.successors.tolist()
-    rev = bi.rev.tolist()
-    members: set[int] = set()
+    pred = _predecessors(bi)
+    members = np.zeros(bi.num_directed, dtype=bool)
     for t2 in range(2, t + 1):
-        t1 = t - t2
-        sources = [b for b in range(two_b) if ret[b] is not None and ret[b] <= 2 * t2]
-        if not sources:
-            continue
-        dist = [-1] * two_b
-        queue = deque()
-        for b in sources:
-            dist[b] = 0
-            queue.append(b)
-        members.update(sources)
-        while queue:
-            b = queue.popleft()
-            if dist[b] >= t1:
-                continue
-            for c in succ[rev[b]]:
-                a = rev[c]
-                if dist[a] < 0:
-                    dist[a] = dist[b] + 1
-                    queue.append(a)
-                    members.add(a)
-    return frozenset(members)
+        reached = ret <= 2 * t2
+        front = np.flatnonzero(reached)
+        for _ in range(t - t2):
+            layer = np.zeros_like(reached)
+            layer[pred[front]] = True
+            layer &= ~reached
+            reached |= layer
+            front = np.flatnonzero(layer)
+        members |= reached
+    return frozenset(np.flatnonzero(members).tolist())
 
 
 @dataclass(frozen=True)
@@ -204,8 +221,8 @@ def census_report(g: Graph, t: int, work_budget: int = DEFAULT_WORK_BUDGET) -> C
         raise ParameterError(f"census horizon t={t} must be >= 2")
     _check_budget(g, 2 * t, work_budget)
     bi = g.bond_index
-    ret = min_return_lengths(bi, 2 * t)
-    c_set = _cycle_edges(g, ret, t) if t >= 3 else frozenset()
+    ret = _returns(bi, 2 * t)
+    c_set = _cycle_edges(ret, g.B, t) if t >= 3 else frozenset()
     t_set = _near_cycle_bonds(bi, ret, t)
     gth = girth(g)
     if gth is not None and t < gth and c_set:
@@ -230,8 +247,8 @@ def lemma_sides(
         raise ParameterError(f"census horizon t={t} must be >= 2")
     _check_budget(g, 2 * t, work_budget)
     bi = g.bond_index
-    ret = min_return_lengths(bi, 2 * t)
+    ret = _returns(bi, 2 * t)
     t_count = len(_near_cycle_bonds(bi, ret, t))
-    c_directed = 2 * len(_cycle_edges(g, ret, 2 * t))
+    c_directed = 2 * len(_cycle_edges(ret, g.B, 2 * t))
     bound = Fraction((g.d - 1) ** (t - 1) * c_directed, g.d - 2)
     return t_count, bound

@@ -1,12 +1,15 @@
 from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qge
 from qge import (
+    Graph,
     ParameterError,
     WorkBudgetError,
     census_report,
@@ -106,18 +109,24 @@ class TestWorkBudget:
     def test_visits_within_estimate(self, monkeypatch, n, d):
         g = cage46() if n == 26 else generate_random_regular(n, d, seed=n)
         visits = []
-        grow = qge.census._grow
+        advance = qge.census._advance
 
-        def spy(front, layer, b0, side, other, succ, rev):
-            visits.append(sum(len(succ[b]) for b in front))
-            return grow(front, layer, b0, side, other, succ, rev)
+        def spy(keys, bonds, step):
+            visits.append(len(bonds) * step.shape[1])
+            return advance(keys, bonds, step)
 
-        monkeypatch.setattr(qge.census, "_grow", spy)
+        monkeypatch.setattr(qge.census, "_advance", spy)
         for cap in range(3, 13):
             visits.clear()
             qge.census.min_return_lengths(g.bond_index, cap)
             # the d seed bonds per root plus every successor scanned
             assert g.B * g.d + sum(visits) <= qge.census._search_cost(g, cap)
+
+    def test_default_admits_t6_at_n_1e5(self):
+        # graph census --t 6 on an n = 10^5, d = 4 graph searches to length 12
+        g = SimpleNamespace(B=100_000 * 4 // 2, d=4)
+        assert qge.census._search_cost(g, 12) == 437_200_000
+        assert qge.census._search_cost(g, 12) <= qge.census.DEFAULT_WORK_BUDGET
 
     def test_charged_at_search_cap(self):
         g = generate_random_regular(30, 4, seed=2)
@@ -163,6 +172,46 @@ class TestMinReturnLengths:
         g = generate_random_regular(200, 4, seed=29)
         ours = qge.census.min_return_lengths(g.bond_index, 12)
         assert ours == bfs_min_return_lengths(g.bond_index, 12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.sampled_from([8, 10, 12, 14, 16]),
+        d=st.sampled_from([3, 4, 5]),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        block=st.integers(min_value=1, max_value=5),
+    )
+    def test_blocks_of_few_roots(self, n, d, seed, block):
+        # every block boundary starts a new stamp generation
+        g = generate_random_regular(n, d, seed=seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(qge.census, "_BLOCK", block)
+            for cap in range(3, 13):
+                ours = qge.census.min_return_lengths(g.bond_index, cap)
+                assert ours == oracle_min_return(g, cap)
+                assert ours == bfs_min_return_lengths(g.bond_index, cap)
+
+    def test_blocks_of_few_roots_n200(self, monkeypatch):
+        g = generate_random_regular(200, 4, seed=29)
+        oracle = oracle_min_return(g, 12)
+        assert bfs_min_return_lengths(g.bond_index, 12) == oracle
+        # at one root per block the 400 blocks wrap the 255 stamp generations
+        for block in (1, 3, 7):
+            monkeypatch.setattr(qge.census, "_BLOCK", block)
+            assert qge.census.min_return_lengths(g.bond_index, 12) == oracle
+
+    def test_stamp_bytes_cap_the_block(self, monkeypatch):
+        g = generate_random_regular(200, 4, seed=29)
+        sizes = []
+        search = qge.census._block_returns
+
+        def spy(roots, *args):
+            sizes.append(len(roots))
+            return search(roots, *args)
+
+        monkeypatch.setattr(qge.census, "_block_returns", spy)
+        monkeypatch.setattr(qge.census, "_STAMP_BYTES", 2 * 5 * 2 * g.B + 1)
+        assert qge.census.min_return_lengths(g.bond_index, 12) == bfs_min_return_lengths(g.bond_index, 12)
+        assert sizes == [5] * 80
 
     def test_reversal_symmetry(self):
         g = petersen()
@@ -269,3 +318,34 @@ class TestCensusReport:
         assert rep.c_set == frozenset()
         assert rep.t_set == frozenset(range(20))
 
+
+
+class TestRelabelling:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.sampled_from([8, 12, 16, 24, 30]),
+        d=st.sampled_from([3, 4, 5]),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        relabel=st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    def test_invariant_under_relabelling(self, n, d, seed, relabel):
+        # permute the vertices, reorder the edge list and reverse some edges
+        g = generate_random_regular(n, d, seed=seed)
+        rng = np.random.default_rng(relabel)
+        order = rng.permutation(g.B)  # edge i of h is edge order[i] of g
+        flip = rng.random(g.B) < 0.5
+        edges = rng.permutation(n)[g.edges]
+        edges[flip] = edges[flip, ::-1]
+        h = Graph(n=n, d=d, edges=edges[order])
+        edge_map = np.argsort(order)
+        e = np.arange(2 * g.B) % g.B
+        bond_map = edge_map[e] + g.B * ((np.arange(2 * g.B) >= g.B) ^ flip[e])
+
+        assert girth(h) == girth(g)
+        ret_g = qge.census.min_return_lengths(g.bond_index, 12)
+        ret_h = qge.census.min_return_lengths(h.bond_index, 12)
+        assert [ret_h[b] for b in bond_map] == ret_g
+        for t in (2, 3, 4):
+            rep_g, rep_h = census_report(g, t), census_report(h, t)
+            assert rep_h.c_set == frozenset(edge_map[sorted(rep_g.c_set)].tolist())
+            assert rep_h.t_set == frozenset(bond_map[sorted(rep_g.t_set)].tolist())

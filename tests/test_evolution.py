@@ -92,6 +92,13 @@ class TestAssembly:
         assert u.gather is a.gather and u._gram is a._gram
         assert u.antisymmetric and u.no_backscatter
 
+    def test_with_phases_rejects_wrong_shape(self, k5_metric):
+        _, mg, a = k5_metric
+        for phases in (np.ones(3), np.ones((2, 20)), np.ones(21), 1.0):
+            with pytest.raises(ValidationError, match="phases for 20 bonds"):
+                a.with_phases(phases)
+        assert a.with_phases(np.ones(20)).unitarity_deviation() == a.unitarity_deviation()
+
     def test_size_mismatch(self):
         with pytest.raises(AssemblyError):
             build_assembly(k5(), equi_transmitting_sigma(8))
