@@ -123,7 +123,8 @@ class BondOperator:
         if phases.shape != (two_b,):
             raise ValidationError(f"phases for {two_b} bonds, got shape {phases.shape}")
         op = BondOperator(self.bond_index, self.blocks, phases)
-        op.__dict__.update((name, getattr(self, name)) for name in ("antisymmetric", "gather", "_gram"))
+        shared = ("antisymmetric", "gather", "pair_scatter", "_gram")
+        op.__dict__.update((name, getattr(self, name)) for name in shared)
         return op
 
     @cached_property
@@ -151,6 +152,32 @@ class BondOperator:
             return _frozen(bi.out_bonds[bi.heads]), _frozen(rows)
         keep = np.arange(d) != slot[:, None]
         return bi.successors, _frozen(rows[keep].reshape(bi.num_directed, d - 1))
+
+    @cached_property
+    def pair_scatter(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(targets, units) that scatter the terms of W^2 into the dense
+        pair-basis square M^2 = V0^H W^2 V0 of evolution._reversal_attempt
+        when the blocks are antisymmetric; None otherwise.
+
+        W lives on the successor pattern, so W^2 is the sum of m = 2B (d-1)^2
+        terms w[b, j] w[c, l], c = succ[b, j], at row b and column
+        succ[c, l], taken in (b, j, l) order.  In the pair basis the term at
+        (b, c) adds units[r] times itself to the four entries of M^2 at rows
+        b mod B and b mod B + B and columns c mod B and c mod B + B, whose
+        flat indices are targets[r * m : (r + 1) * m]; the units are 1/2,
+        +-i/2, -+i/2 and +-1/2, signed by whether b < B and c < B.
+        """
+        if not self.antisymmetric:
+            return None
+        bi = self.bond_index
+        n, half = bi.num_directed, bi.B
+        cols = bi.successors[bi.successors].ravel()
+        rows = np.repeat(np.arange(n), len(cols) // n)
+        r, c = rows % half, cols % half
+        targets = np.concatenate([r * n + c, r * n + c + half, (r + half) * n + c, (r + half) * n + c + half])
+        sr, sc = np.where(rows < half, 1.0, -1.0), np.where(cols < half, 1.0, -1.0)
+        units = 0.5 * np.stack([np.ones(len(r)), 1j * sc, -1j * sr, sr * sc])
+        return _frozen(targets), _frozen(units)
 
     @cached_property
     def _gram(self) -> np.ndarray | None:
@@ -188,8 +215,11 @@ class BondOperator:
         coef = coef.reshape(coef.shape + (1,) * (x.ndim - 1))
         y = x[index[:, 0]]
         y *= coef[:, 0]
+        rows = np.empty_like(y)
         for j in range(1, index.shape[1]):
-            rows = x[index[:, j]]
+            # the indices are in range by construction; mode="raise" would
+            # copy into a fresh buffer before writing to rows
+            np.take(x, index[:, j], axis=0, out=rows, mode="clip")
             rows *= coef[:, j]
             y += rows
         return y

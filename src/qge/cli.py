@@ -10,6 +10,7 @@ path, 3 validation, 4 numerical (including a LAPACK failure).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import asdict
@@ -49,17 +50,36 @@ __all__ = ["main"]
 
 _SIGMAS = {"et": equi_transmitting_sigma, "kirchhoff": kirchhoff_sigma}
 _OBSERVABLES = {"parity": parity_observable, "const": constant_observable}
-# parsed options that route the command or place its output: not parameters
-_ROUTING = {"command", "func", "out", "plot"}
+# parsed options that route the command or place its output, and the
+# allocator thresholds main adds for the manifest: not parameters
+_ROUTING = {"command", "func", "out", "plot", "malloc"}
 # parsed options naming a file the command reads
 _INPUT_FILES = ("graph", "config", "lengths", "obs")
 _SINGULAR_GROUP_TOL = 1e-9  # `walk singular` groups values closer than this
+# glibc mallopt parameters (M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1) and
+# the values main sets: a freed scratch array below 8 MiB goes back to the
+# heap, and the heap keeps up to 16 MiB free at its top, so each k-sample
+# reuses the pages of the last instead of faulting them in afresh.  Both are
+# set, since setting either alone turns off glibc's dynamic thresholds.
+_MALLOC_THRESHOLDS = {"M_MMAP_THRESHOLD": (-3, 8 << 20), "M_TRIM_THRESHOLD": (-1, 16 << 20)}
 
 
 def _observable_for(name: str, g: Graph, kappa: float):
     if name in _OBSERVABLES:
         return _OBSERVABLES[name](g.bond_index, kappa)
     return load_observable(name, 2 * g.B)
+
+
+def _keep_freed_pages() -> dict | None:
+    """Set _MALLOC_THRESHOLDS through the C library's mallopt; the values
+    it accepted, or None where it has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    applied = {name: value for name, (param, value) in _MALLOC_THRESHOLDS.items() if mallopt(param, value) == 1}
+    return applied or None
 
 
 def _manifest(args, seeds=(), params: dict | None = None) -> RunManifest:
@@ -69,7 +89,8 @@ def _manifest(args, seeds=(), params: dict | None = None) -> RunManifest:
     parameters are all other parsed options except those in _ROUTING, unless
     `params` replaces them (`experiment` reads its parameters from a file).
     Every file the command reads is digested: the graph, config and lengths
-    files, and an `--obs` that names no built-in observable.
+    files, and an `--obs` that names no built-in observable.  The run block
+    records the allocator thresholds main applied.
     """
     opts = vars(args)
     command = " ".join([opts["command"]] + [v for k, v in opts.items() if k.endswith("_command")])
@@ -82,7 +103,7 @@ def _manifest(args, seeds=(), params: dict | None = None) -> RunManifest:
         for k in _INPUT_FILES
         if opts.get(k) and not (k == "obs" and opts[k] in _OBSERVABLES)
     }
-    return RunManifest.build(command, params, seeds=seeds, inputs=inputs)
+    return RunManifest.build(command, params, seeds=seeds, inputs=inputs, malloc=opts["malloc"])
 
 
 def _write_manifest(out_path: str, manifest: RunManifest) -> None:
@@ -340,6 +361,7 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.malloc = _keep_freed_pages()
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

@@ -173,26 +173,6 @@ def _dense_attempt(u: np.ndarray | BondOperator, alpha: float) -> tuple[np.ndarr
     return theta, q, _worst_residual(u @ q, q, theta)
 
 
-def _pair_square(w: np.ndarray, succ: np.ndarray) -> np.ndarray:
-    """M^2 = V0^H W^2 V0, dense.  Row b of W^2 has its (d-1)^2 nonzeros at
-    the successors of the successors of b, all distinct in a simple graph
-    without back-scattering."""
-    n = len(succ)
-    half = n // 2
-    w2 = np.zeros((n, n), dtype=np.complex128)
-    w2[np.arange(n)[:, None, None], succ[succ]] = 0.5 * w[:, :, None] * w[succ]  # W^2 / 2
-    s, t = w2[:half] + w2[half:], w2[:half] - w2[half:]
-    del w2
-    m2 = np.empty((n, n), dtype=np.complex128)
-    np.add(s[:, :half], s[:, half:], out=m2[:half, :half])
-    np.subtract(s[:, :half], s[:, half:], out=m2[:half, half:])
-    np.add(t[:, :half], t[:, half:], out=m2[half:, :half])
-    np.subtract(t[:, :half], t[:, half:], out=m2[half:, half:])
-    m2[:half, half:] *= 1j
-    m2[half:, :half] *= -1j
-    return m2
-
-
 def _pair_vectors(o: np.ndarray) -> np.ndarray:
     """V0 (o1 + i o2)/sqrt 2 and V0 (o1 - i o2)/sqrt 2 in columns 2p and
     2p + 1, for the real columns o1 = o[:, 2p] and o2 = o[:, 2p + 1].
@@ -217,21 +197,32 @@ def _pair_vectors(o: np.ndarray) -> np.ndarray:
     return z
 
 
-def _real_cayley(m2: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _pair_operands(w2: np.ndarray, alpha: float, scatter) -> tuple[np.ndarray, np.ndarray]:
+    """I + P and Q, real, for e^{i alpha} M^2 = P + i Q: the terms w2 of
+    W^2 times e^{i alpha}, scattered by the pattern of
+    BondOperator.pair_scatter, one np.bincount for each part."""
+    targets, units = scatter
+    n = len(w2)
+    z = units * (np.exp(1j * alpha) * w2.ravel())
+    a = np.bincount(targets, z.real.ravel(), minlength=n * n).reshape(n, n)
+    a[np.diag_indices(n)] += 1.0  # I + P
+    return a, np.bincount(targets, z.imag.ravel(), minlength=n * n).reshape(n, n)
+
+
+def _real_cayley(w2: np.ndarray, alpha: float, scatter) -> tuple[np.ndarray, np.ndarray]:
     """Cayley eigenvalues h_j = tan((phi_j + alpha)/2), ascending, and the
-    real orthonormal eigenvectors of the complex symmetric unitary m2 with
-    eigenvalues e^{i phi_j}.  With e^{i alpha} m2 = P + i Q, P and Q are
-    commuting real symmetric matrices and the Cayley transform is
-    (I + P)^{-1} Q: one real solve (dgesv) and one real eigh (dsyevd).
+    real orthonormal eigenvectors of the complex symmetric unitary M^2 with
+    eigenvalues e^{i phi_j}, given by the terms w2 of W^2 and their
+    scatter pattern (_pair_operands).  With e^{i alpha} M^2 = P + i Q, P
+    and Q are commuting real symmetric matrices and the Cayley transform
+    is (I + P)^{-1} Q: one real solve (dgesv) and one real eigh (dsyevd).
     Raises LinAlgError when I + P is exactly singular."""
-    v = m2 * np.exp(1j * alpha)
-    a = v.real.copy()
-    a[np.diag_indices(len(a))] += 1.0  # I + P
-    h2 = np.linalg.solve(a, v.imag)
-    del a, v
+    a, q = _pair_operands(w2, alpha, scatter)
+    h2 = np.linalg.solve(a, q)
+    del a, q
     h2 += h2.T  # 2 H, dropping its rounding-level antisymmetric part
-    w2, o = np.linalg.eigh(h2)
-    return 0.5 * w2, o
+    e2, o = np.linalg.eigh(h2)
+    return 0.5 * e2, o
 
 
 def _pole_turn(h: np.ndarray) -> float:
@@ -252,7 +243,9 @@ def _reversal_attempt(u: BondOperator) -> tuple[np.ndarray, np.ndarray, float]:
     In the pair basis V0, whose columns are (e_b + e_{b+B})/sqrt 2 and
     then i (e_b - e_{b+B})/sqrt 2 for b < B (so V0 V0^T = J),
     M = V0^H W V0 is complex skew-symmetric and unitary, so M^2 is complex
-    symmetric and its real eigenvectors come from _real_cayley.  Each
+    symmetric and its real eigenvectors come from _real_cayley, which
+    scatters the terms of W^2 straight into the real and imaginary parts
+    of e^{i alpha} M^2 (BondOperator.pair_scatter).  Each
     eigenvalue of M^2 is (exactly) double; on its real eigenvector pair
     (o1, o2) the block of M is [[0, a], [-a, 0]], so (o1 +- i o2)/sqrt 2
     are eigenvectors of M, and V0 maps them to eigenvectors of W
@@ -268,18 +261,18 @@ def _reversal_attempt(u: BondOperator) -> tuple[np.ndarray, np.ndarray, float]:
     n = u.bond_index.num_directed
     succ, coef = u.gather  # zero diagonals: the d-1 successor slots
     half = np.sqrt(u.phases) if u.phases is not None else np.ones(n)
-    m2 = _pair_square(half[:, None] * coef * half[succ], succ)  # W[b, succ[b, j]]
+    w = half[:, None] * coef * half[succ]  # W[b, succ[b, j]]
+    w2 = w[:, :, None] * w[succ]  # the terms of W^2[b, succ[succ[b, j], l]]
     alpha = _CAYLEY_SHIFTS[0]
     try:
-        h, o = _real_cayley(m2, alpha)
+        h, o = _real_cayley(w2, alpha, u.pair_scatter)
     except np.linalg.LinAlgError:
         h = None
     if h is None or not np.max(np.abs(h)) < _POLE_BOUND:
         alpha = _CAYLEY_SHIFTS[1] if h is None else alpha + _pole_turn(h)
-        h, o = _real_cayley(m2, alpha)
+        h, o = _real_cayley(w2, alpha, u.pair_scatter)
         if not np.max(np.abs(h)) < _POLE_BOUND:
             raise np.linalg.LinAlgError(f"Cayley pole at both shifts: max |h| {np.max(np.abs(h)):.3e}")
-    del m2
     t = 2.0 * np.arctan(h)  # ascending Cayley angles phi_j + alpha
 
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(t) >= _PAIR_GAP) + 1, [n]))

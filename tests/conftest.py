@@ -1,10 +1,11 @@
 """Shared graph builders, independent census oracles, the bond-operator
-product check, and the acceptance summary printer.
+product check, the dense pair-basis square, and the acceptance summary
+printer.
 
 The oracles here deliberately use a different mechanism than the package:
 censuses and girths are recomputed from integer powers of the directed-bond
-adjacency (non-backtracking) matrix, so agreement is a genuine two-route
-check.
+adjacency (non-backtracking) matrix, and M^2 of the bond-reversal route
+from a dense W^2, so agreement is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -80,6 +81,28 @@ def k5_chain(m: int) -> Graph:
     return Graph(n=5 * m, d=4, edges=tuple(sorted(edges)))
 
 
+def pair_square_oracle(u) -> np.ndarray:
+    """M^2 = V0^H W^2 V0, dense, for the operator u with antisymmetric blocks
+    (see qge.evolution._reversal_attempt): W^2 / 2 scattered densely, then
+    its half-blocks summed into the pair basis, in complex arithmetic."""
+    succ, coef = u.gather
+    n = len(succ)
+    half = np.sqrt(u.phases) if u.phases is not None else np.ones(n)
+    w = half[:, None] * coef * half[succ]
+    w2 = np.zeros((n, n), dtype=np.complex128)
+    w2[np.arange(n)[:, None, None], succ[succ]] = 0.5 * w[:, :, None] * w[succ]  # W^2 / 2
+    h = n // 2
+    s, t = w2[:h] + w2[h:], w2[:h] - w2[h:]
+    m2 = np.empty((n, n), dtype=np.complex128)
+    np.add(s[:, :h], s[:, h:], out=m2[:h, :h])
+    np.subtract(s[:, :h], s[:, h:], out=m2[:h, h:])
+    np.add(t[:, :h], t[:, h:], out=m2[h:, :h])
+    np.subtract(t[:, :h], t[:, h:], out=m2[h:, h:])
+    m2[:h, h:] *= 1j
+    m2[h:, :h] *= -1j
+    return m2
+
+
 # ---------------------------------------------------------------------------
 # independent census oracles (integer matrix powers of the bond digraph)
 
@@ -113,12 +136,17 @@ def hashimoto_matrix(g: Graph) -> np.ndarray:
 
 
 def _bool_powers(h: np.ndarray, t_max: int) -> list[np.ndarray]:
-    """powers[l] = boolean reachability in exactly l non-backtracking steps."""
+    """powers[l] = boolean reachability in exactly l non-backtracking steps.
+
+    The 0/1 products are taken in float64, where BLAS does them (numpy
+    multiplies int64 without it); they are exact, every entry being at
+    most 2B, far below 2^53."""
     two_b = h.shape[0]
+    h = h.astype(np.float64)
     powers = [np.eye(two_b, dtype=bool)]
-    cur = np.eye(two_b, dtype=np.int64)
+    cur = np.eye(two_b)
     for _ in range(t_max):
-        cur = (cur @ h > 0).astype(np.int64)
+        cur = (cur @ h > 0).astype(np.float64)
         powers.append(cur.astype(bool))
     return powers
 

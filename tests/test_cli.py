@@ -1,6 +1,8 @@
+import ctypes
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -26,10 +28,16 @@ def child_env(**env) -> dict:
     return {**os.environ, "PYTHONPATH": path, **env}
 
 
-def run_child(*argv, **env) -> None:
-    """Run the CLI in a fresh interpreter, whose BLAS reads `env` at load."""
-    code = "import sys; from qge.cli import main; sys.exit(main(sys.argv[1:]))"
+def run_child(*argv, prelude: str = "", **env) -> None:
+    """Run the CLI in a fresh interpreter, whose BLAS reads `env` at load,
+    after the Python statements `prelude`."""
+    code = f"{prelude}import sys; from qge.cli import main; sys.exit(main(sys.argv[1:]))"
     subprocess.run([sys.executable, "-c", code, *argv], env=child_env(**env), check=True)
+
+
+# a child prelude that leaves the CLI a C library without mallopt
+NO_MALLOPT = "import ctypes, qge.cli; ctypes.CDLL = lambda name: object(); "
+THRESHOLDS = {"M_MMAP_THRESHOLD": 8 << 20, "M_TRIM_THRESHOLD": 16 << 20}
 
 
 @pytest.fixture()
@@ -330,6 +338,84 @@ class TestManifest:
             constants = Path(paths["out"] + ".constants.json").read_bytes()
             runs.append((manifest["digest"], out.read_bytes(), constants))
         assert runs[0] == runs[1]
+
+    def test_allocator_setting_outside_digest(self, paths):
+        argv = MANIFEST_CASES["experiment"][0].format(**paths).split()
+        out = Path(paths["out"])
+        runs, mallocs = [], []
+        for prelude in ("", NO_MALLOPT):
+            run_child(*argv, prelude=prelude, OPENBLAS_NUM_THREADS="1")
+            manifest = json.loads(Path(paths["out"] + ".manifest.json").read_text())
+            mallocs.append(manifest["run"]["malloc"])
+            constants = Path(paths["out"] + ".constants.json").read_bytes()
+            runs.append((manifest["digest"], out.read_bytes(), constants))
+        assert runs[0] == runs[1]
+        assert mallocs[1] is None
+        if platform.libc_ver()[0] == "glibc":
+            assert mallocs[0] == THRESHOLDS
+
+
+class TestAllocator:
+    """main keeps freed scratch pages in the process through mallopt."""
+
+    def test_main_sets_both_thresholds(self, k5_file, tmp_path, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc)
+        out = tmp_path / "var.json"
+        assert run("variance", "--graph", str(k5_file), "--samples", "3", "--out", str(out)) == 0
+        assert sorted(calls) == [(-3, 8 << 20), (-1, 16 << 20)]
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["run"]["malloc"] == THRESHOLDS
+
+    def test_runs_without_mallopt(self, k5_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        out = tmp_path / "var.json"
+        assert run("variance", "--graph", str(k5_file), "--samples", "3", "--out", str(out)) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["run"]["malloc"] is None
+
+    def test_import_sets_nothing(self):
+        code = (
+            "import ctypes; real, opened = ctypes.CDLL, []; "
+            "ctypes.CDLL = lambda name, *a, **k: opened.append(name) or real(name, *a, **k); "
+            "import qge, qge.cli; print(None in opened)"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+        )
+        assert child.stdout.strip() == "False"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator")
+    def test_k_samples_fault_in_no_fresh_pages(self, tmp_path):
+        # at 2B = 320 each k-sample frees and reallocates megabytes of
+        # scratch; with glibc's default thresholds every sample faulted
+        # about 2,600 pages back in
+        graph = tmp_path / "g.txt"
+        graph.write_text(qge.export_graph(qge.generate_random_regular(80, 4, 1)))
+        code = (
+            "import resource, sys; from qge.cli import main; code = main(sys.argv[1:]); "
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt)"
+        )
+        faults = {}
+        for samples in (40, 80):
+            argv = ["variance", "--graph", str(graph), "--samples", str(samples), "--out", str(tmp_path / "v.json")]
+            child = subprocess.run(
+                [sys.executable, "-c", code, *argv],
+                env=child_env(OPENBLAS_NUM_THREADS="1"),
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            code_out, faults[samples] = map(int, child.stdout.split())
+            assert code_out == 0
+        assert (faults[80] - faults[40]) / 40 < 10
 
 
 def test_import_loads_no_scipy():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from qge import (
 import qge.evolution as evolution_module
 from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, evolution
 
-from conftest import assert_products_match_dense, cage46, k5, petersen
+from conftest import assert_products_match_dense, cage46, k5, pair_square_oracle, petersen
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,23 @@ class TestAssembly:
         u = a.with_phases(np.exp(1j * 2.2 * mg.directed_lengths))
         assert u.gather is a.gather and u._gram is a._gram
         assert u.antisymmetric and u.no_backscatter
+
+    def test_pair_scatter_computed_once_per_s(self, monkeypatch):
+        # the scatter pattern of the bond-reversal route is a block fact
+        # too: one per S, whatever the number of k-samples
+        made = []
+        real = BondOperator.__dict__["pair_scatter"].func
+        counting = functools.cached_property(lambda o: made.append(o) or real(o))
+        counting.__set_name__(BondOperator, "pair_scatter")
+        monkeypatch.setattr(BondOperator, "pair_scatter", counting)
+        g = k5()
+        mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=11))
+        a = build_assembly(mg, equi_transmitting_sigma(4))
+        variance_estimate(a, mg, parity_observable(g.bond_index), 40.0, 5)
+        u = a.with_phases(np.exp(1j * 2.2 * mg.directed_lengths))
+        assert u.pair_scatter is a.pair_scatter
+        assert len(made) == 1 and made[0] is a
+        assert build_assembly(mg, kirchhoff_sigma(4)).pair_scatter is None
 
     def test_with_phases_rejects_wrong_shape(self, k5_metric):
         _, mg, a = k5_metric
@@ -504,6 +522,41 @@ class TestReversalRoute:
         monkeypatch.setattr(evolution_module, "EIGENBASIS_TOL", 0.0)
         with pytest.raises(NumericalError, match="bond reversal: .*; alpha=.*; alpha="):
             eigenbasis(u)
+
+
+class TestPairOperands:
+    """The real Cayley operands I + P and Q of the bond-reversal route,
+    scattered from the values of W^2, against the dense pair-basis square
+    M^2 of the oracle: e^{i alpha} M^2 = P + i Q."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            k5,
+            cage46,
+            lambda: generate_random_regular(20, 4, seed=2),
+            lambda: generate_random_regular(80, 4, seed=1),
+            lambda: qge.Graph(n=9, d=8, edges=[(u, v) for u in range(9) for v in range(u + 1, 9)]),
+        ],
+        ids=["k5", "cage46", "n20", "n80", "k9"],
+    )
+    def test_scatter_matches_dense_square(self, make, monkeypatch):
+        g = make()
+        mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=g.n))
+        a = build_assembly(mg, equi_transmitting_sigma(g.d))
+        eye = np.eye(2 * g.B)
+        for k in (0.0, 1.3, 7.9, 42.0):
+            u = _u(a, mg, k)
+            calls = _spy(monkeypatch, "_pair_operands")
+            eigenbasis(u)
+            w2, _, scatter = calls[0]
+            assert scatter is a.pair_scatter
+            m2 = pair_square_oracle(u)
+            for alpha in _CAYLEY_SHIFTS:
+                v = np.exp(1j * alpha) * m2
+                ip, q = evolution_module._pair_operands(w2, alpha, scatter)
+                assert np.max(np.abs(ip - (eye + v.real))) <= 1e-15
+                assert np.max(np.abs(q - v.imag)) <= 1e-15
 
 
 def _count_case(kind):
