@@ -62,9 +62,9 @@ LEMMA_A_TOL = 1e-8  # imaginary residue and lhs - rhs of the windowed trace ineq
 _CAYLEY_SHIFTS = (0.7, 2.3)
 # The bond-reversal route of eigenbasis (see _reversal_attempt): M^2
 # eigenphases closer than _PAIR_GAP (rad) form one cluster, and a Cayley
-# eigenvalue |h| above _POLE_BOUND makes it redo the solve at another
-# shift.  Below the bound every angle is 2 / _POLE_BOUND from the pole, so
-# no cluster wraps round it while _PAIR_GAP < 4 / _POLE_BOUND.
+# eigenvalue |h| reaching _POLE_BOUND fails the attempt, so that the next
+# shift runs.  Below the bound every angle is 2 / _POLE_BOUND from the
+# pole, so no cluster wraps round it while _PAIR_GAP < 4 / _POLE_BOUND.
 _PAIR_GAP = 1e-3
 _POLE_BOUND = 2e3
 
@@ -135,42 +135,43 @@ def evolution(s: BondOperator, mg: MetricGraph, k: float) -> np.ndarray:
     return s.with_phases(np.exp(1j * k * mg.directed_lengths)).dense()
 
 
-def _cayley_eigh(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases and eigenvectors of the unitary u through the Cayley
-    transform with shift alpha (see eigenbasis).
+def _cayley(operands: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and orthonormal eigenvectors of 2 H for the
+    Cayley transform H with a H^T = b, (a, b) = operands: real symmetric
+    (LAPACK dgesv and dsyevd) or complex Hermitian (zgesv and zheevd).
+    Adding the conjugate transpose drops the rounding-level anti-Hermitian
+    part of the computed H, which keeps the eigenvectors accurate.  Callers
+    build the operands in the call, so that (on CPython 3.11 and later)
+    they are freed before the eigh.
+    Raises LinAlgError when a is exactly singular; an ill-conditioned a is
+    judged by the residual gate of eigenbasis."""
+    h2t = np.linalg.solve(*operands)
+    del operands
+    h2t += h2t.T.conj()
+    return np.linalg.eigh(h2t.T)
 
-    The transposed system (I + V)^T H^T = i (I - V)^T is solved (LAPACK
-    zgesv): its operands, built from u.T, are already column-major, so
-    numpy's copies into LAPACK's layout are contiguous.  Raises LinAlgError when I + V is exactly singular; an ill-conditioned
-    I + V is judged by the residual gate of eigenbasis instead.
-    """
+
+def _cayley_operands(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(I + V)^T and i (I - V)^T for V = e^{i alpha} u, whose solve is the
+    transposed Cayley transform H^T (see eigenbasis).  Built from u.T, they
+    are already column-major, so numpy's copies into LAPACK's layout are
+    contiguous."""
     diag = np.diag_indices(u.shape[0])
     a = np.multiply(u.T, np.exp(1j * alpha))  # V^T
     b = np.multiply(a, -1j)
     a[diag] += 1.0  # (I + V)^T
     b[diag] += 1j  # i (I - V)^T
-    h2t = np.linalg.solve(a, b)  # H^T
-    del a, b
-    # 2 (H + H^H)/2, stored transposed: dropping the rounding-level
-    # anti-Hermitian part of the computed H keeps the eigenvectors accurate
-    h2t += h2t.T.conj()
-    w2, q = np.linalg.eigh(h2t.T)  # LAPACK zheevd
-    theta = ((2.0 * np.arctan(0.5 * w2) - alpha) / (2.0 * np.pi)) % 1.0
-    theta[theta == 1.0] = 0.0  # (-tiny) % 1.0 rounds up to 1.0
-    return theta, q
+    return a, b
 
 
-def _worst_residual(y: np.ndarray, q: np.ndarray, theta: np.ndarray) -> float:
-    """max_j |y_j - e^{2 pi i theta_j} q_j| for y = U q; overwrites y."""
-    y -= q * np.exp(2j * np.pi * theta)
-    return float(np.sqrt(np.max(np.vecdot(y, y, axis=0).real)))
+def _cayley_eigh(u: np.ndarray, alpha: float) -> np.ndarray:
+    """Orthonormal eigenvectors of the unitary u by _cayley at shift alpha."""
+    return _cayley(_cayley_operands(u, alpha))[1]
 
 
-def _dense_attempt(u: np.ndarray | BondOperator, alpha: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """_cayley_eigh of u, scattered when an operator, at shift alpha, with
-    its worst column residual by u's own product."""
-    theta, q = _cayley_eigh(u.dense() if isinstance(u, BondOperator) else u, alpha)
-    return theta, q, _worst_residual(u @ q, q, theta)
+def _dense_attempt(u: np.ndarray | BondOperator, alpha: float) -> np.ndarray:
+    """_cayley_eigh of u, scattered when an operator, at shift alpha."""
+    return _cayley_eigh(u.dense() if isinstance(u, BondOperator) else u, alpha)
 
 
 def _pair_vectors(o: np.ndarray) -> np.ndarray:
@@ -209,70 +210,41 @@ def _pair_operands(w2: np.ndarray, alpha: float, scatter) -> tuple[np.ndarray, n
     return a, np.bincount(targets, z.imag.ravel(), minlength=n * n).reshape(n, n)
 
 
-def _real_cayley(w2: np.ndarray, alpha: float, scatter) -> tuple[np.ndarray, np.ndarray]:
-    """Cayley eigenvalues h_j = tan((phi_j + alpha)/2), ascending, and the
-    real orthonormal eigenvectors of the complex symmetric unitary M^2 with
-    eigenvalues e^{i phi_j}, given by the terms w2 of W^2 and their
-    scatter pattern (_pair_operands).  With e^{i alpha} M^2 = P + i Q, P
-    and Q are commuting real symmetric matrices and the Cayley transform
-    is (I + P)^{-1} Q: one real solve (dgesv) and one real eigh (dsyevd).
-    Raises LinAlgError when I + P is exactly singular."""
-    a, q = _pair_operands(w2, alpha, scatter)
-    h2 = np.linalg.solve(a, q)
-    del a, q
-    h2 += h2.T  # 2 H, dropping its rounding-level antisymmetric part
-    e2, o = np.linalg.eigh(h2)
-    return 0.5 * e2, o
-
-
-def _pole_turn(h: np.ndarray) -> float:
-    """The change of shift that moves the Cayley pole (angle pi) into the
-    middle of the widest gap of the Cayley angles 2 arctan h."""
-    t = 2.0 * np.arctan(h)
-    gaps = np.diff(t, append=t[0] + 2.0 * np.pi)
-    j = int(np.argmax(gaps))
-    return float(np.pi - (t[j] + 0.5 * gaps[j]))
-
-
-def _reversal_attempt(u: BondOperator) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenbasis of u = diag(phases) X with antisymmetric blocks, with its
-    worst column residual.  In the gauge D = diag(sqrt(phases)), u = D W D^-1
-    for W = D X D, supported on the successor pattern, and J W J = -W^T for
-    the bond reversal J (b <-> b + B) when phases[b] = phases[J b].
+def _reversal_attempt(u: BondOperator, alpha: float) -> np.ndarray:
+    """Orthonormal eigenvectors of u = diag(phases) X with antisymmetric
+    blocks, from one real Cayley solve at shift alpha.  In the gauge
+    D = diag(sqrt(phases)), u = D W D^-1 for W = D X D, supported on the
+    successor pattern, and J W J = -W^T for the bond reversal J
+    (b <-> b + B) when phases[b] = phases[J b].
 
     In the pair basis V0, whose columns are (e_b + e_{b+B})/sqrt 2 and
     then i (e_b - e_{b+B})/sqrt 2 for b < B (so V0 V0^T = J),
     M = V0^H W V0 is complex skew-symmetric and unitary, so M^2 is complex
-    symmetric and its real eigenvectors come from _real_cayley, which
-    scatters the terms of W^2 straight into the real and imaginary parts
-    of e^{i alpha} M^2 (BondOperator.pair_scatter).  Each
+    symmetric: e^{i alpha} M^2 = P + i Q with commuting real symmetric P
+    and Q, scattered from the terms of W^2 (_pair_operands), and the Cayley
+    transform (I + P)^{-1} Q, with eigenvalues h_j = tan((phi_j + alpha)/2)
+    for the eigenphases phi_j of M^2, has real eigenvectors.  Each
     eigenvalue of M^2 is (exactly) double; on its real eigenvector pair
     (o1, o2) the block of M is [[0, a], [-a, 0]], so (o1 +- i o2)/sqrt 2
     are eigenvectors of M, and V0 maps them to eigenvectors of W
     (_pair_vectors).  Eigenphases of M^2 closer than _PAIR_GAP form one
     cluster; the vectors of a cluster larger than a pair span an invariant
     subspace, whose small block _cayley_eigh diagonalises.
-    A first shift whose Cayley transform reaches _POLE_BOUND is redone
-    with the pole in the middle of the widest gap of its angles (a
-    singular first solve, at the second of _CAYLEY_SHIFTS).  Raises
-    LinAlgError when a cluster is odd or both shifts fail; a u without the
-    symmetry fails there or at the residual.  No dense u is formed.
+
+    Raises LinAlgError when I + P is exactly singular, when some |h_j|
+    reaches _POLE_BOUND or when a cluster is odd; a u without the symmetry
+    fails there or at the residual gate of eigenbasis.  No dense u is
+    formed.
     """
     n = u.bond_index.num_directed
     succ, coef = u.gather  # zero diagonals: the d-1 successor slots
     half = np.sqrt(u.phases) if u.phases is not None else np.ones(n)
     w = half[:, None] * coef * half[succ]  # W[b, succ[b, j]]
     w2 = w[:, :, None] * w[succ]  # the terms of W^2[b, succ[succ[b, j], l]]
-    alpha = _CAYLEY_SHIFTS[0]
-    try:
-        h, o = _real_cayley(w2, alpha, u.pair_scatter)
-    except np.linalg.LinAlgError:
-        h = None
-    if h is None or not np.max(np.abs(h)) < _POLE_BOUND:
-        alpha = _CAYLEY_SHIFTS[1] if h is None else alpha + _pole_turn(h)
-        h, o = _real_cayley(w2, alpha, u.pair_scatter)
-        if not np.max(np.abs(h)) < _POLE_BOUND:
-            raise np.linalg.LinAlgError(f"Cayley pole at both shifts: max |h| {np.max(np.abs(h)):.3e}")
+    e2, o = _cayley(_pair_operands(w2, alpha, u.pair_scatter))
+    h = 0.5 * e2
+    if not np.max(np.abs(h)) < _POLE_BOUND:
+        raise np.linalg.LinAlgError(f"Cayley pole: max |h| {np.max(np.abs(h)):.3e}")
     t = 2.0 * np.arctan(h)  # ascending Cayley angles phi_j + alpha
 
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(t) >= _PAIR_GAP) + 1, [n]))
@@ -289,57 +261,61 @@ def _reversal_attempt(u: BondOperator) -> tuple[np.ndarray, np.ndarray, float]:
         # the block's eigenvalues lie near +-e^{i phi/2}: the shift puts
         # the pole a quarter turn from both
         phi = float(np.mean(t[start : start + size])) - alpha
-        _, cb = _cayley_eigh(block, 0.5 * (np.pi - phi))
-        q[:, start : start + size] = qg @ cb
-
-    y = u @ q
-    theta = (np.angle(np.vecdot(q, y, axis=0)) / (2.0 * np.pi)) % 1.0
-    theta[theta == 1.0] = 0.0  # (-tiny) % 1.0 rounds up to 1.0
-    return theta, q, _worst_residual(y, q, theta)
+        q[:, start : start + size] = qg @ _cayley_eigh(block, 0.5 * (np.pi - phi))
+    return q
 
 
 def eigenbasis(u: np.ndarray | BondOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases theta_j in [0, 1) and an orthonormal eigenvector basis.
 
-    U phi_j = e^{2 pi i theta_j} phi_j.  Computed as the Hermitian
-    eigenproblem (LAPACK zheevd) of the Cayley transform
-    H = i (I - V)(I + V)^{-1} of V = e^{i alpha} U, whose eigenvalues
-    tan((phi_j + alpha)/2) give the eigenphases back and whose orthonormal
-    eigenvectors are those of U.  The shift alpha is the first entry of
-    _CAYLEY_SHIFTS; when I + V is singular or the column residual
-    |U phi_j - e^{2 pi i theta_j} phi_j| reaches EIGENBASIS_TOL, the second
-    shift is tried, and NumericalError is raised if that fails as well.
+    U phi_j = e^{2 pi i theta_j} phi_j.  The eigenvectors are those of the
+    Hermitian eigenproblem (LAPACK zheevd) of the Cayley transform
+    H = i (I - V)(I + V)^{-1} of V = e^{i alpha} U, and each eigenphase is
+    the angle of phi_j^H U phi_j, which stays accurate when an eigenvalue
+    of U lies near the pole -e^{-i alpha}.  Every eigenpair must meet the
+    column residual |U phi_j - e^{2 pi i theta_j} phi_j| < EIGENBASIS_TOL.
     Degenerate eigenphases get an arbitrary orthonormal basis of their
     eigenspace.  The eigenphases are not sorted.
 
     u is a dense array or a BondOperator such as U(k) = S.with_phases(e^{i k L}),
     whose unitarity is read from its blocks and phases and whose residuals
-    are formed by its gather.  When its blocks are antisymmetric, the real
-    route of _reversal_attempt is tried first, under the same residual
-    gate; when it fails, the route above runs on u.dense().
+    are formed by its gather.  The attempts, each a (route, shift) pair,
+    run in one fixed order: the real route of _reversal_attempt (a
+    BondOperator with antisymmetric blocks only), then the route above on
+    u.dense(), each at the shifts of _CAYLEY_SHIFTS in turn.  The first
+    attempt whose solve succeeds and whose eigenpairs pass the residual is
+    returned; NumericalError is raised when none does.
 
-    A u that is not unitary to EIGENBASIS_TOL raises ValidationError.
+    A u that is not a non-empty square matrix, or not unitary to
+    EIGENBASIS_TOL, raises ValidationError.
     """
     operator = isinstance(u, BondOperator)
     if not operator:
         u = np.asarray(u, dtype=np.complex128)
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.size == 0:
+            raise ValidationError(f"eigenbasis input must be a non-empty square matrix, got shape {u.shape}")
     dev = u.unitarity_deviation() if operator else unitarity_deviation(u)
     check(dev, EIGENBASIS_TOL, ValidationError, "eigenbasis input")
-    attempts = [(f"alpha={alpha}", _dense_attempt, (u, alpha)) for alpha in _CAYLEY_SHIFTS]
+    attempts = [("complex", _dense_attempt, alpha) for alpha in _CAYLEY_SHIFTS]
     if operator and u.antisymmetric:
-        attempts.insert(0, ("bond reversal", _reversal_attempt, (u,)))
+        attempts[:0] = [("bond reversal", _reversal_attempt, alpha) for alpha in _CAYLEY_SHIFTS]
     failures = []
-    for name, attempt, args in attempts:
+    for name, attempt, alpha in attempts:
         try:
-            theta, q, worst = attempt(*args)
+            q = attempt(u, alpha)
         except np.linalg.LinAlgError as exc:
-            failures.append(f"{name}: {exc}")
+            failures.append(f"{name} at alpha={alpha}: {exc}")
             continue
+        y = u @ q
+        theta = (np.angle(np.vecdot(q, y, axis=0)) / (2.0 * np.pi)) % 1.0
+        theta[theta == 1.0] = 0.0  # (-tiny) % 1.0 rounds up to 1.0
+        y -= q * np.exp(2j * np.pi * theta)
+        worst = float(np.sqrt(np.max(np.vecdot(y, y, axis=0).real)))
         if worst < EIGENBASIS_TOL:
             return theta, q
-        failures.append(f"{name}: residual {worst:.3e}")
+        failures.append(f"{name} at alpha={alpha}: residual {worst:.3e}")
     raise NumericalError(
-        f"eigenbasis failed at every route (tolerance {EIGENBASIS_TOL}): {'; '.join(failures)}"
+        f"eigenbasis failed at every attempt (tolerance {EIGENBASIS_TOL}): {'; '.join(failures)}"
     )
 
 
@@ -555,11 +531,15 @@ def lemma_a_sides(u: np.ndarray, a_mat: np.ndarray, T: int) -> tuple[float, floa
     lhs = (1/N) sum_j |<u_j, A u_j>|^2 over a computed eigenbasis;
     rhs = (1/N) sum_{t=-T..T} w_hat(t) Tr(A* U^t A U^-t).
     Always lhs - rhs < LEMMA_A_TOL; a violation marks a numerical fault and raises.
+    U must be a non-empty square matrix, unitary, and A of its shape
+    (ValidationError otherwise).
     """
     u = np.asarray(u, dtype=np.complex128)
     a_mat = np.asarray(a_mat, dtype=np.complex128)
-    n = u.shape[0]
-    _, q = eigenbasis(u)  # validates unitarity
+    if a_mat.shape != u.shape:
+        raise ValidationError(f"A has shape {a_mat.shape}, U has shape {u.shape}")
+    _, q = eigenbasis(u)  # validates the shape and unitarity
+    n = len(q)
     diag_elems = np.einsum("ij,ij->j", np.conj(q), a_mat @ q)
     lhs = float(np.sum(np.abs(diag_elems) ** 2)) / n
 

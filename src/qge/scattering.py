@@ -10,6 +10,7 @@ primes q = 3 mod 4) and order doubling; this covers d in {2, 4, 8, 12, 16,
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,34 +83,18 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def supported_hadamard_order(m: int) -> bool:
-    """Orders reachable by Paley (q = m-1 prime, q = 3 mod 4) plus doubling."""
-    if m == 2:
-        return True
-    if m < 2 or m % 2 != 0:
-        return False
-    q = m - 1
-    if _is_prime(q) and q % 4 == 3:
-        return True
-    return m % 2 == 0 and supported_hadamard_order(m // 2)
-
-
 def skew_hadamard(m: int) -> SkewHadamard:
-    """Exact skew-Hadamard matrix of order m (Paley + doubling)."""
+    """Exact skew-Hadamard matrix of order m: the one of order 2, the Paley
+    matrix of order q+1 for a prime q = 3 mod 4, or the double of one of
+    order m/2."""
     if m == 2:
         return SkewHadamard(m=2, entries=np.array([[1, 1], [-1, 1]], dtype=np.int64))
-    if m < 2 or m % 2 != 0:
-        raise HadamardOrderError(
-            f"no skew-Hadamard construction for order {m}; supported orders are "
-            "2, q+1 for primes q = 3 mod 4, and doubles thereof"
-        )
-    q = m - 1
-    if _is_prime(q) and q % 4 == 3:
-        return SkewHadamard(m=m, entries=_paley(q))
-    if supported_hadamard_order(m // 2):
-        h = skew_hadamard(m // 2).entries
-        doubled = np.block([[h, h], [-h.T, h.T]])
-        return SkewHadamard(m=m, entries=doubled)
+    if m > 2 and m % 4 == 0 and _is_prime(m - 1):
+        return SkewHadamard(m=m, entries=_paley(m - 1))
+    if m > 2 and m % 2 == 0:
+        with contextlib.suppress(HadamardOrderError):
+            h = skew_hadamard(m // 2).entries
+            return SkewHadamard(m=m, entries=np.block([[h, h], [-h.T, h.T]]))
     raise HadamardOrderError(
         f"no skew-Hadamard construction for order {m}; supported orders are "
         "2, q+1 for primes q = 3 mod 4, and doubles thereof"
@@ -118,14 +103,11 @@ def skew_hadamard(m: int) -> SkewHadamard:
 
 def _paley(q: int) -> np.ndarray:
     """Order q+1 skew-Hadamard from quadratic residues mod q (q = 3 mod 4)."""
-    residues = {(x * x) % q for x in range(1, q)}
-    chi = np.zeros(q, dtype=np.int64)
-    for a in range(1, q):
-        chi[a] = 1 if a in residues else -1
-    s = np.empty((q, q), dtype=np.int64)  # s[i,j] = chi(j - i), skew since chi(-1) = -1
-    for i in range(q):
-        for j in range(q):
-            s[i, j] = chi[(j - i) % q]
+    chi = np.full(q, -1, dtype=np.int64)  # the quadratic character mod q
+    chi[0] = 0
+    chi[[(x * x) % q for x in range(1, q)]] = 1
+    i = np.arange(q)
+    s = chi[(i - i[:, None]) % q]  # s[i, j] = chi(j - i), skew since chi(-1) = -1
     h = np.empty((q + 1, q + 1), dtype=np.int64)
     h[0, 0] = 1
     h[0, 1:] = 1

@@ -1,10 +1,13 @@
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 import qge
@@ -36,6 +39,7 @@ from qge import (
 
 import qge.evolution as evolution_module
 from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, evolution
+from qge.experiment import LENGTH_SEED_OFFSET
 
 from conftest import assert_products_match_dense, cage46, k5, pair_square_oracle, petersen
 
@@ -292,6 +296,21 @@ class TestEigenbasis:
         with pytest.raises(ValidationError):
             eigenbasis(2.0 * np.eye(4, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: eigenbasis(np.ones((3, 4))),
+            lambda: eigenbasis(np.eye(3)[None]),
+            lambda: eigenbasis(np.zeros((0, 0))),
+            lambda: lemma_a_sides(np.eye(4), np.eye(3), 3),
+        ],
+        ids=["not-square", "three-dim", "empty", "lemma-a-sizes"],
+    )
+    def test_rejects_malformed(self, call):
+        # the shape is checked before unitarity, and named in the message
+        with pytest.raises(ValidationError, match="shape"):
+            call()
+
     def test_residual_gate_backs_the_input_check(self, monkeypatch):
         # with the unitarity check passed, the residual gate alone rejects u
         monkeypatch.setattr(evolution_module, "unitarity_deviation", lambda u: 0.0)
@@ -461,10 +480,10 @@ class TestReversalRoute:
         op = _u(build_assembly(mg, rule), mg, k)
         u = op.dense()
         assert _pole_distance(u) == pytest.approx(1e-6, rel=1e-3)
-        solves = _spy(monkeypatch, "_real_cayley")
+        attempts = _spy(monkeypatch, "_reversal_attempt")
         dense = _spy(monkeypatch, "_dense_attempt")
         theta, q = eigenbasis(op)
-        assert len(solves) == 2 and solves[1][1] != _CAYLEY_SHIFTS[0]
+        assert [alpha for _, alpha in attempts] == list(_CAYLEY_SHIFTS)
         assert dense == []
         assert max_residual(u, theta, q) < 1e-10
         assert phase_distance(theta, schur_eigenbasis(u)[0]) <= 1e-10
@@ -509,19 +528,65 @@ class TestReversalRoute:
         dense = _spy(monkeypatch, "_dense_attempt")
         theta, q = eigenbasis(_u(a, mg, k))
         assert reduced == [] and len(dense) == 1
-        assert np.array_equal(theta, theta_ref) and np.array_equal(q, q_ref)
+        # the same eigenvectors; each phase is read from U q, formed by the
+        # gather here and by a dense product for the reference
+        assert np.array_equal(q, q_ref)
+        assert phase_distance(theta, theta_ref) <= 1e-14
 
     def test_every_route_failing_raises(self, monkeypatch):
-        # the reversal route fails at both shifts, the dense route at its
-        # gate; the input check is passed so that the gate sees tolerance 0
+        # the reversal route fails at the pole at both shifts, the dense
+        # route at its gate; the input check is passed so that the gate
+        # sees tolerance 0
         g = generate_random_regular(20, 4, seed=2)
         mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=3))
         u = _u(build_assembly(mg, equi_transmitting_sigma(4)), mg, 3.3)
         monkeypatch.setattr(BondOperator, "unitarity_deviation", lambda self: -1.0)
         monkeypatch.setattr(evolution_module, "_POLE_BOUND", 0.0)
         monkeypatch.setattr(evolution_module, "EIGENBASIS_TOL", 0.0)
-        with pytest.raises(NumericalError, match="bond reversal: .*; alpha=.*; alpha="):
+        # one message names every attempt, in the order they ran
+        expected = [f"bond reversal at alpha={a}: Cayley pole" for a in _CAYLEY_SHIFTS]
+        expected += [f"complex at alpha={a}: residual" for a in _CAYLEY_SHIFTS]
+        with pytest.raises(NumericalError, match=".*; ".join(map(re.escape, expected))):
             eigenbasis(u)
+
+
+_POLE_GAPS = st.floats(min_value=-12.0, max_value=-2.0).map(lambda x: 10.0**x)
+
+
+class TestCayleyEdge:
+    """An eigenvalue planted at distance delta, log-uniform in
+    [1e-12, 1e-2], from the pole -e^{-i alpha_0} of the first Cayley shift:
+    eigenbasis returns a basis under its gate, with the phases of the Schur
+    route.  Near the pole the Cayley eigenvalues lose accuracy (about
+    8e-17 / delta in theta); the phases, read from U q, do not."""
+
+    @staticmethod
+    def _assert_accurate(u, op, theta, q):
+        # the residual by the product eigenbasis gated on, the phases
+        # against the Schur route on the dense u
+        residual = np.max(np.linalg.norm(op @ q - q * np.exp(2j * np.pi * theta), axis=0))
+        assert residual < EIGENBASIS_TOL
+        assert phase_distance(theta, schur_eigenbasis(u)[0]) <= 1e-10
+
+    @settings(max_examples=15, deadline=None)
+    @given(delta=_POLE_GAPS, seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_dense_unitary(self, delta, seed):
+        pole = -np.exp(-1j * _CAYLEY_SHIFTS[0])
+        u = TestCayleyAgainstSchur._unitary_with_phases(16, [pole * np.exp(1j * delta)], seed)
+        theta, q = eigenbasis(u)
+        self._assert_accurate(u, u, theta, q)
+
+    @settings(max_examples=15, deadline=None)
+    @given(delta=_POLE_GAPS, k=st.floats(min_value=0.5, max_value=50.0))
+    def test_et_operator(self, delta, k):
+        # _planted_pole turns an eigenvalue of M^2, the matrix the
+        # bond-reversal route's Cayley solve sees, to distance delta
+        mg, rule = _planted_pole(generate_random_regular(20, 4, seed=2), k, gap=delta)
+        op = _u(build_assembly(mg, rule), mg, k)
+        u = op.dense()
+        assert _pole_distance(u) <= delta + 1e-13
+        theta, q = eigenbasis(op)
+        self._assert_accurate(u, op, theta, q)
 
 
 class TestPairOperands:
@@ -581,8 +646,9 @@ def _count_case(kind):
 class TestEigenbasisCallCount:
     """variance_estimate makes exactly one public eigenbasis call per
     k-sample whatever route serves it (the benchmark's traced pass counts
-    them); retries, cluster blocks and fallbacks stay in private helpers.
-    Only the complex route forms a dense U(k), once per sample."""
+    them); the attempts, one per (route, shift) pair, and the cluster
+    blocks stay in private helpers.  Only the complex route forms a dense
+    U(k), once per attempt."""
 
     @pytest.mark.parametrize(
         "kind,patch,reduced,dense,solves",
@@ -590,9 +656,9 @@ class TestEigenbasisCallCount:
             ("et", {}, 4, 0, 4),
             ("kirchhoff", {}, 0, 4, 0),
             ("unitary", {}, 0, 4, 0),
-            ("second-shift", {}, 1, 0, 2),
+            ("second-shift", {}, 2, 0, 2),
             ("clusters", {}, 4, 0, 4),
-            ("fallback", {"_POLE_BOUND": 0.0}, 4, 4, 8),
+            ("fallback", {"_POLE_BOUND": 0.0}, 8, 4, 8),
         ],
     )
     def test_one_call_per_sample(self, kind, patch, reduced, dense, solves, monkeypatch):
@@ -601,7 +667,7 @@ class TestEigenbasisCallCount:
             monkeypatch.setattr(evolution_module, name, value)
         calls = {
             name: _spy(monkeypatch, name)
-            for name in ("eigenbasis", "_reversal_attempt", "_dense_attempt", "_real_cayley", "_cayley_eigh")
+            for name in ("eigenbasis", "_reversal_attempt", "_dense_attempt", "_cayley", "_cayley_eigh")
         }
         scatters = []
         real_dense = BondOperator.dense
@@ -612,9 +678,27 @@ class TestEigenbasisCallCount:
         assert len(calls["_reversal_attempt"]) == reduced
         assert len(calls["_dense_attempt"]) == dense
         assert len(scatters) == dense
-        assert len(calls["_real_cayley"]) == solves
+        # the real solves are the bond-reversal route's; every solve, real
+        # or complex, goes through the one kernel
+        assert sum(a.dtype == np.float64 for (a, _), in calls["_cayley"]) == solves
+        assert len(calls["_cayley"]) == solves + len(calls["_cayley_eigh"])
         blocks = [args[0] for args in calls["_cayley_eigh"] if len(args[0]) < 2 * mg.graph.B]
         assert bool(blocks) == (kind == "clusters")
+
+
+    def test_complex_route_traffic(self, monkeypatch):
+        # criterion 13b's n = 20, seed 2 row: two of its 200 k-samples meet
+        # the pole at the first shift and one of them at the second as
+        # well, so one takes the complex route; over all of 13b's 4,000
+        # k-samples seven do
+        g = generate_random_regular(20, 4, seed=2)
+        mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=2 + LENGTH_SEED_OFFSET))
+        a = build_assembly(mg, equi_transmitting_sigma(4))
+        reduced = _spy(monkeypatch, "_reversal_attempt")
+        dense = _spy(monkeypatch, "_dense_attempt")
+        variance_estimate(a, mg, parity_observable(g.bond_index), 200.0, 200)
+        assert len(reduced) > 200  # the second shift ran
+        assert len(dense) <= 0.02 * 200
 
 
 class TestVarianceEstimate:

@@ -38,7 +38,8 @@ class TestSkewHadamard:
 
     @pytest.mark.parametrize("m", [3, 5, 6, 10, 13, 52])
     def test_unsupported_orders(self, m):
-        with pytest.raises(HadamardOrderError):
+        # the message names the order asked for, not one met while halving it
+        with pytest.raises(HadamardOrderError, match=rf"for order {m};"):
             skew_hadamard(m)
 
 

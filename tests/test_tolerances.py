@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qge
+import qge.evolution as evolution
 from qge import NumericalError
 from qge._checks import check, imag_residue, stochasticity_deviation, unitarity_deviation
 
@@ -40,6 +41,21 @@ def test_rule_sees_a_bare_tolerance(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text("ok = x < TOL\nbad = abs(x) <= 1e-9 * scale\nfine = x < 1e-3\n")
     assert _bare_tolerances(path) == ["probe.py:2: 1e-09"]
+
+
+class TestEigenRouteConstants:
+    """The invariants that the comments on evolution's route constants state."""
+
+    def test_no_cluster_wraps_the_pole(self):
+        # below _POLE_BOUND every Cayley angle is 2 / _POLE_BOUND from the
+        # pole, so the two ends of the sorted angles are further apart
+        # than a cluster gap
+        assert evolution._PAIR_GAP < 4.0 / evolution._POLE_BOUND
+
+    def test_shifts_a_radian_apart_on_the_circle(self):
+        a, b = evolution._CAYLEY_SHIFTS
+        gap = abs(a - b) % (2.0 * math.pi)
+        assert min(gap, 2.0 * math.pi - gap) >= 1.0
 
 
 class TestCheck:
