@@ -28,7 +28,6 @@ from .census import (
 from .errors import (
     AssemblyError,
     HadamardOrderError,
-    IdentityFailureError,
     NoEquiTransmittingMatrixError,
     NumericalError,
     ParameterError,

@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 # about a minute of search at the slowest rate measured on a 2-core Xeon,
-# 1.9e7 bound units (see _search_cost) per second
+# 1.9e7 bound units (see _search_cost) per second; every census reads it
+# at the call
 DEFAULT_WORK_BUDGET = 1_000_000_000
 
 # root bonds searched together, fewer when their stamps, 2 * block * 2B
@@ -58,11 +59,12 @@ def _search_cost(g: Graph, cap: int) -> int:
     return g.B * 2 * sum((g.d - 1) ** e for e in range(-(-cap // 2) + 1))
 
 
-def _check_budget(g: Graph, cap: int, work_budget: int) -> None:
+def _check_budget(g: Graph, cap: int) -> None:
     cost = _search_cost(g, cap)
-    if cost > work_budget:
+    if cost > DEFAULT_WORK_BUDGET:
         raise WorkBudgetError(
-            f"census search to length {cap} estimated cost {cost} exceeds budget {work_budget}"
+            f"census search to length {cap} estimated cost {cost} "
+            f"exceeds budget {DEFAULT_WORK_BUDGET}"
         )
 
 
@@ -155,25 +157,21 @@ def _cycle_edges(ret: np.ndarray, B: int, t: int) -> frozenset[int]:
     return frozenset(np.flatnonzero(ret[:B] <= t).tolist())
 
 
-def cycle_bond_census(
-    g: Graph, t: int, work_budget: int = DEFAULT_WORK_BUDGET
-) -> frozenset[int]:
+def cycle_bond_census(g: Graph, t: int) -> frozenset[int]:
     """Edge indices of all bonds on a closed non-backtracking walk of
     length <= t."""
     if t < 3:
         raise ParameterError(f"cycle census horizon t={t} must be >= 3")
-    _check_budget(g, t, work_budget)
+    _check_budget(g, t)
     return _cycle_edges(_returns(g.bond_index, t), g.B, t)
 
 
-def near_cycle_census(
-    g: Graph, t: int, work_budget: int = DEFAULT_WORK_BUDGET
-) -> frozenset[int]:
+def near_cycle_census(g: Graph, t: int) -> frozenset[int]:
     """Directed bond indices within non-backtracking distance t1 of a closed
     walk of length <= 2 t2, for some t1 + t2 = t with t2 >= 2."""
     if t < 2:
         raise ParameterError(f"near-cycle census horizon t={t} must be >= 2")
-    _check_budget(g, 2 * t, work_budget)
+    _check_budget(g, 2 * t)
     bi = g.bond_index
     return _near_cycle_bonds(bi, _returns(bi, 2 * t), t)
 
@@ -215,11 +213,11 @@ class CensusReport:
         }
 
 
-def census_report(g: Graph, t: int, work_budget: int = DEFAULT_WORK_BUDGET) -> CensusReport:
+def census_report(g: Graph, t: int) -> CensusReport:
     """Both censuses at horizon t from one return-length search at 2t."""
     if t < 2:
         raise ParameterError(f"census horizon t={t} must be >= 2")
-    _check_budget(g, 2 * t, work_budget)
+    _check_budget(g, 2 * t)
     bi = g.bond_index
     ret = _returns(bi, 2 * t)
     c_set = _cycle_edges(ret, g.B, t) if t >= 3 else frozenset()
@@ -232,9 +230,7 @@ def census_report(g: Graph, t: int, work_budget: int = DEFAULT_WORK_BUDGET) -> C
     return CensusReport(t=t, c_set=c_set, t_set=t_set)
 
 
-def lemma_sides(
-    g: Graph, t: int, work_budget: int = DEFAULT_WORK_BUDGET
-) -> tuple[int, Fraction]:
+def lemma_sides(g: Graph, t: int) -> tuple[int, Fraction]:
     """Exact integer sides of the census inequality at horizon t.
 
     Returns (|near(t)|, (d-1)^(t-1)/(d-2) * |directed cycle bonds(2t)|),
@@ -245,7 +241,7 @@ def lemma_sides(
         raise ParameterError("census inequality needs d >= 3")
     if t < 2:
         raise ParameterError(f"census horizon t={t} must be >= 2")
-    _check_budget(g, 2 * t, work_budget)
+    _check_budget(g, 2 * t)
     bi = g.bond_index
     ret = _returns(bi, 2 * t)
     t_count = len(_near_cycle_bonds(bi, ret, t))

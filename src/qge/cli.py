@@ -43,7 +43,7 @@ from .graphs import Graph, generate_random_regular, girth, is_ramanujan, spectra
 from .manifest import RunManifest
 from .scattering import equi_transmitting_sigma, kirchhoff_sigma
 from .svgplot import line_plot
-from .walk import classical_map, decay_profile, singular_profile, vertex_basis
+from .walk import classical_map, decay_profile, singular_profile
 
 __all__ = ["main"]
 
@@ -123,7 +123,7 @@ def _emit_json(out: str | None, payload: dict, manifest: RunManifest) -> None:
 
 def _emit_csv(out: str, header: list[str], rows: list[list], manifest: RunManifest) -> None:
     """Write the table (headed by the manifest digest) and the manifest to `out`."""
-    write_csv_atomic(out, header, rows, manifest_digest=manifest.digest)
+    write_csv_atomic(out, header, rows, manifest.digest)
     _write_manifest(out, manifest)
 
 
@@ -187,10 +187,9 @@ def _cmd_variance(args) -> int:
 def _cmd_walk_decay(args) -> int:
     g = load_graph(args.graph)
     m = classical_map(build_assembly(g, _SIGMAS[args.sigma](g.d)))
-    basis = vertex_basis(g.bond_index)
     f = _observable_for(args.obs, g, args.kappa)
     beta = spectral_report(g).beta
-    rows = decay_profile(m, f, args.T, beta, basis)
+    rows = decay_profile(m, f, args.T, beta)
     _emit_csv(
         args.out,
         ["t", "norm", "bound", "bound_kind"],
@@ -208,7 +207,6 @@ def _cmd_walk_decay(args) -> int:
             title="walk decay",
             xlabel="t",
             ylabel="norm",
-            logy=True,
         )
     return 0
 
@@ -245,10 +243,9 @@ def _cmd_experiment(args) -> int:
             {"n": r.n, "seed": r.seed, "terms": r.bound_terms, "status": r.status}
             for r in rows
         ],
+        "manifest": manifest.digest,
     }
-    write_json_atomic(
-        Path(str(out) + ".constants.json"), sidecar, manifest_digest=manifest.digest
-    )
+    write_json_atomic(Path(str(out) + ".constants.json"), sidecar)
     if args.plot:
         ok_rows = [r for r in rows if r.status == "ok"]
         ns = sorted({r.n for r in ok_rows})
@@ -270,7 +267,6 @@ def _cmd_experiment(args) -> int:
             title="family sweep",
             xlabel="n",
             ylabel="variance",
-            logy=True,
         )
     return 0
 

@@ -51,7 +51,3 @@ class SamplingError(NumericalError):
 
 class StochasticityError(NumericalError):
     """A walk matrix failed its doubly-stochastic check (corrupt assembly)."""
-
-
-class IdentityFailureError(NumericalError):
-    """A vertex-vector identity failed on input asserted equi-transmitting."""

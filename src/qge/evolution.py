@@ -53,7 +53,7 @@ __all__ = [
 S_UNITARITY_TOL = 1e-10
 EIGENBASIS_TOL = 1e-8
 IMAG_RESIDUE_TOL = 1e-10
-OBSERVABLE_TOL = 1e-12  # |f| above kappa, and |Tr f| per bond and unit of sup|f|
+OBSERVABLE_TOL = 1e-12  # |Tr f| per bond and unit of sup|f| of a traceless f
 M_TILDE_TOL = 1e-8  # row and column sums of the k-averaged |U^t|^2
 LEMMA_A_TOL = 1e-8  # imaginary residue and lhs - rhs of the windowed trace inequality
 # Cayley shifts alpha of eigenbasis, tried in order: two generic angles
@@ -67,6 +67,7 @@ _CAYLEY_SHIFTS = (0.7, 2.3)
 # pole, so no cluster wraps round it while _PAIR_GAP < 4 / _POLE_BOUND.
 _PAIR_GAP = 1e-3
 _POLE_BOUND = 2e3
+LENGTH_RANGE = (1.0, 2.0)  # bounds of the uniform draw_lengths
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,11 @@ class MetricGraph:
         return np.concatenate([self.lengths, self.lengths])
 
 
-def draw_lengths(b: int, seed: int, low: float = 1.0, high: float = 2.0) -> np.ndarray:
-    """Uniform bond lengths in [low, high] from a seed in [0, 2^64);
+def draw_lengths(b: int, seed: int) -> np.ndarray:
+    """Uniform bond lengths in LENGTH_RANGE from a seed in [0, 2^64);
     irrational length ratios with probability one, which is what the
     k-averages rely on."""
-    return _rng(seed).uniform(low, high, size=b)
+    return _rng(seed).uniform(*LENGTH_RANGE, size=b)
 
 
 def build_assembly(mg: MetricGraph | Graph, rule) -> BondOperator:
@@ -321,7 +322,7 @@ def eigenbasis(u: np.ndarray | BondOperator) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Observable:
-    """A bond observable f in C^(2B) with sup-norm bound kappa."""
+    """A bond observable f in C^(2B); kappa is its sup-norm sup|f|."""
 
     f: np.ndarray
     kappa: float
@@ -331,17 +332,15 @@ class Observable:
         self.f.setflags(write=False)
 
     @classmethod
-    def from_vector(cls, values, kappa: float | None = None) -> "Observable":
+    def from_vector(cls, values) -> "Observable":
         f = np.asarray(values, dtype=np.complex128).copy()
         if f.ndim != 1:
             raise ValidationError("observable must be a vector")
         if not np.all(np.isfinite(f)):
             raise ValidationError("observable entries must be finite")
         sup = float(np.max(np.abs(f))) if f.size else 0.0
-        kappa = sup if kappa is None else kappa
-        check(sup - kappa, OBSERVABLE_TOL, ValidationError, f"|f| = {sup} above its bound {kappa}")
         traceless = abs(complex(np.sum(f))) < OBSERVABLE_TOL * max(1, len(f)) * max(1.0, sup)
-        return cls(f=f, kappa=float(kappa), traceless=traceless)
+        return cls(f=f, kappa=sup, traceless=traceless)
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,7 @@ the explicit bound at horizon T(n).  Failed rows are marked, never dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -33,7 +33,6 @@ LENGTH_SEED_OFFSET = 1_000_003  # decorrelates length draws from graph sampling
 # a row draws its graph at seed and its lengths at seed + LENGTH_SEED_OFFSET,
 # and both must lie in [0, 2^64)
 MAX_SEED = 2**64 - 1 - LENGTH_SEED_OFFSET
-CONFIG_KEYS = ("d", "n_list", "seeds", "K", "samples", "kappa", "output")
 
 EXPERIMENT_COLUMNS = [
     "n",
@@ -62,14 +61,28 @@ class ExperimentConfig:
     output: str = "experiment.csv"
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+# the config keys are the ExperimentConfig fields, each value read by the
+# parser of its field's type; a field without a default is a required key
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": _int_list}
+CONFIG_KEYS = tuple(_FIELDS)
+_REQUIRED = {name for name, f in _FIELDS.items() if f.default is MISSING}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the key=value config format (keys: CONFIG_KEYS, each at most
-    once; lists comma-separated).  An unknown or repeated key raises
+    once; lists comma-separated; an absent optional key takes its
+    ExperimentConfig default).  An unknown or repeated key raises
     ParseError.
 
-    Values a sweep cannot run with (d < 3, n <= d, samples < 1, K or kappa
-    not finite and positive, a seed outside [0, MAX_SEED]) raise
-    ValidationError before any row is computed.
+    Values a sweep cannot run with (d < 3, a d with no equi-transmitting
+    construction, n <= d, samples < 1, K or kappa not finite and positive,
+    a seed outside [0, MAX_SEED]) raise ValidationError before any row is
+    computed.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -85,42 +98,30 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in entries:
             raise ParseError(f"config line {lineno}: key {key!r} given twice")
         entries[key] = value.strip()
-    required = {"d", "n_list", "seeds"}
-    missing = required - entries.keys()
+    missing = _REQUIRED - entries.keys()
     if missing:
         raise ParseError(f"config missing keys: {sorted(missing)}")
     try:
-        d = int(entries["d"])
-        n_list = tuple(int(x) for x in entries["n_list"].split(",") if x.strip())
-        seeds = tuple(int(x) for x in entries["seeds"].split(",") if x.strip())
-        k_window = float(entries.get("K", "200"))
-        samples = int(entries.get("samples", "200"))
-        kappa = float(entries.get("kappa", "1"))
+        cfg = ExperimentConfig(**{k: _PARSERS[_FIELDS[k].type](v) for k, v in entries.items()})
     except ValueError as exc:
         raise ParseError(f"config value malformed: {exc}") from exc
-    if not n_list or not seeds:
+    d = cfg.d
+    if not cfg.n_list or not cfg.seeds:
         raise ParseError("n_list and seeds must be non-empty")
     if d < 3:
         raise ValidationError(f"config d={d} must be >= 3")
-    if any(n <= d for n in n_list):
+    equi_transmitting_sigma(d)  # raises for a d with no construction
+    if any(n <= d for n in cfg.n_list):
         raise ValidationError(f"every n in n_list must exceed d={d}")
-    if samples < 1:
-        raise ValidationError(f"config samples={samples} must be >= 1")
-    if any(not 0 <= s <= MAX_SEED for s in seeds):
+    if cfg.samples < 1:
+        raise ValidationError(f"config samples={cfg.samples} must be >= 1")
+    if any(not 0 <= s <= MAX_SEED for s in cfg.seeds):
         raise ValidationError(f"config seeds must lie in [0, {MAX_SEED}]")
-    if not (0 < k_window < math.inf and 0 < kappa < math.inf):
+    if not (0 < cfg.K < math.inf and 0 < cfg.kappa < math.inf):
         raise ValidationError(
-            f"config K={k_window} and kappa={kappa} must be finite and positive"
+            f"config K={cfg.K} and kappa={cfg.kappa} must be finite and positive"
         )
-    return ExperimentConfig(
-        d=d,
-        n_list=n_list,
-        seeds=seeds,
-        K=k_window,
-        samples=samples,
-        kappa=kappa,
-        output=entries.get("output", "experiment.csv"),
-    )
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def _one_row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
     try:
         vb = explicit_variance_bound(
             BoundInputs(
-                kappa=cfg.kappa,
+                kappa=f.kappa,
                 d=cfg.d,
                 beta=report.beta,
                 T=horizon,

@@ -74,10 +74,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def write_json_atomic(path: str | Path, obj, manifest_digest: str | None = None) -> None:
-    if manifest_digest is not None:
-        obj = dict(obj)
-        obj["manifest"] = manifest_digest
+def write_json_atomic(path: str | Path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
@@ -91,15 +88,9 @@ def format_value(value) -> str:
 
 
 def write_csv_atomic(
-    path: str | Path,
-    header: list[str],
-    rows: list[list],
-    manifest_digest: str | None = None,
+    path: str | Path, header: list[str], rows: list[list], manifest_digest: str
 ) -> None:
-    lines = []
-    if manifest_digest is not None:
-        lines.append(f"# manifest {manifest_digest}")
-    lines.append(",".join(header))
+    lines = [f"# manifest {manifest_digest}", ",".join(header)]
     for row in rows:
         lines.append(",".join(format_value(x) for x in row))
     write_text_atomic(path, "\n".join(lines) + "\n")

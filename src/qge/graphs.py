@@ -30,6 +30,7 @@ DENSE_SPECTRUM_MAX_N = 512  # above this many vertices beta comes from Lanczos
 LANCZOS_TOL = 1e-10  # residual estimate at which an extreme Ritz pair has converged
 LANCZOS_FIRST_CHECK = 30  # Lanczos step of the first convergence check
 LANCZOS_SEED = 0  # seed of the Gaussian start vector
+MAX_ATTEMPTS = 100_000  # configuration-model pairings drawn before giving up
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -128,7 +129,7 @@ class SpectralReport:
     is_bipartite: bool
 
 
-def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_000) -> Graph:
+def generate_random_regular(n: int, d: int, seed: int) -> Graph:
     """Sample a uniform simple d-regular graph on n labelled vertices.
 
     Configuration model with full rejection of pairings containing loops or
@@ -143,7 +144,7 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_0
         raise ParameterError(f"n*d = {n * d} must be even")
     rng = _rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         perm = rng.permutation(stubs)
         us, vs = perm[0::2], perm[1::2]
         if np.any(us == vs):
@@ -156,7 +157,7 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 100_0
         order = np.argsort(keys, kind="stable")
         return Graph(n=n, d=d, edges=np.column_stack((lo[order], hi[order])))
     raise SamplingError(
-        f"no simple pairing found in {max_attempts} attempts for n={n}, d={d}"
+        f"no simple pairing found in {MAX_ATTEMPTS} attempts for n={n}, d={d}"
     )
 
 

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-10
+EQUI_TRANSMITTING_TOL = 1e-9  # each deviation is_equi_transmitting measures
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,9 @@ def equi_transmitting_sigma(d: int) -> VertexScattering:
     )
 
 
-def is_equi_transmitting(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff m is unitary within tol, has |diagonal| < tol, and every
-    off-diagonal modulus within tol of 1/sqrt(d-1)."""
+def is_equi_transmitting(m: np.ndarray) -> bool:
+    """True iff m is unitary within EQUI_TRANSMITTING_TOL, has |diagonal|
+    below it, and every off-diagonal modulus within it of 1/sqrt(d-1)."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
@@ -158,7 +159,7 @@ def is_equi_transmitting(m: np.ndarray, tol: float = 1e-9) -> bool:
         return False
     off = np.abs(m[~np.eye(d, dtype=bool)])
     return bool(
-        unitarity_deviation(m) < tol
-        and np.all(np.abs(np.diag(m)) < tol)
-        and np.all(np.abs(off - 1.0 / np.sqrt(d - 1)) < tol)
+        unitarity_deviation(m) < EQUI_TRANSMITTING_TOL
+        and np.all(np.abs(np.diag(m)) < EQUI_TRANSMITTING_TOL)
+        and np.all(np.abs(off - 1.0 / np.sqrt(d - 1)) < EQUI_TRANSMITTING_TOL)
     )

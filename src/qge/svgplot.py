@@ -1,4 +1,5 @@
-"""Minimal self-contained SVG line charts (no charting dependency).
+"""Minimal self-contained SVG line charts on a log y axis (no charting
+dependency).
 
 The plots are conveniences; the CSV/JSON next to them is always the
 authoritative artifact.
@@ -26,21 +27,18 @@ def _finite(points):
 def line_plot(
     series: list[tuple[str, list[float], list[float]]],
     path: str | Path,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    logy: bool = False,
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> None:
-    """Write a simple multi-series line chart as SVG.
+    """Write a simple multi-series line chart with a log y axis as SVG.
 
-    series is a list of (label, xs, ys).  Non-finite points are dropped;
-    with logy=True non-positive y values are dropped too.
+    series is a list of (label, xs, ys).  Non-finite points and
+    non-positive y values are dropped.
     """
     cleaned = []
     for label, xs, ys in series:
-        pts = _finite(list(zip(xs, ys)))
-        if logy:
-            pts = [(x, y) for x, y in pts if y > 0]
+        pts = [(x, y) for x, y in _finite(zip(xs, ys)) if y > 0]
         if pts:
             cleaned.append((label, pts))
     if not cleaned:
@@ -51,11 +49,8 @@ def line_plot(
         )
         return
 
-    def ty(y: float) -> float:
-        return math.log10(y) if logy else y
-
     all_x = [x for _, pts in cleaned for x, _ in pts]
-    all_y = [ty(y) for _, pts in cleaned for _, y in pts]
+    all_y = [math.log10(y) for _, pts in cleaned for _, y in pts]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
@@ -69,7 +64,7 @@ def line_plot(
         return MARGIN_L + plot_w * (x - x_lo) / (x_hi - x_lo)
 
     def py(y: float) -> float:
-        return MARGIN_T + plot_h * (1.0 - (ty(y) - y_lo) / (y_hi - y_lo))
+        return MARGIN_T + plot_h * (1.0 - (math.log10(y) - y_lo) / (y_hi - y_lo))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -77,20 +72,11 @@ def line_plot(
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333"/>',
+        f'<text x="{WIDTH / 2}" y="22" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {HEIGHT / 2})">{ylabel}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2}" y="22" text-anchor="middle" font-size="14">{title}</text>'
-        )
-    if xlabel:
-        parts.append(
-            f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {HEIGHT / 2})">{ylabel}</text>'
-        )
 
     # 5 ticks per axis
     for i in range(5):
@@ -105,12 +91,11 @@ def line_plot(
         )
         fy = y_lo + (y_hi - y_lo) * i / 4
         gy = MARGIN_T + plot_h * (1.0 - i / 4)
-        label = f"1e{fy:.2f}" if logy else f"{fy:.4g}"
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{gy:.1f}" x2="{MARGIN_L}" y2="{gy:.1f}" stroke="#333"/>'
         )
         parts.append(
-            f'<text x="{MARGIN_L - 8}" y="{gy + 4:.1f}" text-anchor="end">{label}</text>'
+            f'<text x="{MARGIN_L - 8}" y="{gy + 4:.1f}" text-anchor="end">1e{fy:.2f}</text>'
         )
 
     for idx, (label, pts) in enumerate(cleaned):

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _checks  # not `check`: z_sequence has a parameter of that name
+from ._checks import check, imag_residue, stochasticity_deviation
 from .bonds import BondIndex, BondOperator
 from .errors import (
-    IdentityFailureError,
     NumericalError,
     ParameterError,
     StochasticityError,
@@ -68,8 +67,8 @@ def classical_map(s: BondOperator) -> BondOperator:
     row, and `m @ x` is its gather.
     """
     w = np.abs(s.blocks) ** 2
-    dev = _checks.stochasticity_deviation(w)
-    _checks.check(dev, STOCHASTICITY_TOL, StochasticityError, "M row/column sums")
+    dev = stochasticity_deviation(w)
+    check(dev, STOCHASTICITY_TOL, StochasticityError, "M row/column sums")
     return BondOperator(s.bond_index, w)
 
 
@@ -111,9 +110,7 @@ class WalkIdentityReport:
         return max(self.max_dev_outgoing, self.max_dev_incoming)
 
 
-def walk_action_identities(
-    m: BondOperator, basis: VertexBasis, strict: bool = False
-) -> WalkIdentityReport:
+def walk_action_identities(m: BondOperator) -> WalkIdentityReport:
     """Check M e_v = e~_v and M e~_v = (sum_{w~v} e~_w - e_v)/(d-1) for all v.
 
     Row b = in_bonds[v, i] of M has its d non-zeros blocks[v, :, i] on the
@@ -126,19 +123,14 @@ def walk_action_identities(
 
     The first identity holds for every unitary assembly (columns of each
     vertex matrix have unit norm); the second requires zero reflection, so
-    its deviation is what flags a non-equi-transmitting input.  With
-    strict=True a deviation beyond tolerance raises, for callers that have
-    asserted an equi-transmitting assembly.
+    its deviation is what flags a non-equi-transmitting input.
     """
-    d = basis.d
     w = m.blocks
+    d = w.shape[-1]
     dev_out = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
     expected = (1.0 - np.eye(d)) / (d - 1)
     dev_in = float(np.max(np.abs(w - expected)))
-    report = WalkIdentityReport(dev_out, dev_in, max(dev_out, dev_in) < IDENTITY_TOL)
-    if strict:  # the assembly was asserted equi-transmitting: wiring bug or wrong sigma
-        _checks.check(report.max_dev, IDENTITY_TOL, IdentityFailureError, "vertex identities")
-    return report
+    return WalkIdentityReport(dev_out, dev_in, max(dev_out, dev_in) < IDENTITY_TOL)
 
 
 def singular_profile(m: BondOperator) -> np.ndarray:
@@ -196,7 +188,7 @@ def reduced_consistency(g: Graph, m: BondOperator, f, t: int) -> float:
         f_vec = f
         resid = float(np.max(np.abs(f - coeffs[basis.tails])))
         tol = G2_MEMBERSHIP_TOL * max(1.0, float(np.max(np.abs(f))))
-        _checks.check(resid, tol, ValidationError, "f outside span(e_v)")
+        check(resid, tol, ValidationError, "f outside span(e_v)")
     else:
         raise ValidationError("f must have length n (coefficients) or 2B (bond vector)")
 
@@ -222,18 +214,19 @@ def project_g2(x: np.ndarray, basis: VertexBasis) -> np.ndarray:
     return x - project_g1(x, basis)
 
 
-def g2_contraction(m: BondOperator, g_vec: np.ndarray, basis: VertexBasis) -> float:
+def g2_contraction(m: BondOperator, g_vec: np.ndarray) -> float:
     """||M g|| / ||g|| for g orthogonal to span{e_v}; equals 1/(d-1)."""
+    basis = vertex_basis(m.bond_index)
     g_vec = np.asarray(g_vec, dtype=np.complex128)
     norm = float(np.linalg.norm(g_vec))
     if norm == 0.0:
         raise ValidationError("zero vector")
     overlap = float(np.max(np.abs(basis.overlaps(g_vec)))) / np.sqrt(basis.d)
-    _checks.check(overlap, G2_MEMBERSHIP_TOL * norm, ValidationError, "span(e_v) component")
+    check(overlap, G2_MEMBERSHIP_TOL * norm, ValidationError, "span(e_v) component")
     return float(np.linalg.norm(m @ g_vec)) / norm
 
 
-def z_sequence(mu: float, d: int, T: int, check: bool = True) -> np.ndarray:
+def z_sequence(mu: float, d: int, T: int) -> np.ndarray:
     """z_0..z_T from z_t = (mu z_{t-1} - z_{t-2})/(d-1), z_0 = 0, z_1 = 1.
 
     When the closed form is well-conditioned (omega away from +-1) the two
@@ -251,13 +244,12 @@ def z_sequence(mu: float, d: int, T: int, check: bool = True) -> np.ndarray:
         z[1] = 1.0
     for t in range(2, T + 1):
         z[t] = (mu * z[t - 1] - z[t - 2]) / (d - 1)
-    if check:
-        omega = mu / (2.0 * np.sqrt(d - 1.0))
-        if abs(abs(omega) - 1.0) > 1e-3:
-            closed = z_closed_form(mu, d, T)
-            scale = max(1.0, float(np.max(np.abs(z))))
-            worst = float(np.max(np.abs(z - closed)))
-            _checks.check(worst, Z_TOL * scale, NumericalError, "z recurrence against closed form")
+    omega = mu / (2.0 * np.sqrt(d - 1.0))
+    if abs(abs(omega) - 1.0) > 1e-3:
+        closed = z_closed_form(mu, d, T)
+        scale = max(1.0, float(np.max(np.abs(z))))
+        worst = float(np.max(np.abs(z - closed)))
+        check(worst, Z_TOL * scale, NumericalError, "z recurrence against closed form")
     return z
 
 
@@ -277,8 +269,8 @@ def z_closed_form(mu: float, d: int, T: int) -> np.ndarray:
     lam_m = (omega - disc) / root
     ts = np.arange(T + 1)
     vals = (root / (2.0 * disc)) * (lam_p**ts - lam_m**ts)
-    residue = _checks.imag_residue(vals)
-    _checks.check(residue, Z_TOL, NumericalError, "z closed form imaginary part")
+    residue = imag_residue(vals)
+    check(residue, Z_TOL, NumericalError, "z closed form imaginary part")
     return vals.real
 
 
@@ -322,13 +314,7 @@ class DecayRow:
         return not np.isnan(self.bound) and not self.norm <= self.bound + DECAY_SLACK
 
 
-def decay_profile(
-    m: BondOperator,
-    f: Observable,
-    T: int,
-    beta: float,
-    basis: VertexBasis,
-) -> list[DecayRow]:
+def decay_profile(m: BondOperator, f: Observable, T: int, beta: float) -> list[DecayRow]:
     """Norms ||M^t f|| for t = 1..T against the explicit decay envelope.
 
     For beta < d-2 the bound is K ||f|| t ((d-1-beta)/(d-1))^t with
@@ -343,6 +329,7 @@ def decay_profile(
         raise ParameterError("T must be >= 1")
     if not f.traceless:
         raise ValidationError("decay bounds require a traceless observable")
+    basis = vertex_basis(m.bond_index)
     d = basis.d
     fvec = f.f
     fnorm = float(np.linalg.norm(fvec))

@@ -59,7 +59,7 @@ def walk_instances():
     out = []
     for g in graphs:
         a = build_assembly(g, equi_transmitting_sigma(4))
-        out.append((g, classical_map(a), vertex_basis(g.bond_index)))
+        out.append((g, classical_map(a)))
     return out
 
 
@@ -90,7 +90,8 @@ def test_criterion_02_scattering_constructions():
         h = skew_hadamard(m).entries
         assert np.array_equal(h + h.T, 2 * np.eye(m, dtype=np.int64))
         assert np.array_equal(h @ h.T, m * np.eye(m, dtype=np.int64))
-        assert is_equi_transmitting(equi_transmitting_sigma(m).entries, 1e-9)
+        assert is_equi_transmitting(equi_transmitting_sigma(m).entries)
+    assert qge.scattering.EQUI_TRANSMITTING_TOL <= 1e-9
     with pytest.raises(qge.NoEquiTransmittingMatrixError):
         equi_transmitting_sigma(3)
 
@@ -99,8 +100,8 @@ def test_criterion_03_walk_identities(walk_instances):
     """M e_v = e~_v and M e~_v = (sum_{w~v} e~_w - e_v)/(d-1) to 1e-10 on
     K5 and 10 random 4-regular graphs, all vertices."""
     worst = 0.0
-    for _, m, basis in walk_instances:
-        rep = walk_action_identities(m, basis)
+    for _, m in walk_instances:
+        rep = walk_action_identities(m)
         worst = max(worst, rep.max_dev)
     assert worst < 1e-10
 
@@ -108,7 +109,7 @@ def test_criterion_03_walk_identities(walk_instances):
 def test_criterion_04_singular_profile(walk_instances):
     """Singular values of M equal {1 x n, 1/3 x 3n} within 1e-9 on the same
     instances."""
-    for g, m, _ in walk_instances:
+    for g, m in walk_instances:
         sv = singular_profile(m)
         assert np.max(np.abs(sv[: g.n] - 1.0)) < 1e-9
         assert np.max(np.abs(sv[g.n :] - 1.0 / 3.0)) < 1e-9
@@ -122,13 +123,13 @@ def test_criterion_05_z_machinery():
     grid = np.linspace(-(d - beta), d - beta, 200)
     envelope = z_bound(d, beta, t_max)
     for mu in grid:
-        z = z_sequence(float(mu), d, t_max, check=False)
+        z = z_sequence(float(mu), d, t_max)
         zc = z_closed_form(float(mu), d, t_max)
         scale = max(1.0, float(np.max(np.abs(z))))
         assert np.max(np.abs(z - zc)) < 1e-9 * scale
         assert np.all(np.abs(z[1:]) <= envelope[1:] + 1e-12)
     for mu in (2 * math.sqrt(d - 1), -2 * math.sqrt(d - 1)):
-        z = z_sequence(mu, d, t_max, check=False)
+        z = z_sequence(mu, d, t_max)
         critical = np.array([t / (d - 1) ** ((t - 1) / 2) for t in range(t_max + 1)])
         assert np.max(np.abs(np.abs(z) - critical)) < 1e-10
 
@@ -185,7 +186,7 @@ def test_criterion_08_g2_contraction():
     rng = np.random.default_rng(88)
     for _ in range(100):
         vec = project_g2(rng.normal(size=2 * g.B) + 1j * rng.normal(size=2 * g.B), basis)
-        assert abs(qge.g2_contraction(m, vec, basis) - 1.0 / 3.0) < 1e-9
+        assert abs(qge.g2_contraction(m, vec) - 1.0 / 3.0) < 1e-9
 
 
 def test_criterion_09_windowed_trace_inequality():

@@ -99,9 +99,10 @@ class TestCycleCensus:
         with pytest.raises(ParameterError):
             cycle_bond_census(k5(), 2)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(qge.census, "DEFAULT_WORK_BUDGET", 10)
         with pytest.raises(WorkBudgetError):
-            cycle_bond_census(k5(), 8, work_budget=10)
+            cycle_bond_census(k5(), 8)
 
 
 class TestWorkBudget:
@@ -128,20 +129,22 @@ class TestWorkBudget:
         assert qge.census._search_cost(g, 12) == 437_200_000
         assert qge.census._search_cost(g, 12) <= qge.census.DEFAULT_WORK_BUDGET
 
-    def test_charged_at_search_cap(self):
+    def test_charged_at_search_cap(self, monkeypatch):
         g = generate_random_regular(30, 4, seed=2)
         cost = qge.census._search_cost
-        for t in (2, 3):
-            for census in (census_report, near_cycle_census):
-                census(g, t, work_budget=cost(g, 2 * t))
-                with pytest.raises(WorkBudgetError):
-                    census(g, t, work_budget=cost(g, 2 * t) - 1)
-            lemma_sides(g, t, work_budget=cost(g, 2 * t))
+
+        def charged(census, t, cap):
+            # runs at a budget of exactly the cost of a search to cap, not below
+            monkeypatch.setattr(qge.census, "DEFAULT_WORK_BUDGET", cost(g, cap))
+            census(g, t)
+            monkeypatch.setattr(qge.census, "DEFAULT_WORK_BUDGET", cost(g, cap) - 1)
             with pytest.raises(WorkBudgetError):
-                lemma_sides(g, t, work_budget=cost(g, 2 * t) - 1)
-        cycle_bond_census(g, 5, work_budget=cost(g, 5))
-        with pytest.raises(WorkBudgetError):
-            cycle_bond_census(g, 5, work_budget=cost(g, 5) - 1)
+                census(g, t)
+
+        for t in (2, 3):
+            for census in (census_report, near_cycle_census, lemma_sides):
+                charged(census, t, 2 * t)
+        charged(cycle_bond_census, 5, 5)
 
 
 class TestMinReturnLengths:

@@ -522,6 +522,18 @@ class TestExitCodes:
         assert f"line {line}:" in json.loads(err[0])["message"]
 
     @pytest.mark.parametrize(
+        "d, error", [("3", "NoEquiTransmittingMatrixError"), ("6", "HadamardOrderError")]
+    )
+    def test_degree_without_construction_is_3(self, tmp_path, capsys, d, error):
+        # rejected before any row runs, instead of a CSV of error rows
+        cfg, out = self._config(tmp_path, f"d={d}\nn_list=10,12")
+        assert run("experiment", "--config", str(cfg)) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == error
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["graph", "gen", "--n", "10", "--d", "4", "--seed", "-1"],

@@ -896,9 +896,9 @@ class TestObservable:
         assert f.traceless
         assert not constant_observable(bi, 1e6).traceless
 
-    def test_bound_enforced(self):
-        with pytest.raises(ValidationError):
-            Observable.from_vector([3.0, 0.0], kappa=1.0)
+    @pytest.mark.parametrize("values, sup", [([3.0, 0.0], 3.0), ([1j, -2.0, 0.5], 2.0), ([], 0.0)])
+    def test_kappa_is_sup_norm(self, values, sup):
+        assert Observable.from_vector(values).kappa == sup
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_rejected(self, bad):

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import qge.experiment
-from qge import ExperimentConfig, ParseError, ValidationError, family_experiment, parse_config
+from qge import (
+    BoundInputs,
+    ExperimentConfig,
+    ParseError,
+    ValidationError,
+    explicit_variance_bound,
+    family_experiment,
+    parse_config,
+)
 from qge.experiment import EXPERIMENT_COLUMNS
 
 
@@ -120,6 +128,16 @@ class TestFamilyExperiment:
         assert failed.status.startswith("error:")
         assert failed.csv_values()[girth] == ""
         assert ok.csv_values()[girth] == ok.girth
+
+    def test_bound_uses_sup_norm_at_odd_n(self):
+        # the mean-centred parity observable has sup|f| = kappa (1 + 1/n) at odd n
+        cfg = ExperimentConfig(d=4, n_list=(21,), seeds=(1,), K=10.0, samples=5)
+        (row,) = family_experiment(cfg)
+        assert row.bound_kind == "full"
+        inputs = BoundInputs(
+            kappa=1.0 + 1.0 / 21, d=4, beta=row.beta, T=row.T, census=row.census_2t, B=row.B
+        )
+        assert row.bound == pytest.approx(explicit_variance_bound(inputs).total, rel=1e-12)
 
     def test_deterministic(self):
         cfg = ExperimentConfig(d=4, n_list=(10,), seeds=(3,), K=20.0, samples=10)

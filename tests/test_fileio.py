@@ -168,5 +168,5 @@ class TestCsvWriter:
 
     def test_numpy_scalars_render_plain(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv_atomic(path, ["x"], [[np.float64(0.25)], [np.int64(7)]])
-        assert path.read_text().splitlines()[1:] == ["0.25", "7"]
+        write_csv_atomic(path, ["x"], [[np.float64(0.25)], [np.int64(7)]], "abc123")
+        assert path.read_text().splitlines()[2:] == ["0.25", "7"]

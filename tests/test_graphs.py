@@ -213,9 +213,10 @@ class TestGenerator:
         with pytest.raises(ParameterError, match="seed"):
             draw_lengths(10, seed=seed)
 
-    def test_rejection_budget(self):
+    def test_rejection_budget(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_ATTEMPTS", 0)
         with pytest.raises(SamplingError):
-            generate_random_regular(20, 4, seed=0, max_attempts=0)
+            generate_random_regular(20, 4, seed=0)
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -8,7 +8,6 @@ import qge
 from qge import (
     BondOperator,
     NumericalError,
-    Observable,
     StochasticityError,
     ValidationError,
     VertexScattering,
@@ -23,7 +22,6 @@ from qge import (
     parity_observable,
     reduced_consistency,
     trace_correlator,
-    vertex_basis,
     z_closed_form,
     z_sequence,
 )
@@ -50,7 +48,7 @@ def _nan_assembly():
 
 def _walk_setup():
     g = k5()
-    return g, classical_map(build_assembly(g, equi_transmitting_sigma(4))), vertex_basis(g.bond_index)
+    return g, classical_map(build_assembly(g, equi_transmitting_sigma(4)))
 
 
 def _vertex_scattering(monkeypatch):
@@ -73,10 +71,6 @@ def _eigenbasis_residual_gate(monkeypatch):
     # past the input check, the residual gate alone must reject u
     monkeypatch.setattr(evolution_module, "unitarity_deviation", lambda u: 0.0)
     eigenbasis(np.full((3, 3), np.nan + 0j))
-
-
-def _observable_bound(monkeypatch):
-    Observable.from_vector([1.0, -1.0], kappa=np.nan)
 
 
 def _trace_correlator(monkeypatch):
@@ -108,13 +102,13 @@ def _classical_map(monkeypatch):
 
 
 def _reduced_consistency(monkeypatch):
-    g, m, _ = _walk_setup()
+    g, m = _walk_setup()
     reduced_consistency(g, m, np.full(2 * g.B, np.nan), 1)
 
 
 def _g2_contraction(monkeypatch):
-    g, m, basis = _walk_setup()
-    g2_contraction(m, np.full(2 * g.B, np.nan), basis)
+    g, m = _walk_setup()
+    g2_contraction(m, np.full(2 * g.B, np.nan))
 
 
 def _z_sequence(monkeypatch):
@@ -134,7 +128,6 @@ def _z_closed_form(monkeypatch):
         (_eigenbasis, ValidationError),
         (_eigenbasis_operator, ValidationError),
         (_eigenbasis_residual_gate, NumericalError),
-        (_observable_bound, ValidationError),
         (_trace_correlator, NumericalError),
         (_m_tilde, NumericalError),
         (_lemma_a_residue, NumericalError),

@@ -77,7 +77,7 @@ class TestEquiTransmitting:
 
     @pytest.mark.parametrize("d", [2, 4, 8, 12, 16])
     def test_construction_passes_checker(self, d):
-        assert is_equi_transmitting(equi_transmitting_sigma(d).entries, 1e-9)
+        assert is_equi_transmitting(equi_transmitting_sigma(d).entries)
 
 
 class TestIsEquiTransmitting:

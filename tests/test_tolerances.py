@@ -17,15 +17,20 @@ SOURCES = sorted(Path(qge.__file__).parent.glob("*.py"))
 
 
 def _bare_tolerances(path: Path) -> list[str]:
-    """Float literals in (0, 1e-6) anywhere inside a comparison."""
-    found = []
+    """Float literals in (0, 1e-6) anywhere inside a comparison or a
+    parameter default: a tolerance a caller could pass is not pinned."""
+    scanned = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if not isinstance(node, ast.Compare):
-            continue
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Constant) and type(sub.value) is float and 0 < sub.value < 1e-6:
-                found.append(f"{path.name}:{sub.lineno}: {sub.value!r}")
-    return found
+        if isinstance(node, ast.Compare):
+            scanned.append(node)
+        elif isinstance(node, ast.arguments):
+            scanned.extend(d for d in node.defaults + node.kw_defaults if d is not None)
+    return [
+        f"{path.name}:{sub.lineno}: {sub.value!r}"
+        for node in scanned
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and type(sub.value) is float and 0 < sub.value < 1e-6
+    ]
 
 
 def test_sources_found():
@@ -41,6 +46,16 @@ def test_rule_sees_a_bare_tolerance(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text("ok = x < TOL\nbad = abs(x) <= 1e-9 * scale\nfine = x < 1e-3\n")
     assert _bare_tolerances(path) == ["probe.py:2: 1e-09"]
+
+
+def test_rule_sees_a_tolerance_default(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "def ok(x, tol=TOL, scale=1e-3):\n    pass\n"
+        "def bad(x, tol=1e-9, *, eps=-1e-12):\n    pass\n"
+        "f = lambda x, slack=2e-8: x\n"
+    )
+    assert _bare_tolerances(path) == ["probe.py:3: 1e-09", "probe.py:3: 1e-12", "probe.py:5: 2e-08"]
 
 
 class TestEigenRouteConstants:
