@@ -164,8 +164,10 @@ class BondOperator:
         succ[c, l], taken in (b, j, l) order.  In the pair basis the term at
         (b, c) adds units[r] times itself to the four entries of M^2 at rows
         b mod B and b mod B + B and columns c mod B and c mod B + B, whose
-        flat indices are targets[r * m : (r + 1) * m]; the units are 1/2,
-        +-i/2, -+i/2 and +-1/2, signed by whether b < B and c < B.
+        flat indices in the transposed square are targets[r * m : (r + 1) * m];
+        the units are 1/2, +-i/2, -+i/2 and +-1/2, signed by whether b < B
+        and c < B.  Scattered into the transposed square, M^2 is column-major,
+        the layout LAPACK takes.
         """
         if not self.antisymmetric:
             return None
@@ -174,7 +176,7 @@ class BondOperator:
         cols = bi.successors[bi.successors].ravel()
         rows = np.repeat(np.arange(n), len(cols) // n)
         r, c = rows % half, cols % half
-        targets = np.concatenate([r * n + c, r * n + c + half, (r + half) * n + c, (r + half) * n + c + half])
+        targets = np.concatenate([c * n + r, (c + half) * n + r, c * n + r + half, (c + half) * n + r + half])
         sr, sc = np.where(rows < half, 1.0, -1.0), np.where(cols < half, 1.0, -1.0)
         units = 0.5 * np.stack([np.ones(len(r)), 1j * sc, -1j * sr, sr * sc])
         return _frozen(targets), _frozen(units)

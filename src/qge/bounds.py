@@ -31,6 +31,11 @@ __all__ = [
     "wormald_probability",
 ]
 
+# choose_horizon floors (3/10) log_{d-1} n plus this slack, so that a value
+# that is an integer in exact arithmetic but rounds just below it (as
+# 0.3 log 3^10 / log 3 = 3 - 4e-16 does) floors to that integer
+_HORIZON_SLACK = 1e-9
+
 
 def weighted_geo_sum(theta: float, T: int) -> float:
     """sum_{t=1..T} t theta^t in closed form."""
@@ -146,7 +151,7 @@ def choose_horizon(n: int, d: int) -> int:
     if d < 3:
         raise ParameterError("d must be >= 3")
     raw = 0.3 * math.log(n) / math.log(d - 1)
-    return max(1, math.floor(raw + 1e-9))
+    return max(1, math.floor(raw + _HORIZON_SLACK))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .evolution import (
     parity_observable,
     variance_estimate,
 )
-from .experiment import EXPERIMENT_COLUMNS, family_experiment, parse_config
+from .experiment import EXPERIMENT_COLUMNS, _pool_record, family_experiment, parse_config
 from .fileio import (
     load_graph,
     load_lengths,
@@ -82,7 +82,7 @@ def _keep_freed_pages() -> dict | None:
     return applied or None
 
 
-def _manifest(args, seeds=(), params: dict | None = None) -> RunManifest:
+def _manifest(args, seeds=(), params: dict | None = None, pool: dict | None = None) -> RunManifest:
     """The run manifest of a parsed command line.
 
     The command name joins the `command` and `*_command` destinations.  The
@@ -90,7 +90,7 @@ def _manifest(args, seeds=(), params: dict | None = None) -> RunManifest:
     `params` replaces them (`experiment` reads its parameters from a file).
     Every file the command reads is digested: the graph, config and lengths
     files, and an `--obs` that names no built-in observable.  The run block
-    records the allocator thresholds main applied.
+    records the allocator thresholds main applied and any row `pool`.
     """
     opts = vars(args)
     command = " ".join([opts["command"]] + [v for k, v in opts.items() if k.endswith("_command")])
@@ -103,7 +103,8 @@ def _manifest(args, seeds=(), params: dict | None = None) -> RunManifest:
         for k in _INPUT_FILES
         if opts.get(k) and not (k == "obs" and opts[k] in _OBSERVABLES)
     }
-    return RunManifest.build(command, params, seeds=seeds, inputs=inputs, malloc=opts["malloc"])
+    run = {"malloc": opts["malloc"], **(pool or {})}
+    return RunManifest.build(command, params, seeds=seeds, inputs=inputs, run=run)
 
 
 def _write_manifest(out_path: str, manifest: RunManifest) -> None:
@@ -234,7 +235,7 @@ def _cmd_experiment(args) -> int:
     rows = family_experiment(cfg)
     params = asdict(cfg)
     del params["output"]  # places the output, like --out
-    manifest = _manifest(args, seeds=cfg.seeds, params=params)
+    manifest = _manifest(args, seeds=cfg.seeds, params=params, pool=_pool_record(len(rows)))
     out = Path(args.out or cfg.output)
     _emit_csv(out, EXPERIMENT_COLUMNS, [r.csv_values() for r in rows], manifest)
     sidecar = {

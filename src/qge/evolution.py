@@ -200,15 +200,17 @@ def _pair_vectors(o: np.ndarray) -> np.ndarray:
 
 
 def _pair_operands(w2: np.ndarray, alpha: float, scatter) -> tuple[np.ndarray, np.ndarray]:
-    """I + P and Q, real, for e^{i alpha} M^2 = P + i Q: the terms w2 of
-    W^2 times e^{i alpha}, scattered by the pattern of
-    BondOperator.pair_scatter, one np.bincount for each part."""
+    """I + P and Q, real and column-major, for e^{i alpha} M^2 = P + i Q:
+    the terms w2 of W^2 times e^{i alpha}, scattered by the pattern of
+    BondOperator.pair_scatter, one np.bincount for each part.  As for
+    _cayley_operands, numpy's copies into LAPACK's layout are then
+    contiguous."""
     targets, units = scatter
     n = len(w2)
     z = units * (np.exp(1j * alpha) * w2.ravel())
-    a = np.bincount(targets, z.real.ravel(), minlength=n * n).reshape(n, n)
+    a = np.bincount(targets, z.real.ravel(), minlength=n * n).reshape(n, n).T
     a[np.diag_indices(n)] += 1.0  # I + P
-    return a, np.bincount(targets, z.imag.ravel(), minlength=n * n).reshape(n, n)
+    return a, np.bincount(targets, z.imag.ravel(), minlength=n * n).reshape(n, n).T
 
 
 def _reversal_attempt(u: BondOperator, alpha: float) -> np.ndarray:

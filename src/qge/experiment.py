@@ -5,11 +5,17 @@ Each (n, seed) pair becomes one row: draw a uniform simple d-regular graph,
 seeded bond lengths, the equi-transmitting assembly, the deterministic
 vertex-parity observable, then estimate the quantum variance and assemble
 the explicit bound at horizon T(n).  Failed rows are marked, never dropped.
+The rows run on a pool of threads while numpy's OpenBLAS is held to one
+thread (see family_experiment).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -48,6 +54,14 @@ EXPERIMENT_COLUMNS = [
     "bound_kind",
     "status",
 ]
+# the thread-count (setter, getter) of numpy's OpenBLAS: the names in the
+# scipy-openblas build of the numpy wheels, then those of a plain OpenBLAS.
+# openblas_set_num_threads_local is not used: in numpy 2.4.6's build a call
+# from one thread changed the count that another thread reads back.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 @dataclass(frozen=True)
@@ -209,14 +223,118 @@ def _one_row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
     )
 
 
-def family_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
-    rows = []
-    for n in cfg.n_list:
-        for seed in cfg.seeds:
+def _openblas_threads():
+    """The thread-count (setter, getter) of the OpenBLAS that numpy loaded,
+    found by its path in /proc/self/maps (a copy under numpy's own
+    directory first); None where no such library or call is found."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except (OSError, TypeError):
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
             try:
-                rows.append(_one_row(cfg, n, seed))
-            except (QgeError, np.linalg.LinAlgError) as exc:
-                rows.append(
-                    ExperimentRow(n=n, seed=seed, status=f"error: {exc}")
-                )
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+            except AttributeError:
+                continue
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            getter.argtypes, getter.restype = (), ctypes.c_int
+            return setter, getter
+    return None
+
+
+def _row_pool(rows: int):
+    """(workers, blas) of a sweep of `rows` rows: one worker per usable
+    core, at most one per row, and the OpenBLAS (setter, getter) that
+    holds each row to one BLAS thread; one worker and None, the serial
+    loop at the library's own thread count, where no setter is found."""
+    blas = _openblas_threads()
+    if blas is None:
+        return 1, None
+    return min(len(os.sched_getaffinity(0)), rows), blas
+
+
+def _pool_record(rows: int) -> dict:
+    """The manifest's record of the pool family_experiment runs `rows`
+    rows on: its workers and the BLAS threads of each row (None: the
+    library's own count)."""
+    workers, blas = _row_pool(rows)
+    return {"workers": workers, "blas_threads": None if blas is None else 1}
+
+
+@contextmanager
+def _one_blas_thread(blas):
+    """Hold OpenBLAS to one thread through its (setter, getter), restoring
+    the old count on exit; nothing where blas is None."""
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
+
+
+def _row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
+    """_one_row, or the error row of a row that raises QgeError or LinAlgError."""
+    try:
+        return _one_row(cfg, n, seed)
+    except (QgeError, np.linalg.LinAlgError) as exc:
+        return ExperimentRow(n=n, seed=seed, status=f"error: {exc}")
+
+
+def family_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
+    """One row per (n, seed), in config order: n_list outer, seeds inner.
+
+    The rows run on the workers of _row_pool, the calling thread one of
+    them, which take rows from one queue, largest n first.  Meanwhile
+    numpy's OpenBLAS is held to one thread, which each row's small LAPACK
+    calls cannot use more of; so the rows depend neither on the worker
+    count nor on OPENBLAS_NUM_THREADS.  The old thread count is restored
+    on return and on raise.  An exception other than QgeError and
+    LinAlgError stops the workers after their current rows and is raised
+    once they have all stopped.
+    """
+    tasks = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
+    rows: list = [None] * len(tasks)
+    # the longest rows first, so that none of them starts last
+    pending = iter(sorted(range(len(tasks)), key=lambda i: -tasks[i][0]))
+    lock, stop = threading.Lock(), threading.Event()
+    raised: list[BaseException] = []
+
+    def work():
+        while not stop.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                rows[i] = _row(cfg, *tasks[i])
+            except BaseException as exc:
+                raised.append(exc)
+                stop.set()
+
+    workers, blas = _row_pool(len(tasks))
+    threads: list[threading.Thread] = []
+    with _one_blas_thread(blas):
+        try:
+            for _ in range(workers - 1):
+                thread = threading.Thread(target=work)
+                thread.start()
+                threads.append(thread)
+            work()
+        finally:
+            stop.set()
+            for t in threads:
+                t.join()
+    if raised:
+        raise raised[0]
     return rows

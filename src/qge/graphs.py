@@ -189,8 +189,9 @@ def _components(g: Graph) -> tuple[np.ndarray, np.ndarray, list[bool]]:
 def girth(g: Graph) -> int | None:
     """Length of the shortest cycle, via BFS from every vertex; None if acyclic.
 
-    The distance and parent arrays are allocated once: a vertex's entries
-    are current when its stamp is the root of the running search.
+    The search ends at the first triangle, the shortest cycle a simple graph
+    can have.  The distance and parent arrays are allocated once: a vertex's
+    entries are current when its stamp is the root of the running search.
     """
     best: int | None = None
     nbr = g.neighbors
@@ -217,6 +218,8 @@ def girth(g: Graph) -> int | None:
                     # length dist[u] + dist[v] + 1 and contains a cycle no
                     # longer than that
                     cand = dist[u] + dist[v] + 1
+                    if cand == 3:
+                        return 3
                     if best is None or cand < best:
                         best = cand
     return best

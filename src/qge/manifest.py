@@ -2,8 +2,8 @@
 
 The digest covers command, parameters, seeds, tool version and input file
 digests; the timestamp and the run setup (numpy, its BLAS, the thread
-variables, the allocator thresholds) are recorded but excluded from the
-digest, so identical runs emit byte-identical tables.
+variables, the allocator thresholds, a sweep's row pool) are recorded but
+excluded from the digest, so identical runs emit byte-identical tables.
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ class RunManifest:
         params: dict,
         seeds=(),
         inputs: dict | None = None,
-        malloc: dict | None = None,
+        run: dict | None = None,
     ) -> "RunManifest":
-        """`malloc` is the allocator thresholds the process set (None: none)."""
+        """`run` holds the process settings recorded beside numpy's setup:
+        the allocator thresholds and, for a sweep, its row pool."""
         from . import __version__
 
         digests = {name: _sha256_file(path) for name, path in (inputs or {}).items()}
@@ -68,7 +69,7 @@ class RunManifest:
             version=__version__,
             input_digests=digests,
             timestamp=datetime.now(timezone.utc).isoformat(),
-            run={**_run_setup(), "malloc": malloc},
+            run={**_run_setup(), **(run or {})},
         )
 
     @property

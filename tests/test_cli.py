@@ -351,8 +351,30 @@ class TestManifest:
             runs.append((manifest["digest"], out.read_bytes(), constants))
         assert runs[0] == runs[1]
         assert mallocs[1] is None
+        # without a C library to open, no BLAS setter is found either
+        assert (manifest["run"]["workers"], manifest["run"]["blas_threads"]) == (1, None)
         if platform.libc_ver()[0] == "glibc":
             assert mallocs[0] == THRESHOLDS
+
+    def test_row_pool_outside_digest(self, paths, monkeypatch):
+        argv = MANIFEST_CASES["experiment"][0].format(**paths).split()
+        out = Path(paths["out"])
+        pinned = qge.experiment._openblas_threads() is not None
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+            assert run(*argv) == 0
+            manifest = json.loads(Path(paths["out"] + ".manifest.json").read_text())
+            pool = manifest["run"]["workers"], manifest["run"]["blas_threads"]
+            assert pool == ((cores, 1) if pinned else (1, None))
+            constants = Path(paths["out"] + ".constants.json").read_bytes()
+            runs.append((manifest["digest"], out.read_bytes(), constants))
+        assert runs[0] == runs[1]
+
+    def test_no_pool_outside_experiment(self, paths):
+        assert run(*MANIFEST_CASES["variance"][0].format(**paths).split()) == 0
+        manifest = json.loads(Path(paths["out"] + ".manifest.json").read_text())
+        assert "workers" not in manifest["run"] and "blas_threads" not in manifest["run"]
 
 
 class TestAllocator:

@@ -620,6 +620,7 @@ class TestPairOperands:
             for alpha in _CAYLEY_SHIFTS:
                 v = np.exp(1j * alpha) * m2
                 ip, q = evolution_module._pair_operands(w2, alpha, scatter)
+                assert ip.flags.f_contiguous and q.flags.f_contiguous
                 assert np.max(np.abs(ip - (eye + v.real))) <= 1e-15
                 assert np.max(np.abs(q - v.imag)) <= 1e-15
 

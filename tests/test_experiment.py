@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +17,33 @@ from qge import (
     parse_config,
 )
 from qge.experiment import EXPERIMENT_COLUMNS
+
+BLAS = qge.experiment._openblas_threads()
+
+
+@pytest.fixture()
+def two_workers(monkeypatch):
+    """family_experiment runs its rows on two workers, each row held to one
+    BLAS thread where the OpenBLAS setter is found."""
+    row_pool = qge.experiment._row_pool
+    monkeypatch.setattr(qge.experiment, "_row_pool", lambda rows: (2, row_pool(rows)[1]))
+
+
+def spy_rows(monkeypatch, fail=None):
+    """Record (n, BLAS threads) of every row's variance estimate, and raise
+    `fail(n)` for the rows where it returns an exception."""
+    estimate = qge.experiment.variance_estimate
+    calls = []
+
+    def spy(a, mg, *args, **kwargs):
+        calls.append((mg.graph.n, BLAS[1]() if BLAS else None))
+        exc = fail(mg.graph.n) if fail else None
+        if exc is not None:
+            raise exc
+        return estimate(a, mg, *args, **kwargs)
+
+    monkeypatch.setattr(qge.experiment, "variance_estimate", spy)
+    return calls
 
 
 class TestParseConfig:
@@ -97,6 +127,7 @@ class TestFamilyExperiment:
             else:
                 assert math.isnan(r.bound)
 
+    @pytest.mark.usefixtures("two_workers")
     def test_failed_rows_marked_not_dropped(self):
         # n = d forces a generation failure on that row only
         cfg = ExperimentConfig(d=4, n_list=(4, 10), seeds=(1,), K=10.0, samples=5)
@@ -106,19 +137,23 @@ class TestFamilyExperiment:
         assert math.isnan(rows[0].variance)
         assert rows[1].status == "ok"
 
+    @pytest.mark.usefixtures("two_workers")
     def test_linalg_error_marks_only_its_row(self, monkeypatch):
-        estimate = qge.experiment.variance_estimate
+        def fail_at_16(n):
+            return np.linalg.LinAlgError("Eigenvalues did not converge") if n == 16 else None
 
-        def fail_at_16(a, mg, *args, **kwargs):
-            if mg.graph.n == 16:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return estimate(a, mg, *args, **kwargs)
-
-        monkeypatch.setattr(qge.experiment, "variance_estimate", fail_at_16)
+        spy_rows(monkeypatch, fail_at_16)
         cfg = ExperimentConfig(d=4, n_list=(10, 16, 20), seeds=(1,), K=10.0, samples=5)
         rows = family_experiment(cfg)
         assert [r.status for r in rows] == ["ok", "error: Eigenvalues did not converge", "ok"]
         assert math.isnan(rows[1].variance)
+
+    @pytest.mark.usefixtures("two_workers")
+    def test_rows_in_config_order(self):
+        cfg = ExperimentConfig(d=4, n_list=(10, 24, 12), seeds=(3, 1), K=10.0, samples=4)
+        rows = family_experiment(cfg)
+        assert [(r.n, r.seed) for r in rows] == [(10, 3), (10, 1), (24, 3), (24, 1), (12, 3), (12, 1)]
+        assert [r.status for r in rows] == ["ok"] * 6
 
     def test_failed_row_girth_cell_empty(self):
         # n = d forces a generation failure on that row only
@@ -145,3 +180,73 @@ class TestFamilyExperiment:
         r2 = family_experiment(cfg)[0]
         assert r1.variance == r2.variance
         assert r1.beta == r2.beta
+
+
+class TestRowPool:
+    """The rows run on a thread pool, each with one BLAS thread where the
+    OpenBLAS setter is found."""
+
+    CFG = ExperimentConfig(d=4, n_list=(10, 16, 20), seeds=(1, 2), K=10.0, samples=4)
+
+    def test_largest_n_first(self, monkeypatch):
+        monkeypatch.setattr(qge.experiment, "_row_pool", lambda rows: (1, None))
+        calls = spy_rows(monkeypatch)
+        family_experiment(self.CFG)
+        assert [n for n, _ in calls] == [20, 20, 16, 16, 10, 10]
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        expected = (6, 1) if BLAS else (1, None)
+        record = qge.experiment._pool_record(6)
+        assert (record["workers"], record["blas_threads"]) == expected
+        assert qge.experiment._pool_record(3)["workers"] == (3 if BLAS else 1)
+
+    def test_every_row_once_under_contention(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: a
+        # row taken twice or lost would show as a repeat or a None row
+        calls = []
+
+        def one_row(cfg, n, seed):
+            calls.append((n, seed))
+            return qge.experiment.ExperimentRow(n=n, seed=seed)
+
+        monkeypatch.setattr(qge.experiment, "_one_row", one_row)
+        monkeypatch.setattr(qge.experiment, "_row_pool", lambda rows: (8, None))
+        cfg = ExperimentConfig(d=4, n_list=tuple(range(5, 45)), seeds=tuple(range(25)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = family_experiment(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
+        assert [(r.n, r.seed) for r in rows] == expected
+        assert sorted(calls) == expected
+
+    @pytest.mark.usefixtures("two_workers")
+    def test_unexpected_exception_propagates(self, monkeypatch):
+        spy_rows(monkeypatch, lambda n: RuntimeError("row broke") if n == 16 else None)
+        threads = threading.active_count()
+        count = BLAS[1]() if BLAS else None
+        with pytest.raises(RuntimeError, match="row broke"):
+            family_experiment(self.CFG)
+        assert threading.active_count() == threads
+        assert (BLAS[1]() if BLAS else None) == count
+
+    @pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread setter found")
+    @pytest.mark.parametrize("fail", [False, True], ids=["return", "raise"])
+    def test_blas_threads_pinned_then_restored(self, monkeypatch, fail):
+        set_threads, get_threads = BLAS
+        old = get_threads()
+        calls = spy_rows(monkeypatch, lambda n: RuntimeError("row broke") if fail and n == 10 else None)
+        set_threads(3)
+        try:
+            if fail:
+                with pytest.raises(RuntimeError):
+                    family_experiment(self.CFG)
+            else:
+                family_experiment(self.CFG)
+            assert get_threads() == 3
+        finally:
+            set_threads(old)
+        assert calls and {threads for _, threads in calls} == {1}

@@ -316,6 +316,71 @@ class TestSpectralReport:
                 assert girth(g) == oracle_girth(g)
 
 
+def full_bfs_girth(g: Graph) -> int | None:
+    """girth without its stop at the first triangle: a BFS from every
+    vertex, cut only where no shorter cycle can follow."""
+    best = None
+    nbr = g.neighbors
+    for root in range(g.n):
+        dist, parent = {root: 0}, {root: -1}
+        queue = [root]
+        for u in queue:
+            if best is not None and 2 * dist[u] >= best:
+                break
+            for v in nbr[u]:
+                if v not in dist:
+                    dist[v], parent[v] = dist[u] + 1, u
+                    queue.append(v)
+                elif v != parent[u]:
+                    cand = dist[u] + dist[v] + 1
+                    best = cand if best is None else min(best, cand)
+    return best
+
+
+def cube() -> Graph:
+    """The 3-cube Q3: 3-regular, 8 vertices, girth 4."""
+    edges = tuple((u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit)
+    return Graph(n=8, d=3, edges=edges)
+
+
+class TestGirth:
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: Graph(n=4, d=3, edges=[(u, v) for u in range(4) for v in range(u + 1, 4)]), 3),
+            (cube, 4),
+            (petersen, 5),
+            (cage46, 6),
+        ],
+        ids=["k4", "q3", "petersen", "cage46"],
+    )
+    def test_known_girths(self, make, expected):
+        g = make()
+        assert girth(g) == expected
+        assert full_bfs_girth(g) == expected
+
+    @pytest.mark.parametrize("n, d", [(12, 3), (40, 3), (200, 3), (30, 4), (300, 4), (24, 5)])
+    def test_matches_full_search_on_random_graphs(self, n, d):
+        for seed in range(4):
+            g = generate_random_regular(n, d, seed=seed)
+            assert girth(g) == full_bfs_girth(g)
+
+    def test_stops_at_the_first_triangle(self):
+        # from root 0 of K5, vertex 1's edge to vertex 2 closes a triangle:
+        # no other vertex's neighbours are read and no other root is searched
+        g = k5()
+        reads = []
+
+        class Spy(tuple):
+            def __getitem__(self, u):
+                reads.append(u)
+                return super().__getitem__(u)
+
+        g.__dict__["neighbors"] = Spy(g.neighbors)
+        assert girth(g) == 3
+        assert reads == [0, 1]
+
+
 def disjoint_union(*parts: Graph) -> Graph:
     edges, base = [], 0
     for g in parts:

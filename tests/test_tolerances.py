@@ -17,20 +17,25 @@ SOURCES = sorted(Path(qge.__file__).parent.glob("*.py"))
 
 
 def _bare_tolerances(path: Path) -> list[str]:
-    """Float literals in (0, 1e-6) anywhere inside a comparison or a
-    parameter default: a tolerance a caller could pass is not pinned."""
+    """Float literals in (0, 1e-6) anywhere inside a comparison, a
+    parameter default or arithmetic in a call's arguments (a slack such as
+    floor(x + 1e-9)): a tolerance a caller could pass is not pinned."""
     scanned = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Compare):
             scanned.append(node)
         elif isinstance(node, ast.arguments):
             scanned.extend(d for d in node.defaults + node.kw_defaults if d is not None)
-    return [
-        f"{path.name}:{sub.lineno}: {sub.value!r}"
+        elif isinstance(node, ast.Call):
+            args = node.args + [k.value for k in node.keywords]
+            scanned.extend(sub for arg in args for sub in ast.walk(arg) if isinstance(sub, ast.BinOp))
+    found = {
+        (sub.lineno, sub.col_offset, sub.value)
         for node in scanned
         for sub in ast.walk(node)
         if isinstance(sub, ast.Constant) and type(sub.value) is float and 0 < sub.value < 1e-6
-    ]
+    }
+    return [f"{path.name}:{line}: {value!r}" for line, _, value in sorted(found)]
 
 
 def test_sources_found():
@@ -56,6 +61,18 @@ def test_rule_sees_a_tolerance_default(tmp_path):
         "f = lambda x, slack=2e-8: x\n"
     )
     assert _bare_tolerances(path) == ["probe.py:3: 1e-09", "probe.py:3: 1e-12", "probe.py:5: 2e-08"]
+
+
+def test_rule_sees_a_slack_in_a_call(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "ok = math.floor(raw + SLACK)\n"
+        "bad = math.floor(raw + 1e-9)\n"
+        "worse = max(1, int(k=2.0 * (x - 5e-10)))\n"
+        "fine = f(1e-9) + g(x * 0.5)\n"
+        "twice = f(abs(x) < 1e-9 * y)\n"
+    )
+    assert _bare_tolerances(path) == ["probe.py:2: 1e-09", "probe.py:3: 5e-10", "probe.py:5: 1e-09"]
 
 
 class TestEigenRouteConstants:
