@@ -1,0 +1,116 @@
+"""Process settings: the allocator thresholds, numpy's OpenBLAS thread
+count, and the manifest's record of both.
+
+Imports nothing from qge, and importing it sets nothing: cli.main applies
+the allocator thresholds, and the OpenBLAS calls are looked up on first
+use, once per process.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+from contextlib import contextmanager
+from functools import cache
+
+import numpy as np
+
+# glibc mallopt parameters (M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1) and
+# the values main sets: a freed scratch array below 8 MiB goes back to the
+# heap, and the heap keeps up to 16 MiB free at its top, so each k-sample
+# reuses the pages of the last instead of faulting them in afresh.  Both are
+# set, since setting either alone turns off glibc's dynamic thresholds.
+_MALLOC_THRESHOLDS = {"M_MMAP_THRESHOLD": (-3, 8 << 20), "M_TRIM_THRESHOLD": (-1, 16 << 20)}
+# the thread-count (setter, getter) of numpy's OpenBLAS: the names in the
+# scipy-openblas build of the numpy wheels, then those of a plain OpenBLAS.
+# openblas_set_num_threads_local is not used: in numpy 2.4.6's build a call
+# from one thread changed the count that another thread reads back.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+_malloc: dict | None = None  # the thresholds keep_freed_pages last applied
+
+
+def keep_freed_pages() -> None:
+    """Set _MALLOC_THRESHOLDS through the C library's mallopt, and record
+    the values it accepted (None where it has no mallopt)."""
+    global _malloc
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        _malloc = None
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    applied = {name: value for name, (param, value) in _MALLOC_THRESHOLDS.items() if mallopt(param, value) == 1}
+    _malloc = applied or None
+
+
+@cache
+def openblas_threads():
+    """The thread-count (setter, getter) of the OpenBLAS that numpy loaded,
+    found by its path in /proc/self/maps (a copy under numpy's own
+    directory first); None where no such library or call is found."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except (OSError, TypeError):
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
+            try:
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+            except AttributeError:
+                continue
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            getter.argtypes, getter.restype = (), ctypes.c_int
+            return setter, getter
+    return None
+
+
+def pool_workers(rows: int) -> int:
+    """The workers of a sweep of `rows` rows: one per usable core, at most
+    one per row; one, the serial loop at the library's own thread count,
+    where no OpenBLAS setter is found."""
+    return 1 if openblas_threads() is None else min(len(os.sched_getaffinity(0)), rows)
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread, restoring the old count on
+    exit; nothing where no setter is found."""
+    blas = openblas_threads()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
+
+
+def run_block(rows: int | None = None) -> dict:
+    """The manifest's record of this process, which the BLAS thread count
+    can change the last digits of: numpy's version, its BLAS, the thread
+    variables and the allocator thresholds applied; for a sweep of `rows`
+    rows also its pool's workers and the BLAS threads of each row (None:
+    the library's own count)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    run = {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "malloc": _malloc,
+    }
+    if rows is not None:
+        pinned = openblas_threads() is not None
+        run.update(workers=pool_workers(rows), blas_threads=1 if pinned else None)
+    return run

@@ -10,7 +10,6 @@ path, 3 validation, 4 numerical (including a LAPACK failure).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 from dataclasses import asdict
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _runtime
 from .census import census_report
 from .errors import NumericalError, ParseError, QgeError, ValidationError
 from .evolution import (
@@ -29,7 +28,7 @@ from .evolution import (
     parity_observable,
     variance_estimate,
 )
-from .experiment import EXPERIMENT_COLUMNS, _pool_record, family_experiment, parse_config
+from .experiment import EXPERIMENT_COLUMNS, family_experiment, parse_config
 from .fileio import (
     load_graph,
     load_lengths,
@@ -50,18 +49,11 @@ __all__ = ["main"]
 
 _SIGMAS = {"et": equi_transmitting_sigma, "kirchhoff": kirchhoff_sigma}
 _OBSERVABLES = {"parity": parity_observable, "const": constant_observable}
-# parsed options that route the command or place its output, and the
-# allocator thresholds main adds for the manifest: not parameters
-_ROUTING = {"command", "func", "out", "plot", "malloc"}
+# parsed options that route the command or place its output: not parameters
+_ROUTING = {"command", "func", "out", "plot"}
 # parsed options naming a file the command reads
 _INPUT_FILES = ("graph", "config", "lengths", "obs")
 _SINGULAR_GROUP_TOL = 1e-9  # `walk singular` groups values closer than this
-# glibc mallopt parameters (M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1) and
-# the values main sets: a freed scratch array below 8 MiB goes back to the
-# heap, and the heap keeps up to 16 MiB free at its top, so each k-sample
-# reuses the pages of the last instead of faulting them in afresh.  Both are
-# set, since setting either alone turns off glibc's dynamic thresholds.
-_MALLOC_THRESHOLDS = {"M_MMAP_THRESHOLD": (-3, 8 << 20), "M_TRIM_THRESHOLD": (-1, 16 << 20)}
 
 
 def _observable_for(name: str, g: Graph, kappa: float):
@@ -70,19 +62,7 @@ def _observable_for(name: str, g: Graph, kappa: float):
     return load_observable(name, 2 * g.B)
 
 
-def _keep_freed_pages() -> dict | None:
-    """Set _MALLOC_THRESHOLDS through the C library's mallopt; the values
-    it accepted, or None where it has no mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return None
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    applied = {name: value for name, (param, value) in _MALLOC_THRESHOLDS.items() if mallopt(param, value) == 1}
-    return applied or None
-
-
-def _manifest(args, seeds=(), params: dict | None = None, pool: dict | None = None) -> RunManifest:
+def _manifest(args, seeds=(), params: dict | None = None, rows: int | None = None) -> RunManifest:
     """The run manifest of a parsed command line.
 
     The command name joins the `command` and `*_command` destinations.  The
@@ -90,7 +70,7 @@ def _manifest(args, seeds=(), params: dict | None = None, pool: dict | None = No
     `params` replaces them (`experiment` reads its parameters from a file).
     Every file the command reads is digested: the graph, config and lengths
     files, and an `--obs` that names no built-in observable.  The run block
-    records the allocator thresholds main applied and any row `pool`.
+    is qge._runtime.run_block's, with the pool of a sweep of `rows` rows.
     """
     opts = vars(args)
     command = " ".join([opts["command"]] + [v for k, v in opts.items() if k.endswith("_command")])
@@ -103,7 +83,7 @@ def _manifest(args, seeds=(), params: dict | None = None, pool: dict | None = No
         for k in _INPUT_FILES
         if opts.get(k) and not (k == "obs" and opts[k] in _OBSERVABLES)
     }
-    run = {"malloc": opts["malloc"], **(pool or {})}
+    run = _runtime.run_block(rows)
     return RunManifest.build(command, params, seeds=seeds, inputs=inputs, run=run)
 
 
@@ -235,7 +215,7 @@ def _cmd_experiment(args) -> int:
     rows = family_experiment(cfg)
     params = asdict(cfg)
     del params["output"]  # places the output, like --out
-    manifest = _manifest(args, seeds=cfg.seeds, params=params, pool=_pool_record(len(rows)))
+    manifest = _manifest(args, seeds=cfg.seeds, params=params, rows=len(rows))
     out = Path(args.out or cfg.output)
     _emit_csv(out, EXPERIMENT_COLUMNS, [r.csv_values() for r in rows], manifest)
     sidecar = {
@@ -358,7 +338,7 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.malloc = _keep_freed_pages()
+    _runtime.keep_freed_pages()
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

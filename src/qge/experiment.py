@@ -6,20 +6,17 @@ seeded bond lengths, the equi-transmitting assembly, the deterministic
 vertex-parity observable, then estimate the quantum variance and assemble
 the explicit bound at horizon T(n).  Failed rows are marked, never dropped.
 The rows run on a pool of threads while numpy's OpenBLAS is held to one
-thread (see family_experiment).
+thread (see family_experiment and qge._runtime).
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from . import _runtime
 from .bounds import BoundInputs, choose_horizon, explicit_variance_bound
 from .census import cycle_bond_census
 from .errors import ParseError, QgeError, ValidationError, WalkBoundUnavailableError
@@ -54,14 +51,6 @@ EXPERIMENT_COLUMNS = [
     "bound_kind",
     "status",
 ]
-# the thread-count (setter, getter) of numpy's OpenBLAS: the names in the
-# scipy-openblas build of the numpy wheels, then those of a plain OpenBLAS.
-# openblas_set_num_threads_local is not used: in numpy 2.4.6's build a call
-# from one thread changed the count that another thread reads back.
-_OPENBLAS_THREAD_CALLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
 
 
 @dataclass(frozen=True)
@@ -223,66 +212,6 @@ def _one_row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
     )
 
 
-def _openblas_threads():
-    """The thread-count (setter, getter) of the OpenBLAS that numpy loaded,
-    found by its path in /proc/self/maps (a copy under numpy's own
-    directory first); None where no such library or call is found."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
-    except OSError:
-        return None
-    for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):
-        try:
-            lib = ctypes.CDLL(path)
-        except (OSError, TypeError):
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
-            try:
-                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-            except AttributeError:
-                continue
-            setter.argtypes, setter.restype = (ctypes.c_int,), None
-            getter.argtypes, getter.restype = (), ctypes.c_int
-            return setter, getter
-    return None
-
-
-def _row_pool(rows: int):
-    """(workers, blas) of a sweep of `rows` rows: one worker per usable
-    core, at most one per row, and the OpenBLAS (setter, getter) that
-    holds each row to one BLAS thread; one worker and None, the serial
-    loop at the library's own thread count, where no setter is found."""
-    blas = _openblas_threads()
-    if blas is None:
-        return 1, None
-    return min(len(os.sched_getaffinity(0)), rows), blas
-
-
-def _pool_record(rows: int) -> dict:
-    """The manifest's record of the pool family_experiment runs `rows`
-    rows on: its workers and the BLAS threads of each row (None: the
-    library's own count)."""
-    workers, blas = _row_pool(rows)
-    return {"workers": workers, "blas_threads": None if blas is None else 1}
-
-
-@contextmanager
-def _one_blas_thread(blas):
-    """Hold OpenBLAS to one thread through its (setter, getter), restoring
-    the old count on exit; nothing where blas is None."""
-    if blas is None:
-        yield
-        return
-    set_threads, get_threads = blas
-    old = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(old)
-
-
 def _row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
     """_one_row, or the error row of a row that raises QgeError or LinAlgError."""
     try:
@@ -294,47 +223,30 @@ def _row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
 def family_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """One row per (n, seed), in config order: n_list outer, seeds inner.
 
-    The rows run on the workers of _row_pool, the calling thread one of
-    them, which take rows from one queue, largest n first.  Meanwhile
-    numpy's OpenBLAS is held to one thread, which each row's small LAPACK
-    calls cannot use more of; so the rows depend neither on the worker
-    count nor on OPENBLAS_NUM_THREADS.  The old thread count is restored
-    on return and on raise.  An exception other than QgeError and
-    LinAlgError stops the workers after their current rows and is raised
-    once they have all stopped.
+    The rows run on _runtime.pool_workers executor threads, largest n
+    first, while the calling thread waits.  Meanwhile numpy's OpenBLAS is
+    held to one thread, which each row's small LAPACK calls cannot use more
+    of; so the rows depend neither on the worker count nor on
+    OPENBLAS_NUM_THREADS.  The old thread count is restored on return and
+    on raise.  The first exception other than QgeError and LinAlgError
+    cancels the rows not yet started and is raised once the running rows
+    have finished.
     """
+    # imported here: concurrent.futures loads logging, 0.6 MiB and about
+    # 6 ms that no other command needs
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+
     tasks = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
     rows: list = [None] * len(tasks)
-    # the longest rows first, so that none of them starts last
-    pending = iter(sorted(range(len(tasks)), key=lambda i: -tasks[i][0]))
-    lock, stop = threading.Lock(), threading.Event()
-    raised: list[BaseException] = []
-
-    def work():
-        while not stop.is_set():
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            try:
-                rows[i] = _row(cfg, *tasks[i])
-            except BaseException as exc:
-                raised.append(exc)
-                stop.set()
-
-    workers, blas = _row_pool(len(tasks))
-    threads: list[threading.Thread] = []
-    with _one_blas_thread(blas):
+    workers = _runtime.pool_workers(len(tasks))
+    with _runtime.one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        # the longest rows first, so that none of them starts last
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
+        index = {pool.submit(_row, cfg, *tasks[i]): i for i in order}
         try:
-            for _ in range(workers - 1):
-                thread = threading.Thread(target=work)
-                thread.start()
-                threads.append(thread)
-            work()
-        finally:
-            stop.set()
-            for t in threads:
-                t.join()
-    if raised:
-        raise raised[0]
+            for future in as_completed(index):
+                rows[index[future]] = future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return rows

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -61,6 +62,15 @@ class TestGraphCommands:
         g = qge.import_graph(out.read_text())
         assert g.n == 20 and g.d == 4 and g.B == 40
         assert Path(str(out) + ".manifest.json").exists()
+
+    def test_gen_hopeless_degree_exits_at_once(self, tmp_path, capsys):
+        # rejection sampling at d = 8 would spin about 49 minutes at this n
+        out = tmp_path / "g.txt"
+        start = time.perf_counter()
+        assert run("graph", "gen", "--n", "100000", "--d", "8", "--seed", "1", "--out", str(out)) == 4
+        assert time.perf_counter() - start < 5.0
+        assert json.loads(capsys.readouterr().err)["error"] == "SamplingError"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "seed, sha256",
@@ -359,7 +369,7 @@ class TestManifest:
     def test_row_pool_outside_digest(self, paths, monkeypatch):
         argv = MANIFEST_CASES["experiment"][0].format(**paths).split()
         out = Path(paths["out"])
-        pinned = qge.experiment._openblas_threads() is not None
+        pinned = qge._runtime.openblas_threads() is not None
         runs = []
         for cores in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
@@ -404,15 +414,29 @@ class TestAllocator:
         assert manifest["run"]["malloc"] is None
 
     def test_import_sets_nothing(self):
+        # the child reads the OpenBLAS thread count through a copy of
+        # qge/_runtime.py loaded on its own, then imports qge: no C library
+        # is opened (no mallopt, no BLAS lookup) and the count is unchanged
         code = (
-            "import ctypes; real, opened = ctypes.CDLL, []; "
+            "import ctypes, importlib.util, json, sys; "
+            "spec = importlib.util.spec_from_file_location('probe', sys.argv[1]); "
+            "probe = importlib.util.module_from_spec(spec); spec.loader.exec_module(probe); "
+            "blas = probe.openblas_threads(); count = lambda: blas and blas[1](); before = count(); "
+            "real, opened = ctypes.CDLL, []; "
             "ctypes.CDLL = lambda name, *a, **k: opened.append(name) or real(name, *a, **k); "
-            "import qge, qge.cli; print(None in opened)"
+            "import qge, qge.cli; print(json.dumps([opened, before, count()]))"
         )
+        runtime = Path(qge.__file__).with_name("_runtime.py")
         child = subprocess.run(
-            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+            [sys.executable, "-c", code, str(runtime)],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            check=True,
         )
-        assert child.stdout.strip() == "False"
+        opened, before, after = json.loads(child.stdout)
+        assert opened == []
+        assert after == before
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator")
     def test_k_samples_fault_in_no_fresh_pages(self, tmp_path):

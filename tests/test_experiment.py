@@ -1,12 +1,17 @@
+import json
 import math
 import os
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qge.cli
 import qge.experiment
+from qge import _runtime
 from qge import (
     BoundInputs,
     ExperimentConfig,
@@ -18,15 +23,14 @@ from qge import (
 )
 from qge.experiment import EXPERIMENT_COLUMNS
 
-BLAS = qge.experiment._openblas_threads()
+BLAS = _runtime.openblas_threads()
 
 
 @pytest.fixture()
 def two_workers(monkeypatch):
     """family_experiment runs its rows on two workers, each row held to one
     BLAS thread where the OpenBLAS setter is found."""
-    row_pool = qge.experiment._row_pool
-    monkeypatch.setattr(qge.experiment, "_row_pool", lambda rows: (2, row_pool(rows)[1]))
+    monkeypatch.setattr(_runtime, "pool_workers", lambda rows: 2)
 
 
 def spy_rows(monkeypatch, fail=None):
@@ -155,6 +159,14 @@ class TestFamilyExperiment:
         assert [(r.n, r.seed) for r in rows] == [(10, 3), (10, 1), (24, 3), (24, 1), (12, 3), (12, 1)]
         assert [r.status for r in rows] == ["ok"] * 6
 
+    def test_hopeless_degree_row_fails_at_once(self):
+        # d = 8 has an equi-transmitting matrix but no feasible rejection sampler
+        cfg = ExperimentConfig(d=8, n_list=(20,), seeds=(1,), K=10.0, samples=5)
+        start = time.perf_counter()
+        (row,) = family_experiment(cfg)
+        assert time.perf_counter() - start < 2.0
+        assert row.status.startswith("error: a simple pairing takes about e^15.75 draws")
+
     def test_failed_row_girth_cell_empty(self):
         # n = d forces a generation failure on that row only
         cfg = ExperimentConfig(d=4, n_list=(4, 10), seeds=(1,), K=10.0, samples=5)
@@ -189,7 +201,7 @@ class TestRowPool:
     CFG = ExperimentConfig(d=4, n_list=(10, 16, 20), seeds=(1, 2), K=10.0, samples=4)
 
     def test_largest_n_first(self, monkeypatch):
-        monkeypatch.setattr(qge.experiment, "_row_pool", lambda rows: (1, None))
+        monkeypatch.setattr(_runtime, "openblas_threads", lambda: None)
         calls = spy_rows(monkeypatch)
         family_experiment(self.CFG)
         assert [n for n, _ in calls] == [20, 20, 16, 16, 10, 10]
@@ -197,9 +209,25 @@ class TestRowPool:
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         expected = (6, 1) if BLAS else (1, None)
-        record = qge.experiment._pool_record(6)
+        record = _runtime.run_block(6)
         assert (record["workers"], record["blas_threads"]) == expected
-        assert qge.experiment._pool_record(3)["workers"] == (3 if BLAS else 1)
+        assert _runtime.run_block(3)["workers"] == (3 if BLAS else 1)
+
+    def test_no_setter_runs_one_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(_runtime, "openblas_threads", lambda: None)
+        record = _runtime.run_block(6)
+        assert (record["workers"], record["blas_threads"]) == (1, None)
+        threads = set()
+        one_row = qge.experiment._one_row
+
+        def spy(cfg, n, seed):
+            threads.add(threading.get_ident())
+            return one_row(cfg, n, seed)
+
+        monkeypatch.setattr(qge.experiment, "_one_row", spy)
+        assert [r.status for r in family_experiment(self.CFG)] == ["ok"] * 6
+        assert len(threads) == 1
 
     def test_every_row_once_under_contention(self, monkeypatch):
         # more workers than cores, switching threads every microsecond: a
@@ -211,7 +239,7 @@ class TestRowPool:
             return qge.experiment.ExperimentRow(n=n, seed=seed)
 
         monkeypatch.setattr(qge.experiment, "_one_row", one_row)
-        monkeypatch.setattr(qge.experiment, "_row_pool", lambda rows: (8, None))
+        monkeypatch.setattr(_runtime, "pool_workers", lambda rows: 8)
         cfg = ExperimentConfig(d=4, n_list=tuple(range(5, 45)), seeds=tuple(range(25)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -233,6 +261,25 @@ class TestRowPool:
         assert threading.active_count() == threads
         assert (BLAS[1]() if BLAS else None) == count
 
+    def test_exception_waits_for_running_rows_and_cancels_the_rest(self, monkeypatch):
+        # the first row raises at once while the second runs: the sweep
+        # raises after the second finishes, and of the four rows left at
+        # most the one a free worker took before the cancel has run
+        finished = []
+
+        def one_row(cfg, n, seed):
+            if (n, seed) == (20, 1):
+                raise RuntimeError("row broke")
+            time.sleep(0.05)
+            finished.append((n, seed))
+            return qge.experiment.ExperimentRow(n=n, seed=seed)
+
+        monkeypatch.setattr(qge.experiment, "_one_row", one_row)
+        monkeypatch.setattr(_runtime, "pool_workers", lambda rows: 2)
+        with pytest.raises(RuntimeError, match="row broke"):
+            family_experiment(self.CFG)
+        assert (20, 2) in finished and len(finished) <= 2
+
     @pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread setter found")
     @pytest.mark.parametrize("fail", [False, True], ids=["return", "raise"])
     def test_blas_threads_pinned_then_restored(self, monkeypatch, fail):
@@ -250,3 +297,46 @@ class TestRowPool:
         finally:
             set_threads(old)
         assert calls and {threads for _, threads in calls} == {1}
+
+
+@pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread setter found")
+class TestCoreCount:
+    """The pool's width follows the usable cores, and the manifest of
+    `qge experiment` records it."""
+
+    CONFIG = "d = 4\nn_list = 10, 12\nseeds = 1, 2\nK = 10\nsamples = 4\n"
+
+    def sweep(self, tmp_path, monkeypatch, cores, one_row):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(qge.experiment, "_one_row", one_row)
+        config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+        config.write_text(self.CONFIG)
+        assert qge.cli.main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        return manifest["run"]["workers"], out.read_text()
+
+    def test_two_cores_run_two_rows_at_once(self, tmp_path, monkeypatch):
+        # each row waits until another row is running too: on one thread
+        # the barrier would break after its timeout
+        barrier, threads = threading.Barrier(2), set()
+
+        def one_row(cfg, n, seed):
+            threads.add(threading.get_ident())
+            barrier.wait(timeout=10)
+            return qge.experiment.ExperimentRow(n=n, seed=seed)
+
+        workers, table = self.sweep(tmp_path, monkeypatch, 2, one_row)
+        assert workers == 2
+        assert len(threads) == 2 and threading.get_ident() not in threads
+        assert "error" not in table
+
+    def test_one_core_runs_rows_on_one_thread(self, tmp_path, monkeypatch):
+        threads = set()
+
+        def one_row(cfg, n, seed):
+            threads.add(threading.get_ident())
+            return qge.experiment.ExperimentRow(n=n, seed=seed)
+
+        workers, _ = self.sweep(tmp_path, monkeypatch, 1, one_row)
+        assert workers == 1
+        assert len(threads) == 1

@@ -218,6 +218,28 @@ class TestGenerator:
         with pytest.raises(SamplingError):
             generate_random_regular(20, 4, seed=0)
 
+    def test_rejection_budget_spent_on_draws(self, monkeypatch):
+        # a budget the up-front check lets through, spent without a simple pairing
+        monkeypatch.setattr(graphs, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(graphs, "HOPELESS_FACTOR", 10**6)
+        with pytest.raises(SamplingError, match="no simple pairing found in 2 attempts"):
+            generate_random_regular(20, 4, seed=0)
+
+    @pytest.mark.parametrize("d, draws", [(7, True), (8, False), (100, False)])
+    def test_hopeless_degree_fails_before_drawing(self, monkeypatch, d, draws):
+        # exp((d^2 - 1) / 4) expected draws: 1.6 x MAX_ATTEMPTS at d = 7,
+        # 69 x at d = 8; d = 100 would overflow a float
+        class Drawn(Exception):
+            pass
+
+        class Rng:
+            def permutation(self, stubs):
+                raise Drawn
+
+        monkeypatch.setattr(graphs, "_rng", lambda seed: Rng())
+        with pytest.raises(Drawn if draws else SamplingError):
+            generate_random_regular(100_000, d, seed=1)
+
     @settings(max_examples=20, deadline=None)
     @given(
         n=st.sampled_from([8, 10, 12, 14, 16]),

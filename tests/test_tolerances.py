@@ -1,5 +1,6 @@
 """Every tolerance is a named constant and every raising check goes through
-qge._checks.check, which fails closed."""
+qge._checks.check, which fails closed; only qge._runtime, the home of the
+process settings, reaches C libraries through ctypes."""
 
 import ast
 import math
@@ -73,6 +74,36 @@ def test_rule_sees_a_slack_in_a_call(tmp_path):
         "twice = f(abs(x) < 1e-9 * y)\n"
     )
     assert _bare_tolerances(path) == ["probe.py:2: 1e-09", "probe.py:3: 5e-10", "probe.py:5: 1e-09"]
+
+
+def _ctypes_imports(path: Path) -> list[str]:
+    """The `import ctypes` and `from ctypes ...` statements of a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.partition(".")[0] == "ctypes" for name in names):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_runtime_imports_ctypes():
+    hits = {p.name: _ctypes_imports(p) for p in SOURCES}
+    assert hits.pop("_runtime.py") != []
+    assert [hit for found in hits.values() for hit in found] == []
+
+
+def test_rule_sees_a_ctypes_import(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import os, ctypes\nfrom ctypes import CDLL\nimport ctypes.util as cu\n"
+        "from . import ctypes_free\nimport ctypeslib\n"
+    )
+    assert _ctypes_imports(path) == ["probe.py:1", "probe.py:2", "probe.py:3"]
 
 
 class TestEigenRouteConstants:
