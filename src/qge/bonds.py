@@ -96,6 +96,31 @@ class BondIndex:
         keep = cand != self.rev[:, None]
         return _frozen(cand[keep].reshape(self.num_directed, -1))
 
+    @cached_property
+    def pair_scatter(self) -> tuple[np.ndarray, np.ndarray]:
+        """(targets, units) that scatter the terms of W^2 into the dense
+        pair-basis square M^2 = V0^H W^2 V0 of evolution._reversal_attempt,
+        for any operator W on the successor pattern.
+
+        W^2 is the sum of m = 2B (d-1)^2 terms w[b, j] w[c, l],
+        c = succ[b, j], at row b and column succ[c, l], taken in (b, j, l)
+        order.  In the pair basis the term at (b, c) adds units[r] times
+        itself to the four entries of M^2 at rows b mod B and b mod B + B
+        and columns c mod B and c mod B + B, whose flat indices in the
+        transposed square are targets[r * m : (r + 1) * m]; the units are
+        1/2, +-i/2, -+i/2 and +-1/2, signed by whether b < B and c < B.
+        Scattered into the transposed square, M^2 is column-major, the
+        layout LAPACK takes.
+        """
+        n, half = self.num_directed, self.B
+        cols = self.successors[self.successors].ravel()
+        rows = np.repeat(np.arange(n), len(cols) // n)
+        r, c = rows % half, cols % half
+        targets = np.concatenate([c * n + r, (c + half) * n + r, c * n + r + half, (c + half) * n + r + half])
+        sr, sc = np.where(rows < half, 1.0, -1.0), np.where(cols < half, 1.0, -1.0)
+        units = 0.5 * np.stack([np.ones(len(r)), 1j * sc, -1j * sr, sr * sc])
+        return _frozen(targets), _frozen(units)
+
 
 @dataclass(frozen=True)
 class BondOperator:
@@ -123,7 +148,7 @@ class BondOperator:
         if phases.shape != (two_b,):
             raise ValidationError(f"phases for {two_b} bonds, got shape {phases.shape}")
         op = BondOperator(self.bond_index, self.blocks, phases)
-        shared = ("antisymmetric", "gather", "pair_scatter", "_gram")
+        shared = ("antisymmetric", "gather", "_gram")
         op.__dict__.update((name, getattr(self, name)) for name in shared)
         return op
 
@@ -152,34 +177,6 @@ class BondOperator:
             return _frozen(bi.out_bonds[bi.heads]), _frozen(rows)
         keep = np.arange(d) != slot[:, None]
         return bi.successors, _frozen(rows[keep].reshape(bi.num_directed, d - 1))
-
-    @cached_property
-    def pair_scatter(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(targets, units) that scatter the terms of W^2 into the dense
-        pair-basis square M^2 = V0^H W^2 V0 of evolution._reversal_attempt
-        when the blocks are antisymmetric; None otherwise.
-
-        W lives on the successor pattern, so W^2 is the sum of m = 2B (d-1)^2
-        terms w[b, j] w[c, l], c = succ[b, j], at row b and column
-        succ[c, l], taken in (b, j, l) order.  In the pair basis the term at
-        (b, c) adds units[r] times itself to the four entries of M^2 at rows
-        b mod B and b mod B + B and columns c mod B and c mod B + B, whose
-        flat indices in the transposed square are targets[r * m : (r + 1) * m];
-        the units are 1/2, +-i/2, -+i/2 and +-1/2, signed by whether b < B
-        and c < B.  Scattered into the transposed square, M^2 is column-major,
-        the layout LAPACK takes.
-        """
-        if not self.antisymmetric:
-            return None
-        bi = self.bond_index
-        n, half = bi.num_directed, bi.B
-        cols = bi.successors[bi.successors].ravel()
-        rows = np.repeat(np.arange(n), len(cols) // n)
-        r, c = rows % half, cols % half
-        targets = np.concatenate([c * n + r, (c + half) * n + r, c * n + r + half, (c + half) * n + r + half])
-        sr, sc = np.where(rows < half, 1.0, -1.0), np.where(cols < half, 1.0, -1.0)
-        units = 0.5 * np.stack([np.ones(len(r)), 1j * sc, -1j * sr, sr * sc])
-        return _frozen(targets), _frozen(units)
 
     @cached_property
     def _gram(self) -> np.ndarray | None:

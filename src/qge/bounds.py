@@ -105,16 +105,6 @@ class VarianceBound:
     walk_constant: float
     provenance: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "term_diag": self.term_diag,
-            "term_walk": self.term_walk,
-            "term_cycles": self.term_cycles,
-            "total": self.total,
-            "walk_constant": self.walk_constant,
-            "provenance": self.provenance,
-        }
-
 
 def explicit_variance_bound(bi: BoundInputs) -> VarianceBound:
     """Assemble the three-term variance bound with explicit constants.

@@ -36,8 +36,8 @@ __all__ = [
 ]
 
 # about a minute of search at the slowest rate measured on a 2-core Xeon,
-# 1.9e7 bound units (see _search_cost) per second; every census reads it
-# at the call
+# 1.9e7 bound units (see _search_cost) per second; min_return_lengths
+# reads it at the call
 DEFAULT_WORK_BUDGET = 1_000_000_000
 
 # root bonds searched together, fewer when their stamps, 2 * block * 2B
@@ -46,7 +46,7 @@ _BLOCK = 128
 _STAMP_BYTES = 1 << 28
 
 
-def _search_cost(g: Graph, cap: int) -> int:
+def _search_cost(bi: BondIndex, cap: int) -> int:
     """Bound on the bonds min_return_lengths(bi, cap) visits:
     B * 2 * sum_{e=0}^{ceil(cap/2)} (d-1)^e.
 
@@ -56,16 +56,7 @@ def _search_cost(g: Graph, cap: int) -> int:
     (d-1)^e is visited at most twice, the root and its d-1 successors
     (the seeds) included.
     """
-    return g.B * 2 * sum((g.d - 1) ** e for e in range(-(-cap // 2) + 1))
-
-
-def _check_budget(g: Graph, cap: int) -> None:
-    cost = _search_cost(g, cap)
-    if cost > DEFAULT_WORK_BUDGET:
-        raise WorkBudgetError(
-            f"census search to length {cap} estimated cost {cost} "
-            f"exceeds budget {DEFAULT_WORK_BUDGET}"
-        )
+    return bi.B * 2 * sum(bi.successors.shape[1] ** e for e in range(-(-cap // 2) + 1))
 
 
 def _predecessors(bi: BondIndex) -> np.ndarray:
@@ -74,9 +65,12 @@ def _predecessors(bi: BondIndex) -> np.ndarray:
     return bi.rev[bi.successors[bi.rev]]
 
 
-def min_return_lengths(bi: BondIndex, cap: int) -> list[int | None]:
+def min_return_lengths(bi: BondIndex, cap: int) -> np.ndarray:
     """For every directed bond, the length of the shortest closed
-    non-backtracking walk through it, or None if longer than cap.
+    non-backtracking walk through it, as a float64 array with nan where it
+    is longer than cap, which no comparison admits.  A search whose
+    _search_cost exceeds DEFAULT_WORK_BUDGET raises WorkBudgetError before
+    any block runs.
 
     Bidirectional breadth-first search over the non-backtracking successor
     relation, meeting in the middle, for up to _BLOCK root bonds b0 < B at
@@ -97,11 +91,17 @@ def min_return_lengths(bi: BondIndex, cap: int) -> list[int | None]:
     generation wraps.  A closed walk through b0 reverses to one through
     rev(b0), which gets the same length.
     """
+    cost = _search_cost(bi, cap)
+    if cost > DEFAULT_WORK_BUDGET:
+        raise WorkBudgetError(
+            f"census search to length {cap} estimated cost {cost} "
+            f"exceeds budget {DEFAULT_WORK_BUDGET}"
+        )
     two_b = bi.num_directed
     steps = (bi.successors, _predecessors(bi))
     block = max(1, min(_BLOCK, bi.B, _STAMP_BYTES // (2 * two_b)))
     stamps = np.zeros((2, block * two_b), dtype=np.uint8)
-    ret = np.zeros(two_b, dtype=np.int64)
+    ret = np.zeros(two_b)
     for count, first in enumerate(range(0, bi.B, block)):
         gen = count % 255 + 1
         if gen == 1:
@@ -109,7 +109,8 @@ def min_return_lengths(bi: BondIndex, cap: int) -> list[int | None]:
         roots = np.arange(first, min(first + block, bi.B))
         ret[roots] = _block_returns(roots, cap, steps, stamps, gen)
     ret[bi.rev[: bi.B]] = ret[: bi.B]
-    return [r or None for r in ret.tolist()]
+    ret[ret == 0] = np.nan
+    return ret
 
 
 def _block_returns(roots, cap, steps, stamps, gen) -> np.ndarray:
@@ -147,12 +148,6 @@ def _advance(keys, bonds, step):
     return np.repeat(keys - bonds, step.shape[1]) + nxt, nxt
 
 
-def _returns(bi: BondIndex, cap: int) -> np.ndarray:
-    """min_return_lengths as a float array: None becomes nan, which no
-    comparison admits."""
-    return np.array(min_return_lengths(bi, cap), dtype=float)
-
-
 def _cycle_edges(ret: np.ndarray, B: int, t: int) -> frozenset[int]:
     return frozenset(np.flatnonzero(ret[:B] <= t).tolist())
 
@@ -162,8 +157,7 @@ def cycle_bond_census(g: Graph, t: int) -> frozenset[int]:
     length <= t."""
     if t < 3:
         raise ParameterError(f"cycle census horizon t={t} must be >= 3")
-    _check_budget(g, t)
-    return _cycle_edges(_returns(g.bond_index, t), g.B, t)
+    return _cycle_edges(min_return_lengths(g.bond_index, t), g.B, t)
 
 
 def near_cycle_census(g: Graph, t: int) -> frozenset[int]:
@@ -171,30 +165,30 @@ def near_cycle_census(g: Graph, t: int) -> frozenset[int]:
     walk of length <= 2 t2, for some t1 + t2 = t with t2 >= 2."""
     if t < 2:
         raise ParameterError(f"near-cycle census horizon t={t} must be >= 2")
-    _check_budget(g, 2 * t)
     bi = g.bond_index
-    return _near_cycle_bonds(bi, _returns(bi, 2 * t), t)
+    return _near_cycle_bonds(bi, min_return_lengths(bi, 2 * t), t)
 
 
 def _near_cycle_bonds(bi: BondIndex, ret: np.ndarray, t: int) -> frozenset[int]:
     """Near-cycle census at t from the return lengths up to cap 2t.
 
-    For each t2, a breadth-first search backwards from the bonds returning
-    within 2 t2, t - t2 layers deep over whole frontier arrays.
+    One breadth-first search backwards over whole frontier arrays, whose
+    level counts t1 + t2: a bond c with ret[c] <= 2t joins at level
+    max(2, ceil(ret[c] / 2)), the least t2 with ret[c] <= 2 t2, and each
+    level adds the predecessors of the last.  A bond is near exactly when
+    it is reached by level t.
     """
     pred = _predecessors(bi)
-    members = np.zeros(bi.num_directed, dtype=bool)
-    for t2 in range(2, t + 1):
-        reached = ret <= 2 * t2
-        front = np.flatnonzero(reached)
-        for _ in range(t - t2):
-            layer = np.zeros_like(reached)
-            layer[pred[front]] = True
-            layer &= ~reached
-            reached |= layer
-            front = np.flatnonzero(layer)
-        members |= reached
-    return frozenset(np.flatnonzero(members).tolist())
+    start = np.maximum(2, np.ceil(ret / 2))
+    reached = start == 2
+    front = np.flatnonzero(reached)
+    for level in range(3, t + 1):
+        layer = start == level
+        layer[pred[front]] = True
+        layer &= ~reached
+        reached |= layer
+        front = np.flatnonzero(layer)
+    return frozenset(np.flatnonzero(reached).tolist())
 
 
 @dataclass(frozen=True)
@@ -217,15 +211,16 @@ def census_report(g: Graph, t: int) -> CensusReport:
     """Both censuses at horizon t from one return-length search at 2t."""
     if t < 2:
         raise ParameterError(f"census horizon t={t} must be >= 2")
-    _check_budget(g, 2 * t)
     bi = g.bond_index
-    ret = _returns(bi, 2 * t)
+    ret = min_return_lengths(bi, 2 * t)
     c_set = _cycle_edges(ret, g.B, t) if t >= 3 else frozenset()
     t_set = _near_cycle_bonds(bi, ret, t)
+    # a closed walk of length <= t holds a cycle of length <= t, and the
+    # shortest cycle is such a walk
     gth = girth(g)
-    if gth is not None and t < gth and c_set:
+    if bool(c_set) != (gth is not None and gth <= t):
         raise ValidationError(
-            f"cycle census non-empty at t={t} below girth {gth}; census is corrupt"
+            f"cycle census at t={t} has {len(c_set)} edges against girth {gth}; census is corrupt"
         )
     return CensusReport(t=t, c_set=c_set, t_set=t_set)
 
@@ -241,9 +236,8 @@ def lemma_sides(g: Graph, t: int) -> tuple[int, Fraction]:
         raise ParameterError("census inequality needs d >= 3")
     if t < 2:
         raise ParameterError(f"census horizon t={t} must be >= 2")
-    _check_budget(g, 2 * t)
     bi = g.bond_index
-    ret = _returns(bi, 2 * t)
+    ret = min_return_lengths(bi, 2 * t)
     t_count = len(_near_cycle_bonds(bi, ret, t))
     c_directed = 2 * len(_cycle_edges(ret, g.B, 2 * t))
     bound = Fraction((g.d - 1) ** (t - 1) * c_directed, g.d - 2)

@@ -16,7 +16,7 @@ BondIndex.out_bonds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -165,14 +165,13 @@ def _cayley_operands(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
-def _cayley_eigh(u: np.ndarray, alpha: float) -> np.ndarray:
-    """Orthonormal eigenvectors of the unitary u by _cayley at shift alpha."""
+def _cayley_eigh(u: np.ndarray | BondOperator, alpha: float) -> np.ndarray:
+    """Orthonormal eigenvectors of the unitary u, scattered when an
+    operator, by _cayley at shift alpha: the complex route of eigenbasis,
+    and the cluster blocks of _reversal_attempt."""
+    if isinstance(u, BondOperator):
+        u = u.dense()
     return _cayley(_cayley_operands(u, alpha))[1]
-
-
-def _dense_attempt(u: np.ndarray | BondOperator, alpha: float) -> np.ndarray:
-    """_cayley_eigh of u, scattered when an operator, at shift alpha."""
-    return _cayley_eigh(u.dense() if isinstance(u, BondOperator) else u, alpha)
 
 
 def _pair_vectors(o: np.ndarray) -> np.ndarray:
@@ -202,7 +201,7 @@ def _pair_vectors(o: np.ndarray) -> np.ndarray:
 def _pair_operands(w2: np.ndarray, alpha: float, scatter) -> tuple[np.ndarray, np.ndarray]:
     """I + P and Q, real and column-major, for e^{i alpha} M^2 = P + i Q:
     the terms w2 of W^2 times e^{i alpha}, scattered by the pattern of
-    BondOperator.pair_scatter, one np.bincount for each part.  As for
+    BondIndex.pair_scatter, one np.bincount for each part.  As for
     _cayley_operands, numpy's copies into LAPACK's layout are then
     contiguous."""
     targets, units = scatter
@@ -239,12 +238,16 @@ def _reversal_attempt(u: BondOperator, alpha: float) -> np.ndarray:
     fails there or at the residual gate of eigenbasis.  No dense u is
     formed.
     """
+    # read first: the pattern, built on the first call, lives as long as
+    # the graph; built after this call's temporaries, it would sit above
+    # their freed space and raise peak RSS (about 0.1 MiB at 2B = 320)
+    scatter = u.bond_index.pair_scatter
     n = u.bond_index.num_directed
     succ, coef = u.gather  # zero diagonals: the d-1 successor slots
     half = np.sqrt(u.phases) if u.phases is not None else np.ones(n)
     w = half[:, None] * coef * half[succ]  # W[b, succ[b, j]]
     w2 = w[:, :, None] * w[succ]  # the terms of W^2[b, succ[succ[b, j], l]]
-    e2, o = _cayley(_pair_operands(w2, alpha, u.pair_scatter))
+    e2, o = _cayley(_pair_operands(w2, alpha, scatter))
     h = 0.5 * e2
     if not np.max(np.abs(h)) < _POLE_BOUND:
         raise np.linalg.LinAlgError(f"Cayley pole: max |h| {np.max(np.abs(h)):.3e}")
@@ -299,7 +302,7 @@ def eigenbasis(u: np.ndarray | BondOperator) -> tuple[np.ndarray, np.ndarray]:
             raise ValidationError(f"eigenbasis input must be a non-empty square matrix, got shape {u.shape}")
     dev = u.unitarity_deviation() if operator else unitarity_deviation(u)
     check(dev, EIGENBASIS_TOL, ValidationError, "eigenbasis input")
-    attempts = [("complex", _dense_attempt, alpha) for alpha in _CAYLEY_SHIFTS]
+    attempts = [("complex", _cayley_eigh, alpha) for alpha in _CAYLEY_SHIFTS]
     if operator and u.antisymmetric:
         attempts[:0] = [("bond reversal", _reversal_attempt, alpha) for alpha in _CAYLEY_SHIFTS]
     failures = []
@@ -394,13 +397,8 @@ class VarianceEstimate:
     samples: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "B": self.B,
-            "K": self.K,
-            "samples": self.samples,
-            "estimate": self.estimate,
-            "stderr": None if math.isnan(self.stderr) else self.stderr,
-        }
+        """The fields, with an undefined (NaN) stderr as null."""
+        return {**asdict(self), "stderr": None if math.isnan(self.stderr) else self.stderr}
 
 
 def variance_estimate(

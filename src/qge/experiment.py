@@ -12,7 +12,7 @@ thread (see family_experiment and qge._runtime).
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,21 +36,6 @@ LENGTH_SEED_OFFSET = 1_000_003  # decorrelates length draws from graph sampling
 # a row draws its graph at seed and its lengths at seed + LENGTH_SEED_OFFSET,
 # and both must lie in [0, 2^64)
 MAX_SEED = 2**64 - 1 - LENGTH_SEED_OFFSET
-
-EXPERIMENT_COLUMNS = [
-    "n",
-    "B",
-    "beta",
-    "girth",
-    "census_2T",
-    "T",
-    "variance",
-    "bound",
-    "seed",
-    "stderr",
-    "bound_kind",
-    "status",
-]
 
 
 @dataclass(frozen=True)
@@ -127,40 +112,34 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentRow:
+    """One sweep row; the fields before bound_terms are the CSV columns,
+    in order."""
+
     n: int
-    seed: int
     B: int = 0
     beta: float = float("nan")
     girth: int | None = None
-    census_2t: int = 0
+    census_2T: int = 0
     T: int = 0
     variance: float = float("nan")
-    stderr: float = float("nan")
     bound: float = float("nan")
+    seed: int
+    stderr: float = float("nan")
     bound_kind: str = "none"
     status: str = "ok"
     bound_terms: dict = field(default_factory=dict)
 
     def csv_values(self) -> list:
-        """The row in EXPERIMENT_COLUMNS order; a failed row, which never
-        measured its graph, leaves the girth cell empty."""
-        girth = self.girth if self.girth is not None else "acyclic"
-        return [
-            self.n,
-            self.B,
-            self.beta,
-            girth if self.status == "ok" else "",
-            self.census_2t,
-            self.T,
-            self.variance,
-            self.bound,
-            self.seed,
-            self.stderr,
-            self.bound_kind,
-            self.status,
-        ]
+        """The row in EXPERIMENT_COLUMNS order; the girth cell of an acyclic
+        graph reads "acyclic", and a failed row, which never measured its
+        graph, leaves it empty."""
+        girth = "" if self.status != "ok" else "acyclic" if self.girth is None else self.girth
+        return [girth if name == "girth" else getattr(self, name) for name in EXPERIMENT_COLUMNS]
+
+
+EXPERIMENT_COLUMNS = [f.name for f in fields(ExperimentRow)[:-1]]
 
 
 def _one_row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
@@ -192,7 +171,7 @@ def _one_row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
         )
         bound_val = vb.total
         bound_kind = "full"
-        terms = vb.to_json_dict()
+        terms = asdict(vb)
     except WalkBoundUnavailableError:
         pass
 
@@ -202,7 +181,7 @@ def _one_row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
         B=g.B,
         beta=report.beta,
         girth=girth(g),
-        census_2t=census_directed,
+        census_2T=census_directed,
         T=horizon,
         variance=est.estimate,
         stderr=est.stderr,

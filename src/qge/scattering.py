@@ -38,9 +38,8 @@ EQUI_TRANSMITTING_TOL = 1e-9  # each deviation is_equi_transmitting measures
 
 @dataclass(frozen=True)
 class VertexScattering:
-    """A d x d unitary vertex matrix together with the rule that built it."""
+    """A d x d unitary vertex matrix."""
 
-    kind: str
     entries: np.ndarray
 
     def __post_init__(self):
@@ -125,7 +124,7 @@ def kirchhoff_sigma(d: int) -> VertexScattering:
     if d < 2:
         raise ParameterError(f"degree d={d} must be >= 2")
     entries = np.full((d, d), 2.0 / d) - np.eye(d)
-    return VertexScattering(kind=f"kirchhoff[d={d}]", entries=entries.astype(np.complex128))
+    return VertexScattering(entries=entries.astype(np.complex128))
 
 
 def equi_transmitting_sigma(d: int) -> VertexScattering:
@@ -143,9 +142,7 @@ def equi_transmitting_sigma(d: int) -> VertexScattering:
         raise ParameterError(f"degree d={d} must be >= 2")
     h = skew_hadamard(d).entries.astype(np.float64)
     entries = (h - np.eye(d)) / np.sqrt(d - 1)
-    return VertexScattering(
-        kind=f"equi_transmitting[d={d}]", entries=entries.astype(np.complex128)
-    )
+    return VertexScattering(entries=entries.astype(np.complex128))
 
 
 def is_equi_transmitting(m: np.ndarray) -> bool:

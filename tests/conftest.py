@@ -1,6 +1,6 @@
-"""Shared graph builders, independent census oracles, the bond-operator
-product check, the dense pair-basis square, and the acceptance summary
-printer.
+"""Shared graph builders, a random vertex unitary, independent census
+oracles and the comparison with them, the bond-operator product check, the
+dense pair-basis square, and the acceptance summary printer.
 
 The oracles here deliberately use a different mechanism than the package:
 censuses and girths are recomputed from integer powers of the directed-bond
@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qge import Graph, MetricGraph, build_assembly, classical_map, draw_lengths
+from qge import Graph, MetricGraph, VertexScattering, build_assembly, classical_map, draw_lengths
 
 
 def k5() -> Graph:
@@ -79,6 +79,13 @@ def k5_chain(m: int) -> Graph:
         edges.append((left + lstubs[0], right))
         edges.append((left + lstubs[1], right + 1))
     return Graph(n=5 * m, d=4, edges=tuple(sorted(edges)))
+
+
+def random_unitary(d: int, rng: np.random.Generator) -> VertexScattering:
+    """A Haar-random d x d vertex matrix: the QR factor of a complex
+    Gaussian matrix, its columns rephased by the signs of R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return VertexScattering(entries=q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 def pair_square_oracle(u) -> np.ndarray:
@@ -161,6 +168,14 @@ def oracle_min_return(g: Graph, cap: int) -> list[int | None]:
                 out[b] = length
                 break
     return out
+
+
+def assert_same_returns(ours: np.ndarray, oracle: list[int | None]) -> None:
+    """min_return_lengths' float array against an oracle's list, whose None
+    (no return up to the cap) is the array's nan."""
+    expected = np.array([np.nan if r is None else r for r in oracle])
+    assert ours.dtype == np.float64
+    np.testing.assert_array_equal(ours, expected)
 
 
 def oracle_girth(g: Graph, cap: int = 12) -> int | None:

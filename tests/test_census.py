@@ -11,6 +11,7 @@ import qge
 from qge import (
     Graph,
     ParameterError,
+    ValidationError,
     WorkBudgetError,
     census_report,
     cycle_bond_census,
@@ -21,6 +22,7 @@ from qge import (
 )
 
 from conftest import (
+    assert_same_returns,
     cage46,
     k5,
     oracle_cycle_census,
@@ -104,6 +106,17 @@ class TestCycleCensus:
         with pytest.raises(WorkBudgetError):
             cycle_bond_census(k5(), 8)
 
+    def test_direct_search_checks_the_budget(self, monkeypatch):
+        # the search itself refuses, before any block of roots runs
+        def search(*args):
+            raise AssertionError("a block ran over the budget")
+
+        g = generate_random_regular(30, 4, seed=2)
+        monkeypatch.setattr(qge.census, "_block_returns", search)
+        monkeypatch.setattr(qge.census, "DEFAULT_WORK_BUDGET", qge.census._search_cost(g.bond_index, 6) - 1)
+        with pytest.raises(WorkBudgetError, match="census search to length 6 estimated cost"):
+            qge.census.min_return_lengths(g.bond_index, 6)
+
 
 class TestWorkBudget:
     @pytest.mark.parametrize("n,d", [(200, 4), (60, 6), (26, 4)])
@@ -121,23 +134,23 @@ class TestWorkBudget:
             visits.clear()
             qge.census.min_return_lengths(g.bond_index, cap)
             # the d seed bonds per root plus every successor scanned
-            assert g.B * g.d + sum(visits) <= qge.census._search_cost(g, cap)
+            assert g.B * g.d + sum(visits) <= qge.census._search_cost(g.bond_index, cap)
 
     def test_default_admits_t6_at_n_1e5(self):
         # graph census --t 6 on an n = 10^5, d = 4 graph searches to length 12
-        g = SimpleNamespace(B=100_000 * 4 // 2, d=4)
-        assert qge.census._search_cost(g, 12) == 437_200_000
-        assert qge.census._search_cost(g, 12) <= qge.census.DEFAULT_WORK_BUDGET
+        bi = SimpleNamespace(B=100_000 * 4 // 2, successors=np.empty((0, 3)))
+        assert qge.census._search_cost(bi, 12) == 437_200_000
+        assert qge.census._search_cost(bi, 12) <= qge.census.DEFAULT_WORK_BUDGET
 
     def test_charged_at_search_cap(self, monkeypatch):
         g = generate_random_regular(30, 4, seed=2)
-        cost = qge.census._search_cost
 
         def charged(census, t, cap):
             # runs at a budget of exactly the cost of a search to cap, not below
-            monkeypatch.setattr(qge.census, "DEFAULT_WORK_BUDGET", cost(g, cap))
+            cost = qge.census._search_cost(g.bond_index, cap)
+            monkeypatch.setattr(qge.census, "DEFAULT_WORK_BUDGET", cost)
             census(g, t)
-            monkeypatch.setattr(qge.census, "DEFAULT_WORK_BUDGET", cost(g, cap) - 1)
+            monkeypatch.setattr(qge.census, "DEFAULT_WORK_BUDGET", cost - 1)
             with pytest.raises(WorkBudgetError):
                 census(g, t)
 
@@ -150,15 +163,13 @@ class TestWorkBudget:
 class TestMinReturnLengths:
     def test_matches_oracle(self):
         g = generate_random_regular(16, 4, seed=3)
-        ours = qge.census.min_return_lengths(g.bond_index, 8)
-        oracle = oracle_min_return(g, 8)
-        assert ours == oracle
+        assert_same_returns(qge.census.min_return_lengths(g.bond_index, 8), oracle_min_return(g, 8))
 
     @pytest.mark.parametrize("graph", [k5, petersen, cage46])
     def test_matches_oracle_all_caps(self, graph):
         g = graph()
         for cap in range(3, 13):
-            assert qge.census.min_return_lengths(g.bond_index, cap) == oracle_min_return(g, cap)
+            assert_same_returns(qge.census.min_return_lengths(g.bond_index, cap), oracle_min_return(g, cap))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -169,12 +180,12 @@ class TestMinReturnLengths:
     def test_matches_oracle_random(self, n, d, seed):
         g = generate_random_regular(n, d, seed=seed)
         for cap in range(3, 13):
-            assert qge.census.min_return_lengths(g.bond_index, cap) == oracle_min_return(g, cap)
+            assert_same_returns(qge.census.min_return_lengths(g.bond_index, cap), oracle_min_return(g, cap))
 
     def test_matches_full_bfs_n200(self):
         g = generate_random_regular(200, 4, seed=29)
         ours = qge.census.min_return_lengths(g.bond_index, 12)
-        assert ours == bfs_min_return_lengths(g.bond_index, 12)
+        assert_same_returns(ours, bfs_min_return_lengths(g.bond_index, 12))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -190,8 +201,8 @@ class TestMinReturnLengths:
             m.setattr(qge.census, "_BLOCK", block)
             for cap in range(3, 13):
                 ours = qge.census.min_return_lengths(g.bond_index, cap)
-                assert ours == oracle_min_return(g, cap)
-                assert ours == bfs_min_return_lengths(g.bond_index, cap)
+                assert_same_returns(ours, oracle_min_return(g, cap))
+                assert_same_returns(ours, bfs_min_return_lengths(g.bond_index, cap))
 
     def test_blocks_of_few_roots_n200(self, monkeypatch):
         g = generate_random_regular(200, 4, seed=29)
@@ -200,7 +211,7 @@ class TestMinReturnLengths:
         # at one root per block the 400 blocks wrap the 255 stamp generations
         for block in (1, 3, 7):
             monkeypatch.setattr(qge.census, "_BLOCK", block)
-            assert qge.census.min_return_lengths(g.bond_index, 12) == oracle
+            assert_same_returns(qge.census.min_return_lengths(g.bond_index, 12), oracle)
 
     def test_stamp_bytes_cap_the_block(self, monkeypatch):
         g = generate_random_regular(200, 4, seed=29)
@@ -213,14 +224,14 @@ class TestMinReturnLengths:
 
         monkeypatch.setattr(qge.census, "_block_returns", spy)
         monkeypatch.setattr(qge.census, "_STAMP_BYTES", 2 * 5 * 2 * g.B + 1)
-        assert qge.census.min_return_lengths(g.bond_index, 12) == bfs_min_return_lengths(g.bond_index, 12)
+        ours = qge.census.min_return_lengths(g.bond_index, 12)
+        assert_same_returns(ours, bfs_min_return_lengths(g.bond_index, 12))
         assert sizes == [5] * 80
 
     def test_reversal_symmetry(self):
         g = petersen()
         ret = qge.census.min_return_lengths(g.bond_index, 7)
-        for b in range(g.B):
-            assert ret[b] == ret[b + g.B]
+        np.testing.assert_array_equal(ret[: g.B], ret[g.B :])
 
 
 class TestNearCycleCensus:
@@ -321,6 +332,17 @@ class TestCensusReport:
         assert rep.c_set == frozenset()
         assert rep.t_set == frozenset(range(20))
 
+    def test_search_missing_every_cycle_is_corrupt(self, monkeypatch):
+        # K5 has triangles, so its cycle census at t = 3 cannot be empty
+        monkeypatch.setattr(qge.census, "min_return_lengths", lambda bi, cap: np.full(bi.num_directed, np.nan))
+        with pytest.raises(ValidationError, match="census is corrupt"):
+            census_report(k5(), 3)
+
+    def test_search_finding_a_cycle_below_girth_is_corrupt(self, monkeypatch):
+        # Petersen has girth 5, so its cycle census at t = 4 must be empty
+        monkeypatch.setattr(qge.census, "min_return_lengths", lambda bi, cap: np.full(bi.num_directed, 4.0))
+        with pytest.raises(ValidationError, match="census is corrupt"):
+            census_report(petersen(), 4)
 
 
 class TestRelabelling:
@@ -347,7 +369,7 @@ class TestRelabelling:
         assert girth(h) == girth(g)
         ret_g = qge.census.min_return_lengths(g.bond_index, 12)
         ret_h = qge.census.min_return_lengths(h.bond_index, 12)
-        assert [ret_h[b] for b in bond_map] == ret_g
+        np.testing.assert_array_equal(ret_h[bond_map], ret_g)
         for t in (2, 3, 4):
             rep_g, rep_h = census_report(g, t), census_report(h, t)
             assert rep_h.c_set == frozenset(edge_map[sorted(rep_g.c_set)].tolist())

@@ -13,6 +13,7 @@ from scipy.stats import unitary_group
 import qge
 from qge import (
     AssemblyError,
+    BondIndex,
     BondOperator,
     MetricGraph,
     NumericalError,
@@ -41,7 +42,7 @@ import qge.evolution as evolution_module
 from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, evolution
 from qge.experiment import LENGTH_SEED_OFFSET
 
-from conftest import assert_products_match_dense, cage46, k5, pair_square_oracle, petersen
+from conftest import assert_products_match_dense, cage46, k5, pair_square_oracle, petersen, random_unitary
 
 
 @pytest.fixture(scope="module")
@@ -97,22 +98,22 @@ class TestAssembly:
         assert u.gather is a.gather and u._gram is a._gram
         assert u.antisymmetric and u.no_backscatter
 
-    def test_pair_scatter_computed_once_per_s(self, monkeypatch):
-        # the scatter pattern of the bond-reversal route is a block fact
-        # too: one per S, whatever the number of k-samples
+    def test_pair_scatter_computed_once_per_bond_index(self, monkeypatch):
+        # the scatter pattern of the bond-reversal route is a fact of the
+        # wiring: one per bond index, whatever the number of k-samples, and
+        # none for a rule that never takes that route
         made = []
-        real = BondOperator.__dict__["pair_scatter"].func
-        counting = functools.cached_property(lambda o: made.append(o) or real(o))
-        counting.__set_name__(BondOperator, "pair_scatter")
-        monkeypatch.setattr(BondOperator, "pair_scatter", counting)
+        real = BondIndex.__dict__["pair_scatter"].func
+        counting = functools.cached_property(lambda bi: made.append(bi) or real(bi))
+        counting.__set_name__(BondIndex, "pair_scatter")
+        monkeypatch.setattr(BondIndex, "pair_scatter", counting)
         g = k5()
         mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=11))
-        a = build_assembly(mg, equi_transmitting_sigma(4))
-        variance_estimate(a, mg, parity_observable(g.bond_index), 40.0, 5)
-        u = a.with_phases(np.exp(1j * 2.2 * mg.directed_lengths))
-        assert u.pair_scatter is a.pair_scatter
-        assert len(made) == 1 and made[0] is a
-        assert build_assembly(mg, kirchhoff_sigma(4)).pair_scatter is None
+        f = parity_observable(g.bond_index)
+        variance_estimate(build_assembly(mg, kirchhoff_sigma(4)), mg, f, 40.0, 5)
+        assert made == []
+        variance_estimate(build_assembly(mg, equi_transmitting_sigma(4)), mg, f, 40.0, 5)
+        assert len(made) == 1 and made[0] is g.bond_index
 
     def test_with_phases_rejects_wrong_shape(self, k5_metric):
         _, mg, a = k5_metric
@@ -158,11 +159,6 @@ def oracle_s(g, sigmas) -> np.ndarray:
     return s
 
 
-def _random_unitary(d, seed):
-    entries = unitary_group.rvs(d, random_state=np.random.default_rng(seed))
-    return VertexScattering(kind="random", entries=entries)
-
-
 def _wiring_cases():
     """(graph, rule) pairs: a shared vertex matrix or one per vertex."""
     et, kh = equi_transmitting_sigma(4), kirchhoff_sigma(4)
@@ -181,7 +177,7 @@ def _wiring_cases():
     cases.append(pytest.param(g, [(et, kh)[v % 2] for v in range(g.n)], id="random30-mixed"))
     g = generate_random_regular(24, 3, seed=6)
     cases.append(
-        pytest.param(g, [_random_unitary(3, v) for v in range(g.n)], id="random24-unitary")
+        pytest.param(g, [random_unitary(3, np.random.default_rng(v)) for v in range(g.n)], id="random24-unitary")
     )
     return cases
 
@@ -448,6 +444,13 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _solve_dims(calls) -> list[int]:
+    """The dimension of each spied _cayley_eigh input: 2B on the complex
+    route, which takes the operator, and below 2B for a cluster block of
+    the bond-reversal route."""
+    return [u.bond_index.num_directed if isinstance(u, BondOperator) else len(u) for u, _ in calls]
+
+
 def _planted_pole(g, k, gap=1e-6):
     """(MetricGraph, rotated ET rule) whose U(k) has an eigenvalue lambda with
     |1 + e^{i alpha_0} lambda^2| = gap: the vertex matrix e^{i beta} sigma_ET
@@ -456,7 +459,7 @@ def _planted_pole(g, k, gap=1e-6):
     theta, _ = schur_eigenbasis(evolution(build_assembly(mg, equi_transmitting_sigma(4)), mg, k))
     beta = 0.5 * (np.pi + gap - _CAYLEY_SHIFTS[0] - 4.0 * np.pi * theta[0])
     rotated = np.exp(1j * beta) * equi_transmitting_sigma(4).entries
-    return mg, VertexScattering(kind="rotated_et", entries=rotated)
+    return mg, VertexScattering(entries=rotated)
 
 
 def _pole_distance(u):
@@ -471,7 +474,8 @@ class TestReversalRoute:
     def test_antisymmetric_reads_every_vertex(self, g, rule):
         # only the equi-transmitting (H - I)/sqrt(d-1) is antisymmetric here;
         # the mixed rule has Kirchhoff vertices
-        expected = all(sig.kind.startswith("equi") for sig in _per_vertex(g, rule))
+        et = equi_transmitting_sigma(4).entries
+        expected = all(np.array_equal(sig.entries, et) for sig in _per_vertex(g, rule))
         assert build_assembly(g, rule).antisymmetric == expected
 
     def test_pole_takes_second_shift(self, monkeypatch):
@@ -481,10 +485,10 @@ class TestReversalRoute:
         u = op.dense()
         assert _pole_distance(u) == pytest.approx(1e-6, rel=1e-3)
         attempts = _spy(monkeypatch, "_reversal_attempt")
-        dense = _spy(monkeypatch, "_dense_attempt")
+        solves = _spy(monkeypatch, "_cayley_eigh")
         theta, q = eigenbasis(op)
         assert [alpha for _, alpha in attempts] == list(_CAYLEY_SHIFTS)
-        assert dense == []
+        assert all(dim < 2 * g.B for dim in _solve_dims(solves))  # no complex route
         assert max_residual(u, theta, q) < 1e-10
         assert phase_distance(theta, schur_eigenbasis(u)[0]) <= 1e-10
         assert np.max(np.abs(q.conj().T @ q - np.eye(len(q)))) < 1e-12
@@ -495,14 +499,13 @@ class TestReversalRoute:
         mg = MetricGraph(graph=g, lengths=np.ones(g.B))
         a = build_assembly(mg, equi_transmitting_sigma(4))
         blocks = _spy(monkeypatch, "_cayley_eigh")
-        dense = _spy(monkeypatch, "_dense_attempt")
         for k in (0.3, 1.1, 2.0):
             u = evolution(a, mg, k)
             theta, q = eigenbasis(_u(a, mg, k))
             assert phase_distance(theta, schur_eigenbasis(u)[0]) <= 1e-10
             assert np.max(np.abs(q.conj().T @ q - np.eye(len(q)))) < 1e-12
-        assert dense == []
-        assert blocks and all(2 < len(args[0]) < 2 * g.B for args in blocks)
+        # every complex solve is a cluster block, none the complex route
+        assert blocks and all(2 < dim < 2 * g.B for dim in _solve_dims(blocks))
 
     @pytest.mark.parametrize(
         "rule",
@@ -510,7 +513,6 @@ class TestReversalRoute:
             kirchhoff_sigma(4),
             # zero diagonal but sigma^T != -sigma
             VertexScattering(
-                kind="phased_et",
                 entries=np.diag(np.exp(1j * np.arange(4.0)))
                 @ equi_transmitting_sigma(4).entries
                 @ np.diag(np.exp(-1j * np.arange(4.0))),
@@ -525,9 +527,9 @@ class TestReversalRoute:
         assert not a.antisymmetric
         theta_ref, q_ref = eigenbasis(evolution(a, mg, k))
         reduced = _spy(monkeypatch, "_reversal_attempt")
-        dense = _spy(monkeypatch, "_dense_attempt")
+        dense = _spy(monkeypatch, "_cayley_eigh")
         theta, q = eigenbasis(_u(a, mg, k))
-        assert reduced == [] and len(dense) == 1
+        assert reduced == [] and _solve_dims(dense) == [2 * g.B]
         # the same eigenvectors; each phase is read from U q, formed by the
         # gather here and by a dense product for the reference
         assert np.array_equal(q, q_ref)
@@ -615,7 +617,7 @@ class TestPairOperands:
             calls = _spy(monkeypatch, "_pair_operands")
             eigenbasis(u)
             w2, _, scatter = calls[0]
-            assert scatter is a.pair_scatter
+            assert scatter is g.bond_index.pair_scatter
             m2 = pair_square_oracle(u)
             for alpha in _CAYLEY_SHIFTS:
                 v = np.exp(1j * alpha) * m2
@@ -637,7 +639,7 @@ def _count_case(kind):
         return mg, build_assembly(mg, et), 4, 40.0
     if kind == "unitary":
         g = generate_random_regular(24, 3, seed=6)
-        rule = [_random_unitary(3, v) for v in range(g.n)]
+        rule = [random_unitary(3, np.random.default_rng(v)) for v in range(g.n)]
     else:
         g, rule = g20, kirchhoff_sigma(4) if kind == "kirchhoff" else et
     mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=g.n))
@@ -668,7 +670,7 @@ class TestEigenbasisCallCount:
             monkeypatch.setattr(evolution_module, name, value)
         calls = {
             name: _spy(monkeypatch, name)
-            for name in ("eigenbasis", "_reversal_attempt", "_dense_attempt", "_cayley", "_cayley_eigh")
+            for name in ("eigenbasis", "_reversal_attempt", "_cayley", "_cayley_eigh")
         }
         scatters = []
         real_dense = BondOperator.dense
@@ -677,14 +679,16 @@ class TestEigenbasisCallCount:
         assert np.isfinite(est.estimate)
         assert len(calls["eigenbasis"]) == samples
         assert len(calls["_reversal_attempt"]) == reduced
-        assert len(calls["_dense_attempt"]) == dense
+        # the complex solves are the complex route's at 2B and the cluster
+        # blocks below it
+        dims = _solve_dims(calls["_cayley_eigh"])
+        assert dims.count(2 * mg.graph.B) == dense
         assert len(scatters) == dense
         # the real solves are the bond-reversal route's; every solve, real
         # or complex, goes through the one kernel
         assert sum(a.dtype == np.float64 for (a, _), in calls["_cayley"]) == solves
-        assert len(calls["_cayley"]) == solves + len(calls["_cayley_eigh"])
-        blocks = [args[0] for args in calls["_cayley_eigh"] if len(args[0]) < 2 * mg.graph.B]
-        assert bool(blocks) == (kind == "clusters")
+        assert len(calls["_cayley"]) == solves + len(dims)
+        assert any(dim < 2 * mg.graph.B for dim in dims) == (kind == "clusters")
 
 
     def test_complex_route_traffic(self, monkeypatch):
@@ -696,10 +700,10 @@ class TestEigenbasisCallCount:
         mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=2 + LENGTH_SEED_OFFSET))
         a = build_assembly(mg, equi_transmitting_sigma(4))
         reduced = _spy(monkeypatch, "_reversal_attempt")
-        dense = _spy(monkeypatch, "_dense_attempt")
+        solves = _spy(monkeypatch, "_cayley_eigh")
         variance_estimate(a, mg, parity_observable(g.bond_index), 200.0, 200)
         assert len(reduced) > 200  # the second shift ran
-        assert len(dense) <= 0.02 * 200
+        assert _solve_dims(solves).count(2 * g.B) <= 0.02 * 200
 
 
 class TestVarianceEstimate:

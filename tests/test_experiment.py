@@ -182,7 +182,7 @@ class TestFamilyExperiment:
         (row,) = family_experiment(cfg)
         assert row.bound_kind == "full"
         inputs = BoundInputs(
-            kappa=1.0 + 1.0 / 21, d=4, beta=row.beta, T=row.T, census=row.census_2t, B=row.B
+            kappa=1.0 + 1.0 / 21, d=4, beta=row.beta, T=row.T, census=row.census_2T, B=row.B
         )
         assert row.bound == pytest.approx(explicit_variance_bound(inputs).total, rel=1e-12)
 

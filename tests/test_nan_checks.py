@@ -52,7 +52,7 @@ def _walk_setup():
 
 
 def _vertex_scattering(monkeypatch):
-    VertexScattering(kind="nan", entries=np.full((4, 4), np.nan + 0j))
+    VertexScattering(entries=np.full((4, 4), np.nan + 0j))
 
 
 def _build_assembly(monkeypatch):

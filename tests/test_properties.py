@@ -10,7 +10,6 @@ from qge import (
     Graph,
     MetricGraph,
     Observable,
-    VertexScattering,
     build_assembly,
     classical_map,
     draw_lengths,
@@ -23,6 +22,8 @@ from qge import (
 from qge._checks import stochasticity_deviation, unitarity_deviation
 from qge.evolution import S_UNITARITY_TOL
 from qge.walk import STOCHASTICITY_TOL
+
+from conftest import random_unitary
 
 # beta and the variance estimate of a relabelled graph agree with the
 # original's to this relative tolerance: the eigensolvers see permuted
@@ -77,11 +78,6 @@ def test_relabelling_keeps_beta_and_kirchhoff_variance(case, seed):
     assert estimates[1] == pytest.approx(estimates[0], rel=RELABEL_TOL)
 
 
-def _random_unitary(d: int, rng: np.random.Generator) -> VertexScattering:
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return VertexScattering(kind="random", entries=q * (np.diag(r) / np.abs(np.diag(r))))
-
-
 @st.composite
 def rules(draw):
     """A generated graph and one vertex matrix per vertex under the ET,
@@ -90,7 +86,7 @@ def rules(draw):
     g = draw(graphs(degrees=(4,) if kind in ("et", "mixed") else (3, 4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     if kind == "unitary":
-        return g, [_random_unitary(g.d, rng) for _ in range(g.n)]
+        return g, [random_unitary(g.d, rng) for _ in range(g.n)]
     et, kh = equi_transmitting_sigma(g.d) if g.d == 4 else None, kirchhoff_sigma(g.d)
     pick = {"et": lambda v: et, "kirchhoff": lambda v: kh, "mixed": lambda v: (et, kh)[v % 2]}
     return g, [pick[kind](v) for v in range(g.n)]

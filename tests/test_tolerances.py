@@ -1,6 +1,8 @@
 """Every tolerance is a named constant and every raising check goes through
 qge._checks.check, which fails closed; only qge._runtime, the home of the
-process settings, reaches C libraries through ctypes."""
+process settings, reaches C libraries through ctypes; and only
+census.min_return_lengths, the search it bounds, reads the census work
+budget."""
 
 import ast
 import math
@@ -104,6 +106,50 @@ def test_rule_sees_a_ctypes_import(tmp_path):
         "from . import ctypes_free\nimport ctypeslib\n"
     )
     assert _ctypes_imports(path) == ["probe.py:1", "probe.py:2", "probe.py:3"]
+
+
+def _budget_reads(path: Path) -> list[str]:
+    """Where a module names DEFAULT_WORK_BUDGET outside the body of a
+    function min_return_lengths: a read of the name or of an attribute, or
+    an import of it (assigning the constant is not a read)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "min_return_lengths"
+        for sub in ast.walk(node)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name == "DEFAULT_WORK_BUDGET":
+            lines.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_only_the_search_reads_the_budget():
+    assert [hit for p in SOURCES for hit in _budget_reads(p)] == []
+
+
+def test_rule_sees_a_budget_read(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "DEFAULT_WORK_BUDGET = 10\n"
+        "def min_return_lengths(bi, cap):\n    return cap > DEFAULT_WORK_BUDGET\n"
+        "def census(g):\n    return DEFAULT_WORK_BUDGET\n"
+        "limit = census.DEFAULT_WORK_BUDGET\n"
+        "from .census import DEFAULT_WORK_BUDGET as budget\n"
+    )
+    assert _budget_reads(path) == ["probe.py:5", "probe.py:6", "probe.py:7"]
 
 
 class TestEigenRouteConstants:

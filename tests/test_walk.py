@@ -9,7 +9,6 @@ from qge import (
     Observable,
     ParameterError,
     ValidationError,
-    VertexScattering,
     WalkBoundUnavailableError,
     build_assembly,
     classical_map,
@@ -36,7 +35,7 @@ from qge import (
 )
 from qge.evolution import evolution
 
-from conftest import assert_products_match_dense, k5, petersen
+from conftest import assert_products_match_dense, k5, petersen, random_unitary
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +61,6 @@ def dense_basis(basis):
     return e, et
 
 
-def _haar(d, rng):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return VertexScattering(kind="random", entries=q * (np.diagonal(r) / np.abs(np.diagonal(r))))
-
-
 def _rule_cases():
     """(graph, rule) pairs: K5, Petersen and random graphs with n <= 80
     under equi-transmitting, Kirchhoff, mixed and random-unitary rules."""
@@ -78,7 +71,7 @@ def _rule_cases():
         pytest.param(k5(), et, id="k5-et"),
         pytest.param(k5(), kh, id="k5-kirchhoff"),
         pytest.param(pet, kirchhoff_sigma(3), id="petersen-kirchhoff"),
-        pytest.param(pet, [_haar(3, rng) for _ in range(pet.n)], id="petersen-unitary"),
+        pytest.param(pet, [random_unitary(3, rng) for _ in range(pet.n)], id="petersen-unitary"),
     ]
     for n, seed in ((20, 1), (80, 2)):
         g = generate_random_regular(n, 4, seed=seed)
@@ -86,10 +79,10 @@ def _rule_cases():
             pytest.param(g, et, id=f"random{n}-et"),
             pytest.param(g, kh, id=f"random{n}-kirchhoff"),
             pytest.param(g, [(et, kh)[v % 2] for v in range(g.n)], id=f"random{n}-mixed"),
-            pytest.param(g, [_haar(4, rng) for _ in range(g.n)], id=f"random{n}-unitary"),
+            pytest.param(g, [random_unitary(4, rng) for _ in range(g.n)], id=f"random{n}-unitary"),
         ]
     g = generate_random_regular(30, 5, seed=3)
-    cases.append(pytest.param(g, [_haar(5, rng) for _ in range(g.n)], id="random30-d5-unitary"))
+    cases.append(pytest.param(g, [random_unitary(5, rng) for _ in range(g.n)], id="random30-d5-unitary"))
     return cases
 
 
