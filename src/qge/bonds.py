@@ -124,7 +124,7 @@ class BondIndex:
 
 @dataclass(frozen=True)
 class BondOperator:
-    """diag(phases) X on the 2B directed bonds (phases=None: all ones),
+    """diag(phases) X on the 2B directed bonds (phases default to all ones),
     where X[in_bonds[v, i], out_bonds[v, j]] = blocks[v, j, i] is wired
     from per-vertex (n, d, d) blocks and zero elsewhere.  With the vertex
     matrices sigma_v as blocks X is S, and S.with_phases(e^{ikL}) is U(k);
@@ -136,10 +136,12 @@ class BondOperator:
 
     bond_index: BondIndex
     blocks: np.ndarray = field(repr=False)
-    phases: np.ndarray | None = field(default=None, repr=False)
+    phases: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.blocks.setflags(write=False)
+        if self.phases is None:
+            object.__setattr__(self, "phases", _frozen(np.ones(self.bond_index.num_directed)))
 
     def with_phases(self, phases: np.ndarray) -> BondOperator:
         """diag(phases) X, sharing the block facts computed once for X."""
@@ -197,9 +199,8 @@ class BondOperator:
         gram = self._gram
         if gram is None:
             return math.inf
-        if self.phases is not None:
-            p = self.phases[self.bond_index.in_bonds]
-            gram = p[:, :, None] * gram * p.conj()[:, None, :]
+        p = self.phases[self.bond_index.in_bonds]
+        gram = p[:, :, None] * gram * p.conj()[:, None, :]
         return float(np.max(np.abs(gram - np.eye(gram.shape[-1]))))
 
     def __matmul__(self, x) -> np.ndarray:
@@ -208,8 +209,7 @@ class BondOperator:
         if x.ndim not in (1, 2) or x.shape[0] != two_b:
             raise ValidationError(f"operator acts on {two_b} bonds, got shape {x.shape}")
         index, coef = self.gather
-        if self.phases is not None:
-            coef = self.phases[:, None] * coef
+        coef = self.phases[:, None] * coef
         x = x.astype(np.result_type(x, coef), copy=False)
         coef = coef.reshape(coef.shape + (1,) * (x.ndim - 1))
         y = x[index[:, 0]]
@@ -226,9 +226,7 @@ class BondOperator:
     def dense(self) -> np.ndarray:
         """The dense 2B x 2B matrix, by one scatter of the blocks."""
         bi = self.bond_index
-        blocks = self.blocks.transpose(0, 2, 1)
-        if self.phases is not None:
-            blocks = self.phases[bi.in_bonds][:, :, None] * blocks
+        blocks = self.phases[bi.in_bonds][:, :, None] * self.blocks.transpose(0, 2, 1)
         m = np.zeros((bi.num_directed,) * 2, dtype=blocks.dtype)
         m[bi.in_bonds[:, :, None], bi.out_bonds[:, None, :]] = blocks
         return m

@@ -4,7 +4,8 @@ Subcommands: graph gen/info/census, scatter dump, variance, walk
 decay/singular, experiment.  Outputs are CSV/JSON (plus optional SVG line
 plots) and carry the digest of a run manifest, written alongside as
 <output>.manifest.json.  Exit codes: 0 success, 2 parse or unreadable
-path, 3 validation, 4 numerical (including a LAPACK failure).
+path, 3 validation, 4 numerical (including a LAPACK failure) or out of
+memory.
 """
 
 from __future__ import annotations
@@ -122,13 +123,8 @@ def _cmd_graph_info(args) -> int:
     if report.is_connected and not report.is_bipartite:
         ramanujan = is_ramanujan(report)
     payload = {
-        "n": report.n,
-        "d": report.d,
+        **asdict(report),
         "B": g.B,
-        "mu": None if report.mu is None else list(report.mu),
-        "beta": report.beta,
-        "is_connected": report.is_connected,
-        "is_bipartite": report.is_bipartite,
         "girth": gth if gth is not None else "acyclic",
         "ramanujan": ramanujan,
     }
@@ -345,7 +341,7 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except ValidationError as exc:
         return _fail(exc, 3)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, MemoryError) as exc:
         return _fail(exc, 4)
     except QgeError as exc:
         return _fail(exc, 3)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all qge modules.
 
 The three branches map onto the CLI exit codes: ParseError -> 2,
-ValidationError -> 3, NumericalError -> 4.
+ValidationError -> 3, NumericalError -> 4 (as do a LAPACK LinAlgError and
+a MemoryError).
 """
 
 

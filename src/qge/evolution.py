@@ -81,7 +81,7 @@ class MetricGraph:
     lengths: np.ndarray
 
     def __post_init__(self):
-        lengths = np.asarray(self.lengths, dtype=np.float64)
+        lengths = np.array(self.lengths, dtype=np.float64)
         if lengths.shape != (self.graph.B,):
             raise ValidationError(
                 f"need {self.graph.B} bond lengths, got shape {lengths.shape}"
@@ -244,7 +244,7 @@ def _reversal_attempt(u: BondOperator, alpha: float) -> np.ndarray:
     scatter = u.bond_index.pair_scatter
     n = u.bond_index.num_directed
     succ, coef = u.gather  # zero diagonals: the d-1 successor slots
-    half = np.sqrt(u.phases) if u.phases is not None else np.ones(n)
+    half = np.sqrt(u.phases)
     w = half[:, None] * coef * half[succ]  # W[b, succ[b, j]]
     w2 = w[:, :, None] * w[succ]  # the terms of W^2[b, succ[succ[b, j], l]]
     e2, o = _cayley(_pair_operands(w2, alpha, scatter))
@@ -377,15 +377,23 @@ def constant_observable(bi: BondIndex, value: complex = 1.0) -> Observable:
     return Observable.from_vector(np.full(bi.num_directed, value, dtype=np.complex128))
 
 
-def _check_window(k_max: float) -> None:
+def _k_grid(s: BondOperator, mg: MetricGraph, k_max: float, samples: int):
+    """U(k) = S.with_phases(e^{i k L}), one operator at a time, for k on the
+    midpoint grid of [0, k_max]: equispaced, never duplicating endpoints.
+    samples and the window are checked when called, before any U(k)."""
+    if samples < 1:
+        raise ParameterError("samples must be >= 1")
     if not (math.isfinite(k_max) and k_max > 0):
         raise ParameterError(f"k window {k_max} must be finite and positive")
+    lengths = mg.directed_lengths
+    ks = (np.arange(samples) + 0.5) * (k_max / samples)
+    return (s.with_phases(np.exp(1j * k * lengths)) for k in ks)
 
 
-def _sample_grid(k_max: float, samples: int) -> np.ndarray:
-    """Midpoint grid on [0, k_max]: equispaced, never duplicating endpoints."""
-    h = k_max / samples
-    return (np.arange(samples) + 0.5) * h
+def _check_dim(s: BondOperator, f: Observable) -> None:
+    two_b = s.bond_index.num_directed
+    if f.dim != two_b:
+        raise ValidationError(f"observable has dim {f.dim}, expected {two_b}")
 
 
 @dataclass(frozen=True)
@@ -421,23 +429,17 @@ def variance_estimate(
     the eigenvectors, and so the estimate, then differ from the complex
     route's in the last digits.
     """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    _check_window(k_max)
+    us = _k_grid(s, mg, k_max, samples)
+    _check_dim(s, f)
     two_b = s.bond_index.num_directed
-    if f.dim != two_b:
-        raise ValidationError(f"observable has dim {f.dim}, expected {two_b}")
-    ks = _sample_grid(k_max, samples)
-
     mean_element = f.trace() / two_b
-    lengths = mg.directed_lengths
 
-    def per_k(k: float) -> float:
-        _, q = eigenbasis(s.with_phases(np.exp(1j * k * lengths)))
+    def per_k(u: BondOperator) -> float:
+        _, q = eigenbasis(u)
         elements = np.einsum("bj,b->j", np.abs(q) ** 2, f.f)
         return float(np.sum(np.abs(elements - mean_element) ** 2)) / two_b
 
-    values = np.array([per_k(k) for k in ks])
+    values = np.array([per_k(u) for u in us])
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else math.nan
     return VarianceEstimate(
@@ -452,6 +454,7 @@ def trace_correlator(s: BondOperator, mg: MetricGraph, f: Observable, t: int, k:
     """
     if t < 0:
         raise ParameterError("t must be >= 0")
+    _check_dim(s, f)
     u = evolution(s, mg, k)
     ut = np.linalg.matrix_power(u, t)
     w = np.abs(ut) ** 2
@@ -469,15 +472,11 @@ def m_tilde(
     """
     if t < 0:
         raise ParameterError("t must be >= 0")
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    _check_window(k_max)
+    us = _k_grid(s, mg, k_max, samples)
     two_b = s.bond_index.num_directed
-    ks = _sample_grid(k_max, samples)
-
     acc = np.zeros((two_b, two_b))
-    for k in ks:
-        acc += np.abs(np.linalg.matrix_power(evolution(s, mg, k), t)) ** 2
+    for u in us:
+        acc += np.abs(np.linalg.matrix_power(u.dense(), t)) ** 2
     acc /= samples
     check(stochasticity_deviation(acc), M_TILDE_TOL, NumericalError, "k-averaged |U^t|^2 sums")
     return acc

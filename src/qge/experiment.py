@@ -192,10 +192,11 @@ def _one_row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
 
 
 def _row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
-    """_one_row, or the error row of a row that raises QgeError or LinAlgError."""
+    """_one_row, or the error row of a row that raises QgeError, LinAlgError
+    or MemoryError."""
     try:
         return _one_row(cfg, n, seed)
-    except (QgeError, np.linalg.LinAlgError) as exc:
+    except (QgeError, np.linalg.LinAlgError, MemoryError) as exc:
         return ExperimentRow(n=n, seed=seed, status=f"error: {exc}")
 
 
@@ -207,9 +208,9 @@ def family_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     held to one thread, which each row's small LAPACK calls cannot use more
     of; so the rows depend neither on the worker count nor on
     OPENBLAS_NUM_THREADS.  The old thread count is restored on return and
-    on raise.  The first exception other than QgeError and LinAlgError
-    cancels the rows not yet started and is raised once the running rows
-    have finished.
+    on raise.  The first exception other than QgeError, LinAlgError and
+    MemoryError cancels the rows not yet started and is raised once the
+    running rows have finished.
     """
     # imported here: concurrent.futures loads logging, 0.6 MiB and about
     # 6 ms that no other command needs

@@ -94,7 +94,7 @@ def pair_square_oracle(u) -> np.ndarray:
     its half-blocks summed into the pair basis, in complex arithmetic."""
     succ, coef = u.gather
     n = len(succ)
-    half = np.sqrt(u.phases) if u.phases is not None else np.ones(n)
+    half = np.sqrt(u.phases)
     w = half[:, None] * coef * half[succ]
     w2 = np.zeros((n, n), dtype=np.complex128)
     w2[np.arange(n)[:, None, None], succ[succ]] = 0.5 * w[:, :, None] * w[succ]  # W^2 / 2

@@ -238,6 +238,19 @@ class TestExperimentCommand:
         assert Path(str(out) + ".constants.json").exists()
         ET.fromstring(svg.read_text())
 
+    def test_walk_unavailable_row(self, tmp_path):
+        # n = 5 at d = 4 draws K5, whose beta = 3 >= d - 2 leaves no walk bound
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "k5.csv"
+        cfg.write_text("d=4\nn_list=5\nseeds=1\nK=10\nsamples=3\n")
+        assert run("experiment", "--config", str(cfg), "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert float(row["beta"]) == pytest.approx(3.0, abs=1e-9)
+        assert (row["bound"], row["bound_kind"], row["status"]) == ("nan", "walk-unavailable", "ok")
+        sidecar = json.loads(Path(str(out) + ".constants.json").read_text())
+        assert sidecar["rows"] == [{"n": 5, "seed": 1, "terms": {}, "status": "ok"}]
+
     def test_manifest_reproducibility(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         out1 = tmp_path / "a.csv"
@@ -638,6 +651,18 @@ class TestExitCodes:
             "error": "LinAlgError",
             "message": "Eigenvalues did not converge",
         }
+
+    def test_memory_error_is_4(self, k5_file, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise MemoryError("Unable to allocate 47.7 GiB")
+
+        monkeypatch.setattr(qge.cli, "variance_estimate", fail)
+        out = tmp_path / "var.json"
+        assert run("variance", "--graph", str(k5_file), "--samples", "5", "--out", str(out)) == 4
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "MemoryError", "message": "Unable to allocate 47.7 GiB"}
 
     def test_error_json_on_stderr(self, tmp_path, capsys):
         assert run("graph", "info", str(tmp_path / "nope.txt")) == 2

@@ -225,7 +225,6 @@ class TestAssemblyWiring:
 
     def test_non_unitary_sigma_raises(self):
         bad = object.__new__(VertexScattering)  # bypasses the vertex-level check
-        object.__setattr__(bad, "kind", "bad")
         object.__setattr__(bad, "entries", 1.001 * equi_transmitting_sigma(4).entries)
         rule = [equi_transmitting_sigma(4)] * 4 + [bad]
         with pytest.raises(NumericalError):
@@ -755,8 +754,34 @@ class TestVarianceEstimate:
         with pytest.raises(ParameterError):
             m_tilde(a, mg, 2, k_max, 5)
 
+    def test_checks_run_in_order_before_any_evolution(self, k5_metric, monkeypatch):
+        # samples, then the window, then the observable's length; no U(k) is formed
+        g, mg, a = k5_metric
+
+        def formed(self, phases):
+            raise AssertionError("U(k) formed before the argument checks")
+
+        monkeypatch.setattr(BondOperator, "with_phases", formed)
+        short = Observable.from_vector(np.ones(3))
+        with pytest.raises(ParameterError, match="samples"):
+            variance_estimate(a, mg, short, np.nan, 0)
+        with pytest.raises(ParameterError, match="k window"):
+            variance_estimate(a, mg, short, np.nan, 5)
+        with pytest.raises(ValidationError, match="observable has dim 3"):
+            variance_estimate(a, mg, short, 10.0, 5)
+        with pytest.raises(ParameterError, match="samples"):
+            m_tilde(a, mg, 2, np.nan, 0)
+        with pytest.raises(ParameterError, match="k window"):
+            m_tilde(a, mg, 2, np.nan, 5)
+
 
 class TestTraceCorrelator:
+    def test_wrong_length_observable_raises(self, k5_metric):
+        _, mg, a = k5_metric
+        f = Observable.from_vector(np.ones(7))
+        with pytest.raises(ValidationError, match="observable has dim 7, expected 20"):
+            trace_correlator(a, mg, f, 2, 1.1)
+
     def test_t0(self, k5_metric):
         g, mg, a = k5_metric
         f = parity_observable(g.bond_index)
@@ -924,3 +949,12 @@ class TestObservable:
             MetricGraph(graph=g, lengths=np.ones(3))
         with pytest.raises(ValidationError):
             MetricGraph(graph=g, lengths=np.zeros(g.B))
+
+    def test_metric_graph_copies_lengths(self):
+        g = k5()
+        lengths = np.full(g.B, 1.5)
+        mg = MetricGraph(graph=g, lengths=lengths)
+        assert lengths.flags.writeable
+        assert not mg.lengths.flags.writeable
+        lengths[0] = 9.0
+        assert np.array_equal(mg.lengths, np.full(g.B, 1.5))

@@ -153,6 +153,17 @@ class TestFamilyExperiment:
         assert math.isnan(rows[1].variance)
 
     @pytest.mark.usefixtures("two_workers")
+    def test_memory_error_marks_only_its_row(self, monkeypatch):
+        def fail_at_16(n):
+            return MemoryError("Unable to allocate 47.7 GiB") if n == 16 else None
+
+        spy_rows(monkeypatch, fail_at_16)
+        cfg = ExperimentConfig(d=4, n_list=(10, 16, 20), seeds=(1,), K=10.0, samples=5)
+        rows = family_experiment(cfg)
+        assert [r.status for r in rows] == ["ok", "error: Unable to allocate 47.7 GiB", "ok"]
+        assert math.isnan(rows[1].variance)
+
+    @pytest.mark.usefixtures("two_workers")
     def test_rows_in_config_order(self):
         cfg = ExperimentConfig(d=4, n_list=(10, 24, 12), seeds=(3, 1), K=10.0, samples=4)
         rows = family_experiment(cfg)

@@ -13,6 +13,7 @@ from qge.fileio import (
     save_lengths,
     save_observable,
     write_csv_atomic,
+    write_text_atomic,
 )
 
 from conftest import cage46, k5, petersen
@@ -170,3 +171,21 @@ class TestCsvWriter:
         path = tmp_path / "out.csv"
         write_csv_atomic(path, ["x"], [[np.float64(0.25)], [np.int64(7)]], "abc123")
         assert path.read_text().splitlines()[2:] == ["0.25", "7"]
+
+
+@pytest.mark.parametrize("fail", ["encode", "rename"])
+def test_failed_atomic_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch, fail):
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+    text = "new\n"
+    if fail == "encode":
+        text = "\ud800"  # a lone surrogate, which no codec writes
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(qge.fileio.os, "replace", refuse)
+    with pytest.raises((UnicodeEncodeError, OSError)):
+        write_text_atomic(target, text)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert target.read_text() == "old\n"
