@@ -1,5 +1,6 @@
-"""Process settings: the allocator thresholds, numpy's OpenBLAS thread
-count, and the manifest's record of both.
+"""Process settings and the worker pool: the allocator thresholds, numpy's
+OpenBLAS thread count, the thread map that runs sweep rows and k-samples,
+and the manifest's record of all three.
 
 Imports nothing from qge, and importing it sets nothing: cli.main applies
 the allocator thresholds, and the OpenBLAS calls are looked up on first
@@ -10,8 +11,10 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from contextlib import contextmanager
 from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -72,11 +75,11 @@ def openblas_threads():
     return None
 
 
-def pool_workers(rows: int) -> int:
-    """The workers of a sweep of `rows` rows: one per usable core, at most
-    one per row; one, the serial loop at the library's own thread count,
+def pool_workers(items: int) -> int:
+    """The workers of a pool of `items` items: one per usable core, at most
+    one per item; one, the serial loop at the library's own thread count,
     where no OpenBLAS setter is found."""
-    return 1 if openblas_threads() is None else min(len(os.sched_getaffinity(0)), rows)
+    return 1 if openblas_threads() is None else min(len(os.sched_getaffinity(0)), items)
 
 
 @contextmanager
@@ -96,12 +99,64 @@ def one_blas_thread():
         set_threads(old)
 
 
-def run_block(rows: int | None = None) -> dict:
+class _Worker(threading.Thread):
+    """A thread of thread_map, on which a thread_map call runs serially."""
+
+
+def thread_map(fn, items) -> list:
+    """[fn(x) for x in items], on pool_workers(len(items)) threads while
+    numpy's OpenBLAS is held to one thread, so that no result depends on
+    the worker count or on OPENBLAS_NUM_THREADS.  The calling thread only
+    waits; a call from one of these threads runs serially on it, so pools
+    never nest.
+
+    Items are handed out in index order and the results come back in
+    item order.  After the first exception no item is handed out; those
+    taken run to completion, and the exception of the lowest failing
+    index, the one the serial loop would raise, is raised.  Every thread
+    is joined and the old BLAS count restored, on return and on raise.
+    """
+    if isinstance(threading.current_thread(), _Worker):
+        return [fn(x) for x in items]
+    results: list = [None] * len(items)
+    failures: dict = {}
+    lock, taken = threading.Lock(), iter(range(len(items)))
+
+    def work(i):
+        while i is not None:
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+            with lock:
+                i = None if failures else next(taken, None)
+
+    # each thread is handed its first item before any starts
+    threads = [_Worker(target=work, args=(i,)) for i in islice(taken, pool_workers(len(items)))]
+    with one_blas_thread():
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        except BaseException as exc:  # a thread that would not start, or an interrupt
+            with lock:
+                failures[-1] = exc  # before every item: hand out no more
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def run_block(items: int | None = None) -> dict:
     """The manifest's record of this process, which the BLAS thread count
     can change the last digits of: numpy's version, its BLAS, the thread
-    variables and the allocator thresholds applied; for a sweep of `rows`
-    rows also its pool's workers and the BLAS threads of each row (None:
-    the library's own count)."""
+    variables and the allocator thresholds applied; for a pool of `items`
+    items (sweep rows or k-samples) also its workers and the BLAS threads
+    of each item (None: the library's own count)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     run = {
         "numpy": np.__version__,
@@ -110,7 +165,7 @@ def run_block(rows: int | None = None) -> dict:
         **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         "malloc": _malloc,
     }
-    if rows is not None:
+    if items is not None:
         pinned = openblas_threads() is not None
-        run.update(workers=pool_workers(rows), blas_threads=1 if pinned else None)
+        run.update(workers=pool_workers(items), blas_threads=1 if pinned else None)
     return run

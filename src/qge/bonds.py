@@ -33,6 +33,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(a: np.ndarray) -> np.ndarray:
+    """a when it is read-only, else a read-only copy: the caller's array
+    stays writeable, and a later write to it never reaches the owner."""
+    return _frozen(a.copy()) if a.flags.writeable else a
+
+
 @dataclass(frozen=True)
 class BondIndex:
     """Index of the 2B directed bonds of a validated d-regular graph.
@@ -139,9 +145,9 @@ class BondOperator:
     phases: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.blocks.setflags(write=False)
-        if self.phases is None:
-            object.__setattr__(self, "phases", _frozen(np.ones(self.bond_index.num_directed)))
+        phases = _frozen(np.ones(self.bond_index.num_directed)) if self.phases is None else self.phases
+        object.__setattr__(self, "blocks", _owned(self.blocks))
+        object.__setattr__(self, "phases", _owned(phases))
 
     def with_phases(self, phases: np.ndarray) -> BondOperator:
         """diag(phases) X, sharing the block facts computed once for X."""
@@ -181,6 +187,12 @@ class BondOperator:
         return bi.successors, _frozen(rows[keep].reshape(bi.num_directed, d - 1))
 
     @cached_property
+    def _weights(self) -> np.ndarray:
+        """phases[:, None] * w of gather: the weights of `self @ x`, formed
+        once per operator (with_phases cannot share them)."""
+        return _frozen(self.phases[:, None] * self.gather[1])
+
+    @cached_property
     def _gram(self) -> np.ndarray | None:
         """blocks[v]^T conj(blocks[v]), the blocks of X X^H when out_bonds and
         in_bonds each list every bond once (X is then block diagonal up to
@@ -208,8 +220,7 @@ class BondOperator:
         two_b = self.bond_index.num_directed
         if x.ndim not in (1, 2) or x.shape[0] != two_b:
             raise ValidationError(f"operator acts on {two_b} bonds, got shape {x.shape}")
-        index, coef = self.gather
-        coef = self.phases[:, None] * coef
+        index, coef = self.gather[0], self._weights
         x = x.astype(np.result_type(x, coef), copy=False)
         coef = coef.reshape(coef.shape + (1,) * (x.ndim - 1))
         y = x[index[:, 0]]

@@ -63,7 +63,7 @@ def _observable_for(name: str, g: Graph, kappa: float):
     return load_observable(name, 2 * g.B)
 
 
-def _manifest(args, seeds=(), params: dict | None = None, rows: int | None = None) -> RunManifest:
+def _manifest(args, seeds=(), params: dict | None = None, items: int | None = None) -> RunManifest:
     """The run manifest of a parsed command line.
 
     The command name joins the `command` and `*_command` destinations.  The
@@ -71,7 +71,8 @@ def _manifest(args, seeds=(), params: dict | None = None, rows: int | None = Non
     `params` replaces them (`experiment` reads its parameters from a file).
     Every file the command reads is digested: the graph, config and lengths
     files, and an `--obs` that names no built-in observable.  The run block
-    is qge._runtime.run_block's, with the pool of a sweep of `rows` rows.
+    is qge._runtime.run_block's, with the pool of `items` sweep rows or
+    k-samples.
     """
     opts = vars(args)
     command = " ".join([opts["command"]] + [v for k, v in opts.items() if k.endswith("_command")])
@@ -84,7 +85,7 @@ def _manifest(args, seeds=(), params: dict | None = None, rows: int | None = Non
         for k in _INPUT_FILES
         if opts.get(k) and not (k == "obs" and opts[k] in _OBSERVABLES)
     }
-    run = _runtime.run_block(rows)
+    run = _runtime.run_block(items)
     return RunManifest.build(command, params, seeds=seeds, inputs=inputs, run=run)
 
 
@@ -157,7 +158,7 @@ def _cmd_variance(args) -> int:
     f = _observable_for(args.obs, g, args.kappa)
     est = variance_estimate(assembly, mg, f, args.K, args.samples)
     seeds = [] if args.lengths else [args.length_seed]
-    _emit_json(args.out, est.to_json_dict(), _manifest(args, seeds=seeds))
+    _emit_json(args.out, est.to_json_dict(), _manifest(args, seeds=seeds, items=args.samples))
     return 0
 
 
@@ -211,7 +212,7 @@ def _cmd_experiment(args) -> int:
     rows = family_experiment(cfg)
     params = asdict(cfg)
     del params["output"]  # places the output, like --out
-    manifest = _manifest(args, seeds=cfg.seeds, params=params, rows=len(rows))
+    manifest = _manifest(args, seeds=cfg.seeds, params=params, items=len(rows))
     out = Path(args.out or cfg.output)
     _emit_csv(out, EXPERIMENT_COLUMNS, [r.csv_values() for r in rows], manifest)
     sidecar = {

@@ -20,8 +20,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _runtime
 from ._checks import check, imag_residue, stochasticity_deviation, unitarity_deviation
-from .bonds import BondIndex, BondOperator
+from .bonds import BondIndex, BondOperator, _frozen, _owned
 from .errors import (
     AssemblyError,
     NumericalError,
@@ -67,6 +68,10 @@ _CAYLEY_SHIFTS = (0.7, 2.3)
 # pole, so no cluster wraps round it while _PAIR_GAP < 4 / _POLE_BOUND.
 _PAIR_GAP = 1e-3
 _POLE_BOUND = 2e3
+# eigenbasis's residual and variance_estimate's statistic run over column
+# blocks of at most this many bytes of complex128 (one block at 2B <= 160),
+# so that a k-sample's scratch stays small while several run at once
+_BLOCK_BYTES = 1 << 19
 LENGTH_RANGE = (1.0, 2.0)  # bounds of the uniform draw_lengths
 
 
@@ -271,6 +276,14 @@ def _reversal_attempt(u: BondOperator, alpha: float) -> np.ndarray:
     return q
 
 
+def _column_blocks(n: int) -> list[slice]:
+    """Equal slices, each within _BLOCK_BYTES, of the n columns of an
+    (n, n) complex128 array."""
+    most = max(1, _BLOCK_BYTES // (16 * n))
+    width = math.ceil(n / math.ceil(n / most))  # equal widths, none above most
+    return [slice(j, j + width) for j in range(0, n, width)]
+
+
 def eigenbasis(u: np.ndarray | BondOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases theta_j in [0, 1) and an orthonormal eigenvector basis.
 
@@ -279,7 +292,8 @@ def eigenbasis(u: np.ndarray | BondOperator) -> tuple[np.ndarray, np.ndarray]:
     H = i (I - V)(I + V)^{-1} of V = e^{i alpha} U, and each eigenphase is
     the angle of phi_j^H U phi_j, which stays accurate when an eigenvalue
     of U lies near the pole -e^{-i alpha}.  Every eigenpair must meet the
-    column residual |U phi_j - e^{2 pi i theta_j} phi_j| < EIGENBASIS_TOL.
+    column residual |U phi_j - e^{2 pi i theta_j} phi_j| < EIGENBASIS_TOL,
+    formed in column blocks (_column_blocks).
     Degenerate eigenphases get an arbitrary orthonormal basis of their
     eigenspace.  The eigenphases are not sorted.
 
@@ -312,11 +326,16 @@ def eigenbasis(u: np.ndarray | BondOperator) -> tuple[np.ndarray, np.ndarray]:
         except np.linalg.LinAlgError as exc:
             failures.append(f"{name} at alpha={alpha}: {exc}")
             continue
-        y = u @ q
-        theta = (np.angle(np.vecdot(q, y, axis=0)) / (2.0 * np.pi)) % 1.0
-        theta[theta == 1.0] = 0.0  # (-tiny) % 1.0 rounds up to 1.0
-        y -= q * np.exp(2j * np.pi * theta)
-        worst = float(np.sqrt(np.max(np.vecdot(y, y, axis=0).real)))
+        theta = np.empty(len(q))
+        worst = 0.0
+        for cols in _column_blocks(len(q)):
+            y = u @ q[:, cols]
+            t = (np.angle(np.vecdot(q[:, cols], y, axis=0)) / (2.0 * np.pi)) % 1.0
+            t[t == 1.0] = 0.0  # (-tiny) % 1.0 rounds up to 1.0
+            theta[cols] = t
+            y -= q[:, cols] * np.exp(2j * np.pi * t)
+            worst = max(worst, float(np.max(np.vecdot(y, y, axis=0).real)))
+        worst = math.sqrt(worst)
         if worst < EIGENBASIS_TOL:
             return theta, q
         failures.append(f"{name} at alpha={alpha}: residual {worst:.3e}")
@@ -334,11 +353,11 @@ class Observable:
     traceless: bool
 
     def __post_init__(self):
-        self.f.setflags(write=False)
+        object.__setattr__(self, "f", _owned(self.f))
 
     @classmethod
     def from_vector(cls, values) -> "Observable":
-        f = np.asarray(values, dtype=np.complex128).copy()
+        f = _frozen(np.array(values, dtype=np.complex128))  # a private copy
         if f.ndim != 1:
             raise ValidationError("observable must be a vector")
         if not np.all(np.isfinite(f)):
@@ -378,16 +397,17 @@ def constant_observable(bi: BondIndex, value: complex = 1.0) -> Observable:
 
 
 def _k_grid(s: BondOperator, mg: MetricGraph, k_max: float, samples: int):
-    """U(k) = S.with_phases(e^{i k L}), one operator at a time, for k on the
-    midpoint grid of [0, k_max]: equispaced, never duplicating endpoints.
-    samples and the window are checked when called, before any U(k)."""
+    """The midpoint grid of [0, k_max] (equispaced, never duplicating
+    endpoints) and the map k -> U(k) = S.with_phases(e^{i k L}), which
+    forms one operator per call.  samples and the window are checked when
+    called, before any U(k)."""
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if not (math.isfinite(k_max) and k_max > 0):
         raise ParameterError(f"k window {k_max} must be finite and positive")
     lengths = mg.directed_lengths
     ks = (np.arange(samples) + 0.5) * (k_max / samples)
-    return (s.with_phases(np.exp(1j * k * lengths)) for k in ks)
+    return ks, lambda k: s.with_phases(np.exp(1j * k * lengths))
 
 
 def _check_dim(s: BondOperator, f: Observable) -> None:
@@ -428,18 +448,24 @@ def variance_estimate(
     so the real bond-reversal route serves antisymmetric vertex matrices;
     the eigenvectors, and so the estimate, then differ from the complex
     route's in the last digits.
+
+    The k-samples run through _runtime.thread_map, each at one BLAS
+    thread, so the estimate depends neither on the worker count nor on
+    OPENBLAS_NUM_THREADS; each worker holds one k-sample's eigenbasis and
+    scratch, and the statistic is formed in column blocks.
     """
-    us = _k_grid(s, mg, k_max, samples)
+    ks, u_at = _k_grid(s, mg, k_max, samples)
     _check_dim(s, f)
     two_b = s.bond_index.num_directed
     mean_element = f.trace() / two_b
+    blocks = _column_blocks(two_b)
 
-    def per_k(u: BondOperator) -> float:
-        _, q = eigenbasis(u)
-        elements = np.einsum("bj,b->j", np.abs(q) ** 2, f.f)
+    def per_k(k: float) -> float:
+        _, q = eigenbasis(u_at(k))
+        elements = np.concatenate([np.einsum("bj,b->j", np.abs(q[:, c]) ** 2, f.f) for c in blocks])
         return float(np.sum(np.abs(elements - mean_element) ** 2)) / two_b
 
-    values = np.array([per_k(u) for u in us])
+    values = np.array(_runtime.thread_map(per_k, ks))
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(samples)) if samples > 1 else math.nan
     return VarianceEstimate(
@@ -472,11 +498,11 @@ def m_tilde(
     """
     if t < 0:
         raise ParameterError("t must be >= 0")
-    us = _k_grid(s, mg, k_max, samples)
+    ks, u_at = _k_grid(s, mg, k_max, samples)
     two_b = s.bond_index.num_directed
     acc = np.zeros((two_b, two_b))
-    for u in us:
-        acc += np.abs(np.linalg.matrix_power(u.dense(), t)) ** 2
+    for k in ks:
+        acc += np.abs(np.linalg.matrix_power(u_at(k).dense(), t)) ** 2
     acc /= samples
     check(stochasticity_deviation(acc), M_TILDE_TOL, NumericalError, "k-averaged |U^t|^2 sums")
     return acc

@@ -6,7 +6,7 @@ seeded bond lengths, the equi-transmitting assembly, the deterministic
 vertex-parity observable, then estimate the quantum variance and assemble
 the explicit bound at horizon T(n).  Failed rows are marked, never dropped.
 The rows run on a pool of threads while numpy's OpenBLAS is held to one
-thread (see family_experiment and qge._runtime).
+thread (see family_experiment and qge._runtime.thread_map).
 """
 
 from __future__ import annotations
@@ -203,30 +203,17 @@ def _row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
 def family_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """One row per (n, seed), in config order: n_list outer, seeds inner.
 
-    The rows run on _runtime.pool_workers executor threads, largest n
-    first, while the calling thread waits.  Meanwhile numpy's OpenBLAS is
-    held to one thread, which each row's small LAPACK calls cannot use more
-    of; so the rows depend neither on the worker count nor on
-    OPENBLAS_NUM_THREADS.  The old thread count is restored on return and
-    on raise.  The first exception other than QgeError, LinAlgError and
-    MemoryError cancels the rows not yet started and is raised once the
-    running rows have finished.
+    The rows run through _runtime.thread_map, largest n first, so each row
+    and its k-samples run on one worker thread held to one BLAS thread;
+    the rows then depend neither on the worker count nor on
+    OPENBLAS_NUM_THREADS.  The first exception other than QgeError,
+    LinAlgError and MemoryError stops the rows not yet started and is
+    raised once the running rows have finished.
     """
-    # imported here: concurrent.futures loads logging, 0.6 MiB and about
-    # 6 ms that no other command needs
-    from concurrent.futures import ThreadPoolExecutor, as_completed
-
     tasks = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
+    # the longest rows first, so that none of them starts last
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
     rows: list = [None] * len(tasks)
-    workers = _runtime.pool_workers(len(tasks))
-    with _runtime.one_blas_thread(), ThreadPoolExecutor(workers) as pool:
-        # the longest rows first, so that none of them starts last
-        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
-        index = {pool.submit(_row, cfg, *tasks[i]): i for i in order}
-        try:
-            for future in as_completed(index):
-                rows[index[future]] = future.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    for i, row in zip(order, _runtime.thread_map(lambda i: _row(cfg, *tasks[i]), order)):
+        rows[i] = row
     return rows

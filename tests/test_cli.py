@@ -1,10 +1,12 @@
 import ctypes
 import hashlib
+import itertools
 import json
 import os
 import platform
 import subprocess
 import sys
+import threading
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -394,10 +396,20 @@ class TestManifest:
             runs.append((manifest["digest"], out.read_bytes(), constants))
         assert runs[0] == runs[1]
 
-    def test_no_pool_outside_experiment(self, paths):
-        assert run(*MANIFEST_CASES["variance"][0].format(**paths).split()) == 0
-        manifest = json.loads(Path(paths["out"] + ".manifest.json").read_text())
-        assert "workers" not in manifest["run"] and "blas_threads" not in manifest["run"]
+    @pytest.mark.parametrize("command", list(MANIFEST_CASES))
+    def test_no_pool_outside_experiment_and_variance(self, paths, command, monkeypatch):
+        # the sweep's rows and the variance's k-samples run on the pool;
+        # no other command has one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert run(*MANIFEST_CASES[command][0].format(**paths).split()) == 0
+        record = json.loads(Path(paths["out"] + ".manifest.json").read_text())["run"]
+        if command not in ("experiment", "variance"):
+            assert "workers" not in record and "blas_threads" not in record
+        elif qge._runtime.openblas_threads() is None:
+            assert (record["workers"], record["blas_threads"]) == (1, None)
+        else:
+            # two rows, three k-samples
+            assert (record["workers"], record["blas_threads"]) == (2 if command == "experiment" else 3, 1)
 
 
 class TestAllocator:
@@ -660,6 +672,28 @@ class TestExitCodes:
         out = tmp_path / "var.json"
         assert run("variance", "--graph", str(k5_file), "--samples", "5", "--out", str(out)) == 4
         assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "MemoryError", "message": "Unable to allocate 47.7 GiB"}
+
+    def test_memory_error_in_a_pooled_sample_is_4(self, k5_file, tmp_path, monkeypatch, capsys):
+        # raised on a worker thread of the k-sample pool, it still reaches
+        # main, and every worker is joined first
+        monkeypatch.setattr(qge._runtime, "pool_workers", lambda items: 2)
+        eigenbasis, calls = qge.evolution.eigenbasis, itertools.count()
+
+        def fail(u):
+            if next(calls) == 2:
+                raise MemoryError("Unable to allocate 47.7 GiB")
+            return eigenbasis(u)
+
+        monkeypatch.setattr(qge.evolution, "eigenbasis", fail)
+        blas = qge._runtime.openblas_threads()
+        threads, count = threading.active_count(), blas[1]() if blas else None
+        out = tmp_path / "var.json"
+        assert run("variance", "--graph", str(k5_file), "--samples", "6", "--out", str(out)) == 4
+        assert not out.exists()
+        assert (threading.active_count(), blas[1]() if blas else None) == (threads, count)
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0]) == {"error": "MemoryError", "message": "Unable to allocate 47.7 GiB"}

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from qge import (
 )
 
 import qge.evolution as evolution_module
+from qge import _runtime
 from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, evolution
 from qge.experiment import LENGTH_SEED_OFFSET
 
@@ -114,6 +117,28 @@ class TestAssembly:
         assert made == []
         variance_estimate(build_assembly(mg, equi_transmitting_sigma(4)), mg, f, 40.0, 5)
         assert len(made) == 1 and made[0] is g.bond_index
+
+    def test_keeps_copies_of_writeable_arrays(self, k5_metric):
+        # the caller's blocks and phases stay writeable, and a later write
+        # to them reaches neither the operator nor its cached weights
+        g, mg, a = k5_metric
+        blocks, phases = np.array(a.blocks), np.exp(1j * mg.directed_lengths)
+        u = BondOperator(g.bond_index, blocks, phases)
+        x = np.arange(2 * g.B, dtype=np.complex128)
+        before = u @ x
+        assert blocks.flags.writeable and phases.flags.writeable
+        assert not (u.blocks.flags.writeable or u.phases.flags.writeable)
+        blocks[:] = 0.0
+        phases[:] = 0.0
+        assert np.array_equal(u @ x, before) and np.array_equal(u.blocks, a.blocks)
+        assert BondOperator(g.bond_index, a.blocks).blocks is a.blocks
+
+    def test_weights_formed_once_per_operator(self, k5_metric):
+        _, mg, a = k5_metric
+        u = _u(a, mg, 2.2)
+        assert u._weights is u._weights and u._weights is not a._weights
+        assert np.array_equal(u._weights, u.phases[:, None] * a.gather[1])
+        assert np.array_equal(a._weights, a.gather[1])
 
     def test_with_phases_rejects_wrong_shape(self, k5_metric):
         _, mg, a = k5_metric
@@ -775,6 +800,167 @@ class TestVarianceEstimate:
             m_tilde(a, mg, 2, np.nan, 5)
 
 
+def _row_inputs(n=20, seed=3):
+    g = generate_random_regular(n, 4, seed=seed)
+    mg = MetricGraph(graph=g, lengths=draw_lengths(g.B, seed=seed + LENGTH_SEED_OFFSET))
+    return mg, build_assembly(mg, equi_transmitting_sigma(4)), parity_observable(g.bond_index)
+
+
+def _blas_threads():
+    blas = _runtime.openblas_threads()
+    return blas[1]() if blas else None
+
+
+class TestKSamplePool:
+    """variance_estimate runs its k-samples through _runtime.thread_map."""
+
+    K, SAMPLES = 60.0, 12
+
+    @pytest.fixture()
+    def fast_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    def _spy_samples(self, monkeypatch, mg, fail):
+        """eigenbasis, told the index of its k-sample, raising fail(i) where
+        that is an exception; returns the indices seen and their threads."""
+        ks = (np.arange(self.SAMPLES) + 0.5) * (self.K / self.SAMPLES)
+        phases = [np.exp(1j * k * mg.directed_lengths) for k in ks]
+        real, seen = evolution_module.eigenbasis, []
+
+        def eigenbasis(u):
+            i = next(i for i, p in enumerate(phases) if np.array_equal(u.phases, p))
+            seen.append((i, threading.get_ident()))
+            exc = fail(i)
+            if exc is not None:
+                raise exc
+            return real(u)
+
+        monkeypatch.setattr(evolution_module, "eigenbasis", eigenbasis)
+        return seen
+
+    @pytest.mark.usefixtures("fast_switching")
+    @pytest.mark.parametrize("rule", [equi_transmitting_sigma, kirchhoff_sigma], ids=["et", "kirchhoff"])
+    def test_estimate_bit_identical_at_any_width(self, monkeypatch, rule):
+        mg, _, f = _row_inputs()
+        a = build_assembly(mg, rule(4))
+        runs = []
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(_runtime, "pool_workers", lambda items: workers)
+            est = variance_estimate(a, mg, f, self.K, self.SAMPLES)
+            runs.append((est.estimate, est.stderr))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_column_blocks_change_no_bit(self, monkeypatch):
+        # 2B = 80 is one block by default; blocks of 3 columns split every
+        # residual and statistic into 27
+        mg, a, f = _row_inputs()
+        whole = variance_estimate(a, mg, f, self.K, self.SAMPLES)
+        theta, q = eigenbasis(_u(a, mg, 7.3))
+        monkeypatch.setattr(evolution_module, "_BLOCK_BYTES", 3 * 16 * 80)
+        assert len(evolution_module._column_blocks(80)) == 27
+        assert variance_estimate(a, mg, f, self.K, self.SAMPLES) == whole
+        blocked = eigenbasis(_u(a, mg, 7.3))
+        assert np.array_equal(blocked[0], theta) and np.array_equal(blocked[1], q)
+
+    @pytest.mark.parametrize("n", [1, 2, 80, 161, 320, 1000])
+    def test_column_blocks_cover_each_column_once(self, n):
+        blocks = evolution_module._column_blocks(n)
+        assert np.array_equal(np.concatenate([np.arange(n)[c] for c in blocks]), np.arange(n))
+        assert all(16 * n * len(range(n)[c]) <= evolution_module._BLOCK_BYTES for c in blocks)
+        # as few blocks as fit
+        assert len(blocks) == (1 if n <= 161 else -(-n // (evolution_module._BLOCK_BYTES // (16 * n))))
+
+    def test_lowest_failing_sample_raises(self, monkeypatch):
+        # sample 5 fails at once while sample 3, taken earlier, is still
+        # running; sample 3's error is raised, as in the serial loop, and
+        # no sample after 5 is handed out
+        monkeypatch.setattr(_runtime, "pool_workers", lambda items: 2)
+        mg, a, f = _row_inputs()
+        five_failed = threading.Event()
+
+        def fail(i):
+            if i == 3:
+                assert five_failed.wait(timeout=10)
+                return RuntimeError("sample 3 broke")
+            if i == 5:
+                five_failed.set()
+                return RuntimeError("sample 5 broke")
+            return None
+
+        seen = self._spy_samples(monkeypatch, mg, fail)
+        threads, blas = threading.active_count(), _blas_threads()
+        with pytest.raises(RuntimeError, match="sample 3 broke"):
+            variance_estimate(a, mg, f, self.K, self.SAMPLES)
+        assert sorted(i for i, _ in seen) == list(range(6))
+        assert threading.active_count() == threads
+        assert _blas_threads() == blas
+
+    def test_calling_thread_only_waits(self, monkeypatch):
+        monkeypatch.setattr(_runtime, "pool_workers", lambda items: 2)
+        mg, a, f = _row_inputs()
+        seen = self._spy_samples(monkeypatch, mg, lambda i: None)
+        variance_estimate(a, mg, f, self.K, self.SAMPLES)
+        assert sorted(i for i, _ in seen) == list(range(self.SAMPLES))
+        assert threading.get_ident() not in {t for _, t in seen}
+
+    @pytest.mark.skipif(_runtime.openblas_threads() is None, reason="no OpenBLAS thread setter found")
+    def test_samples_run_at_one_blas_thread(self, monkeypatch):
+        set_threads, get_threads = _runtime.openblas_threads()
+        mg, a, f = _row_inputs()
+        counts = []
+        self._spy_samples(monkeypatch, mg, lambda i: counts.append(get_threads()))
+        old = get_threads()
+        set_threads(3)
+        try:
+            variance_estimate(a, mg, f, self.K, self.SAMPLES)
+            assert get_threads() == 3
+        finally:
+            set_threads(old)
+        assert counts == [1] * self.SAMPLES
+
+
+class TestThreadMap:
+    def test_results_in_item_order(self, monkeypatch):
+        monkeypatch.setattr(_runtime, "pool_workers", lambda items: 3)
+        assert _runtime.thread_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
+        assert _runtime.thread_map(lambda x: x, []) == []
+
+    def test_nested_call_runs_on_its_worker(self, monkeypatch):
+        monkeypatch.setattr(_runtime, "pool_workers", lambda items: 2)
+        outer = threading.get_ident()
+
+        def row(i):
+            me = threading.get_ident()
+            assert me != outer
+            return _runtime.thread_map(lambda j: threading.get_ident() == me, range(4))
+
+        assert _runtime.thread_map(row, range(4)) == [[True] * 4] * 4
+
+    def test_interrupt_while_waiting_joins_every_thread(self, monkeypatch):
+        # an exception in the calling thread (a KeyboardInterrupt, or a
+        # thread that would not start) hands out nothing more, joins the
+        # threads already started and is raised
+        monkeypatch.setattr(_runtime, "pool_workers", lambda items: 2)
+        started, done = threading.Event(), []
+        start = threading.Thread.start
+
+        def start_once(thread):
+            if started.is_set():
+                raise RuntimeError("can't start new thread")
+            started.set()
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            _runtime.thread_map(lambda i: done.append(i) or threading.Event().wait(0.002), range(50))
+        assert threading.active_count() == threads
+        assert done == sorted(done) and len(done) < 50
+
+
 class TestTraceCorrelator:
     def test_wrong_length_observable_raises(self, k5_metric):
         _, mg, a = k5_metric
@@ -949,6 +1135,14 @@ class TestObservable:
             MetricGraph(graph=g, lengths=np.ones(3))
         with pytest.raises(ValidationError):
             MetricGraph(graph=g, lengths=np.zeros(g.B))
+
+    def test_keeps_a_copy_of_a_writeable_array(self):
+        f = np.array([1.0, -1.0], dtype=np.complex128)
+        obs = Observable(f=f, kappa=1.0, traceless=True)
+        assert f.flags.writeable and not obs.f.flags.writeable
+        f[0] = 9.0
+        assert np.array_equal(obs.f, [1.0, -1.0])
+        assert Observable(f=obs.f, kappa=1.0, traceless=True).f is obs.f
 
     def test_metric_graph_copies_lengths(self):
         g = k5()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qge.cli
+import qge.evolution
 import qge.experiment
 from qge import _runtime
 from qge import (
@@ -290,6 +291,29 @@ class TestRowPool:
         with pytest.raises(RuntimeError, match="row broke"):
             family_experiment(self.CFG)
         assert (20, 2) in finished and len(finished) <= 2
+
+    @pytest.mark.usefixtures("two_workers")
+    def test_row_k_samples_run_on_the_row_thread(self, monkeypatch):
+        # each row's eigensolves run on the thread of its row: the pool of
+        # k-samples does not nest inside the pool of rows
+        estimate, eigenbasis = qge.experiment.variance_estimate, qge.evolution.eigenbasis
+        rows, solves = {}, []  # by the id of each row's bond index, kept alive
+
+        def spy_row(a, *args, **kwargs):
+            rows[id(a.bond_index)] = (a.bond_index, threading.get_ident())
+            return estimate(a, *args, **kwargs)
+
+        def spy_solve(u):
+            solves.append((id(u.bond_index), threading.get_ident()))
+            return eigenbasis(u)
+
+        monkeypatch.setattr(qge.experiment, "variance_estimate", spy_row)
+        monkeypatch.setattr(qge.evolution, "eigenbasis", spy_solve)
+        family_experiment(self.CFG)
+        assert len(rows) == 6 and len(solves) == 6 * self.CFG.samples
+        assert all(rows[row][1] == thread for row, thread in solves)
+        assert len({thread for _, thread in rows.values()}) == 2
+        assert threading.get_ident() not in {thread for _, thread in rows.values()}
 
     @pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread setter found")
     @pytest.mark.parametrize("fail", [False, True], ids=["return", "raise"])
