@@ -33,9 +33,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _owned(a: np.ndarray) -> np.ndarray:
-    """a when it is read-only, else a read-only copy: the caller's array
-    stays writeable, and a later write to it never reaches the owner."""
+def _owned(a, dtype=None) -> np.ndarray:
+    """a itself when it is a read-only array of dtype, else a read-only copy: the
+    caller's array stays writeable, and a later write to it never reaches the owner."""
+    a = np.asarray(a, dtype=dtype)
     return _frozen(a.copy()) if a.flags.writeable else a
 
 
@@ -145,16 +146,15 @@ class BondOperator:
     phases: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        phases = _frozen(np.ones(self.bond_index.num_directed)) if self.phases is None else self.phases
+        two_b = self.bond_index.num_directed
+        phases = _frozen(np.ones(two_b)) if self.phases is None else _owned(self.phases)
+        if phases.shape != (two_b,):
+            raise ValidationError(f"phases for {two_b} bonds, got shape {phases.shape}")
         object.__setattr__(self, "blocks", _owned(self.blocks))
-        object.__setattr__(self, "phases", _owned(phases))
+        object.__setattr__(self, "phases", phases)
 
     def with_phases(self, phases: np.ndarray) -> BondOperator:
         """diag(phases) X, sharing the block facts computed once for X."""
-        phases = np.asarray(phases)
-        two_b = self.bond_index.num_directed
-        if phases.shape != (two_b,):
-            raise ValidationError(f"phases for {two_b} bonds, got shape {phases.shape}")
         op = BondOperator(self.bond_index, self.blocks, phases)
         shared = ("antisymmetric", "gather", "_gram")
         op.__dict__.update((name, getattr(self, name)) for name in shared)

@@ -158,6 +158,8 @@ class WormaldParams:
     A: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ParameterError(f"Wormald inputs must be finite: {self}")
         if self.k < 3:
             raise ParameterError("k must be >= 3")
         if self.A <= 1:
@@ -175,7 +177,8 @@ def wormald_probability(p: WormaldParams) -> float:
 
     Evaluated in log space; underflows to 0.0 for large arguments.
     """
-    log_value = -5.0 * (p.d - 1) ** p.k + (p.S / (4.0 * p.k)) * (1.0 - math.log(p.A))
-    if log_value < -745.0:
+    try:
+        log_value = -5.0 * math.pow(p.d - 1, p.k) + (p.S / (4.0 * p.k)) * (1.0 - math.log(p.A))
+    except OverflowError:  # (d-1)^k beyond the float range: the bound underflows
         return 0.0
     return math.exp(log_value)

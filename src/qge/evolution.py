@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,7 +87,7 @@ class MetricGraph:
     lengths: np.ndarray
 
     def __post_init__(self):
-        lengths = np.array(self.lengths, dtype=np.float64)
+        lengths = _owned(self.lengths, np.float64)
         if lengths.shape != (self.graph.B,):
             raise ValidationError(
                 f"need {self.graph.B} bond lengths, got shape {lengths.shape}"
@@ -94,7 +95,6 @@ class MetricGraph:
         if not np.all(np.isfinite(lengths) & (lengths > 0)):
             raise ValidationError("all bond lengths must be finite and positive")
         object.__setattr__(self, "lengths", lengths)
-        lengths.setflags(write=False)
 
     @property
     def directed_lengths(self) -> np.ndarray:
@@ -346,25 +346,26 @@ def eigenbasis(u: np.ndarray | BondOperator) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Observable:
-    """A bond observable f in C^(2B); kappa is its sup-norm sup|f|."""
+    """A bond observable f in C^(2B) with sup-norm kappa = sup|f| (0 for an empty f);
+    f is traceless when |Tr f| < OBSERVABLE_TOL * max(1, 2B) * max(1, kappa)."""
 
     f: np.ndarray
-    kappa: float
-    traceless: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _owned(self.f))
-
-    @classmethod
-    def from_vector(cls, values) -> "Observable":
-        f = _frozen(np.array(values, dtype=np.complex128))  # a private copy
+        f = _owned(self.f, np.complex128)
         if f.ndim != 1:
             raise ValidationError("observable must be a vector")
         if not np.all(np.isfinite(f)):
             raise ValidationError("observable entries must be finite")
-        sup = float(np.max(np.abs(f))) if f.size else 0.0
-        traceless = abs(complex(np.sum(f))) < OBSERVABLE_TOL * max(1, len(f)) * max(1.0, sup)
-        return cls(f=f, kappa=sup, traceless=traceless)
+        object.__setattr__(self, "f", f)
+
+    @cached_property
+    def kappa(self) -> float:
+        return float(np.max(np.abs(self.f))) if self.f.size else 0.0
+
+    @cached_property
+    def traceless(self) -> bool:
+        return abs(self.trace()) < OBSERVABLE_TOL * max(1, self.dim) * max(1.0, self.kappa)
 
     @property
     def dim(self) -> int:
@@ -385,15 +386,13 @@ def parity_observable(bi: BondIndex, kappa: float = 1.0) -> Observable:
     The deterministic observable family of the experiment harness.
     """
     _check_finite_bound(kappa)
-    signs = np.where(bi.tails % 2 == 0, 1.0, -1.0)
-    f = kappa * signs
-    f = f - np.mean(f)
-    return Observable.from_vector(f)
+    f = kappa * np.where(bi.tails % 2 == 0, 1.0, -1.0)
+    return Observable(f - np.mean(f))
 
 
 def constant_observable(bi: BondIndex, value: complex = 1.0) -> Observable:
     _check_finite_bound(value)
-    return Observable.from_vector(np.full(bi.num_directed, value, dtype=np.complex128))
+    return Observable(np.full(bi.num_directed, value, dtype=np.complex128))
 
 
 def _k_grid(s: BondOperator, mg: MetricGraph, k_max: float, samples: int):
@@ -510,16 +509,15 @@ def m_tilde(
 
 @dataclass(frozen=True)
 class FejerWeights:
-    """Triangular window weights w_hat(t) = (1 - |t|/T)/T for |t| < T.
-
-    They sum to exactly 1 over t = -T..T.
-    """
+    """Triangular window weights values[t + T] = w_hat(t) = (1 - |t|/T)/T for
+    |t| < T, and 0 at |t| = T; they sum to exactly 1 over t = -T..T."""
 
     T: int
-    values: np.ndarray
 
-    def __post_init__(self):
-        self.values.setflags(write=False)
+    @cached_property
+    def values(self) -> np.ndarray:
+        T, ts = self.T, np.arange(-self.T, self.T + 1)
+        return _frozen(np.where(np.abs(ts) < T, (1.0 - np.abs(ts) / T) / T, 0.0))
 
     def weight(self, t: int) -> float:
         if abs(t) >= self.T:
@@ -530,10 +528,7 @@ class FejerWeights:
 def fejer(T: int) -> FejerWeights:
     if T < 1 or int(T) != T:
         raise ParameterError(f"window T={T} must be a positive integer")
-    T = int(T)
-    ts = np.arange(-T, T + 1)
-    vals = np.where(np.abs(ts) < T, (1.0 - np.abs(ts) / T) / T, 0.0)
-    return FejerWeights(T=T, values=vals)
+    return FejerWeights(int(T))
 
 
 def fejer_kernel(T: int, x: float) -> float:

@@ -151,7 +151,7 @@ def load_observable(path: str | Path, two_b: int) -> Observable:
     table = _read_table(Path(path).read_text(), 2, np.float64, "observable")
     if len(table) != two_b:
         raise ValidationError(f"observable file has {len(table)} entries, expected {two_b}")
-    return Observable.from_vector(table.view(np.complex128)[:, 0])
+    return Observable(table.view(np.complex128)[:, 0])
 
 
 def save_observable(path: str | Path, f: Observable) -> None:

@@ -14,7 +14,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .bonds import BondIndex
+from .bonds import BondIndex, _owned
 from .errors import NumericalError, ParameterError, SamplingError, ValidationError
 
 __all__ = [
@@ -51,8 +51,8 @@ RAMANUJAN_TOL = 1e-9
 class Graph:
     """Simple d-regular graph on n labelled vertices with B = n d / 2 edges.
 
-    edges is a read-only (B, 2) int64 array, one row "u v" per edge; the
-    constructor copies any (B, 2) integer array-like into it.
+    edges is a read-only (B, 2) int64 array, one row "u v" per edge, kept as
+    given or else copied from any (B, 2) integer array-like.
     """
 
     n: int
@@ -66,7 +66,7 @@ class Graph:
         if (n * d) % 2 != 0:
             raise ValidationError(f"n*d = {n * d} is odd; no {d}-regular graph on {n} vertices")
         try:
-            uv = np.array(self.edges)
+            uv = np.asarray(self.edges)
         except ValueError as exc:
             raise ValidationError(f"edges must be a (B, 2) integer array: {exc}") from exc
         if uv.dtype.kind not in "iu" or uv.ndim != 2 or uv.shape[1] != 2:
@@ -80,7 +80,7 @@ class Graph:
         bad = np.flatnonzero(((uv < 0) | (uv >= n)).any(axis=1))
         if len(bad):
             raise ValidationError(f"edge ({uv[bad[0], 0]},{uv[bad[0], 1]}) out of range")
-        uv = uv.astype(np.int64, copy=False)
+        uv = _owned(uv, np.int64)
         loops = np.flatnonzero(uv[:, 0] == uv[:, 1])
         if len(loops):
             raise ValidationError(f"self-loop at vertex {uv[loops[0], 0]}")
@@ -93,7 +93,6 @@ class Graph:
         bad = np.flatnonzero(deg != d)
         if len(bad):
             raise ValidationError(f"vertex {bad[0]} has degree {deg[bad[0]]}, expected {d}")
-        uv.setflags(write=False)
         object.__setattr__(self, "edges", uv)
 
     @property

@@ -2,9 +2,9 @@
 
 The digest covers command, parameters, seeds, tool version and input file
 digests; the timestamp and the run block (qge._runtime.run_block: numpy,
-its BLAS, the thread variables, the allocator thresholds, a sweep's row
-pool) are recorded but excluded from the digest, so identical runs emit
-byte-identical tables.
+its BLAS, the thread variables, the allocator thresholds, the worker pool
+of a sweep's rows or of `qge variance`'s k-samples) are recorded but
+excluded from the digest, so identical runs emit byte-identical tables.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check, unitarity_deviation
+from .bonds import _owned
 from .errors import (
     HadamardOrderError,
     NoEquiTransmittingMatrixError,
@@ -43,11 +44,11 @@ class VertexScattering:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = self.entries
+        m = _owned(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ParameterError("vertex scattering matrix must be square")
         check(unitarity_deviation(m), UNITARITY_TOL, NumericalError, "vertex matrix unitarity")
-        self.entries.setflags(write=False)
+        object.__setattr__(self, "entries", m)
 
     @property
     def d(self) -> int:
@@ -58,20 +59,19 @@ class VertexScattering:
 class SkewHadamard:
     """Integer matrix with entries +-1, H + H^T = 2I and H H^T = mI exactly."""
 
-    m: int
     entries: np.ndarray
 
     def __post_init__(self):
-        h = self.entries
-        if h.dtype.kind != "i":
-            raise ParameterError("skew-Hadamard entries must be integers")
+        h = _owned(self.entries)
+        if h.ndim != 2 or h.shape[0] != h.shape[1] or h.dtype.kind != "i":
+            raise ParameterError("skew-Hadamard entries must form a square integer matrix")
         if not np.all(np.abs(h) == 1):
             raise NumericalError("skew-Hadamard entries must be +-1")
-        if not np.array_equal(h + h.T, 2 * np.eye(self.m, dtype=h.dtype)):
+        if not np.array_equal(h + h.T, 2 * np.eye(len(h), dtype=h.dtype)):
             raise NumericalError("H + H^T = 2I violated")
-        if not np.array_equal(h @ h.T, self.m * np.eye(self.m, dtype=h.dtype)):
+        if not np.array_equal(h @ h.T, len(h) * np.eye(len(h), dtype=h.dtype)):
             raise NumericalError("H H^T = mI violated")
-        self.entries.setflags(write=False)
+        object.__setattr__(self, "entries", h)
 
 
 def _is_prime(q: int) -> bool:
@@ -88,13 +88,13 @@ def skew_hadamard(m: int) -> SkewHadamard:
     matrix of order q+1 for a prime q = 3 mod 4, or the double of one of
     order m/2."""
     if m == 2:
-        return SkewHadamard(m=2, entries=np.array([[1, 1], [-1, 1]], dtype=np.int64))
+        return SkewHadamard(np.array([[1, 1], [-1, 1]], dtype=np.int64))
     if m > 2 and m % 4 == 0 and _is_prime(m - 1):
-        return SkewHadamard(m=m, entries=_paley(m - 1))
+        return SkewHadamard(_paley(m - 1))
     if m > 2 and m % 2 == 0:
         with contextlib.suppress(HadamardOrderError):
             h = skew_hadamard(m // 2).entries
-            return SkewHadamard(m=m, entries=np.block([[h, h], [-h.T, h.T]]))
+            return SkewHadamard(np.block([[h, h], [-h.T, h.T]]))
     raise HadamardOrderError(
         f"no skew-Hadamard construction for order {m}; supported orders are "
         "2, q+1 for primes q = 3 mod 4, and doubles thereof"
@@ -140,8 +140,7 @@ def equi_transmitting_sigma(d: int) -> VertexScattering:
         )
     if d < 2:
         raise ParameterError(f"degree d={d} must be >= 2")
-    h = skew_hadamard(d).entries.astype(np.float64)
-    entries = (h - np.eye(d)) / np.sqrt(d - 1)
+    entries = (skew_hadamard(d).entries - np.eye(d)) / np.sqrt(d - 1)
     return VertexScattering(entries=entries.astype(np.complex128))
 
 

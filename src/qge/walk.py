@@ -103,11 +103,14 @@ class WalkIdentityReport:
 
     max_dev_outgoing: float   # M e_v vs e~_v
     max_dev_incoming: float   # M e~_v vs (sum_{w~v} e~_w - e_v)/(d-1)
-    equi_transmitting: bool
 
     @property
     def max_dev(self) -> float:
         return max(self.max_dev_outgoing, self.max_dev_incoming)
+
+    @property
+    def equi_transmitting(self) -> bool:
+        return self.max_dev < IDENTITY_TOL
 
 
 def walk_action_identities(m: BondOperator) -> WalkIdentityReport:
@@ -130,7 +133,7 @@ def walk_action_identities(m: BondOperator) -> WalkIdentityReport:
     dev_out = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
     expected = (1.0 - np.eye(d)) / (d - 1)
     dev_in = float(np.max(np.abs(w - expected)))
-    return WalkIdentityReport(dev_out, dev_in, max(dev_out, dev_in) < IDENTITY_TOL)
+    return WalkIdentityReport(dev_out, dev_in)
 
 
 def singular_profile(m: BondOperator) -> np.ndarray:

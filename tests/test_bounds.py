@@ -196,8 +196,19 @@ class TestWormald:
         p = WormaldParams(n=10**6, d=4, k=12.0, S=10, A=3.0)
         assert wormald_probability(p) == 0.0
 
+    def test_unrepresentable_power_is_zero(self):
+        # (d-1)^k = 3^1000 lies beyond the float range
+        assert wormald_probability(WormaldParams(n=10, d=4, k=1000.0, S=1, A=2)) == 0.0
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             WormaldParams(n=10, d=4, k=2.0, S=10, A=3.0)
         with pytest.raises(ParameterError):
             WormaldParams(n=10, d=4, k=3.0, S=10, A=1.0)
+
+    @pytest.mark.parametrize("field", ["n", "d", "k", "S", "A"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_validation_non_finite(self, field, bad):
+        valid = {"n": 10, "d": 4, "k": 3.0, "S": 10, "A": 3.0}
+        with pytest.raises(ParameterError, match="must be finite"):
+            WormaldParams(**{**valid, field: bad})

@@ -17,6 +17,7 @@ from qge import (
     AssemblyError,
     BondIndex,
     BondOperator,
+    Graph,
     MetricGraph,
     NumericalError,
     Observable,
@@ -36,6 +37,7 @@ from qge import (
     lemma_a_sides,
     m_tilde,
     parity_observable,
+    skew_hadamard,
     trace_correlator,
     variance_estimate,
 )
@@ -44,6 +46,7 @@ import qge.evolution as evolution_module
 from qge import _runtime
 from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, evolution
 from qge.experiment import LENGTH_SEED_OFFSET
+from qge.scattering import SkewHadamard
 
 from conftest import assert_products_match_dense, cage46, k5, pair_square_oracle, petersen, random_unitary
 
@@ -117,21 +120,6 @@ class TestAssembly:
         assert made == []
         variance_estimate(build_assembly(mg, equi_transmitting_sigma(4)), mg, f, 40.0, 5)
         assert len(made) == 1 and made[0] is g.bond_index
-
-    def test_keeps_copies_of_writeable_arrays(self, k5_metric):
-        # the caller's blocks and phases stay writeable, and a later write
-        # to them reaches neither the operator nor its cached weights
-        g, mg, a = k5_metric
-        blocks, phases = np.array(a.blocks), np.exp(1j * mg.directed_lengths)
-        u = BondOperator(g.bond_index, blocks, phases)
-        x = np.arange(2 * g.B, dtype=np.complex128)
-        before = u @ x
-        assert blocks.flags.writeable and phases.flags.writeable
-        assert not (u.blocks.flags.writeable or u.phases.flags.writeable)
-        blocks[:] = 0.0
-        phases[:] = 0.0
-        assert np.array_equal(u @ x, before) and np.array_equal(u.blocks, a.blocks)
-        assert BondOperator(g.bond_index, a.blocks).blocks is a.blocks
 
     def test_weights_formed_once_per_operator(self, k5_metric):
         _, mg, a = k5_metric
@@ -741,7 +729,7 @@ class TestVarianceEstimate:
         g, mg, a = k5_metric
         f = parity_observable(g.bond_index)
         e1 = variance_estimate(a, mg, f, 40.0, 40)
-        e2 = variance_estimate(a, mg, Observable.from_vector(2.5 * f.f), 40.0, 40)
+        e2 = variance_estimate(a, mg, Observable(2.5 * f.f), 40.0, 40)
         assert e2.estimate == pytest.approx(2.5**2 * e1.estimate, rel=1e-12)
 
     def test_sample_count_consistency(self, k5_metric):
@@ -787,7 +775,7 @@ class TestVarianceEstimate:
             raise AssertionError("U(k) formed before the argument checks")
 
         monkeypatch.setattr(BondOperator, "with_phases", formed)
-        short = Observable.from_vector(np.ones(3))
+        short = Observable(np.ones(3))
         with pytest.raises(ParameterError, match="samples"):
             variance_estimate(a, mg, short, np.nan, 0)
         with pytest.raises(ParameterError, match="k window"):
@@ -964,7 +952,7 @@ class TestThreadMap:
 class TestTraceCorrelator:
     def test_wrong_length_observable_raises(self, k5_metric):
         _, mg, a = k5_metric
-        f = Observable.from_vector(np.ones(7))
+        f = Observable(np.ones(7))
         with pytest.raises(ValidationError, match="observable has dim 7, expected 20"):
             trace_correlator(a, mg, f, 2, 1.1)
 
@@ -1114,12 +1102,12 @@ class TestObservable:
 
     @pytest.mark.parametrize("values, sup", [([3.0, 0.0], 3.0), ([1j, -2.0, 0.5], 2.0), ([], 0.0)])
     def test_kappa_is_sup_norm(self, values, sup):
-        assert Observable.from_vector(values).kappa == sup
+        assert Observable(values).kappa == sup
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValidationError):
-            Observable.from_vector([bad, 0.0])
+            Observable([bad, 0.0])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_kappa_rejected(self, bad):
@@ -1136,19 +1124,77 @@ class TestObservable:
         with pytest.raises(ValidationError):
             MetricGraph(graph=g, lengths=np.zeros(g.B))
 
-    def test_keeps_a_copy_of_a_writeable_array(self):
-        f = np.array([1.0, -1.0], dtype=np.complex128)
-        obs = Observable(f=f, kappa=1.0, traceless=True)
-        assert f.flags.writeable and not obs.f.flags.writeable
-        f[0] = 9.0
-        assert np.array_equal(obs.f, [1.0, -1.0])
-        assert Observable(f=obs.f, kappa=1.0, traceless=True).f is obs.f
 
-    def test_metric_graph_copies_lengths(self):
-        g = k5()
-        lengths = np.full(g.B, 1.5)
-        mg = MetricGraph(graph=g, lengths=lengths)
-        assert lengths.flags.writeable
-        assert not mg.lengths.flags.writeable
-        lengths[0] = 9.0
-        assert np.array_equal(mg.lengths, np.full(g.B, 1.5))
+
+def _array_holders() -> dict:
+    """For each value type that holds an array: a writeable array of the
+    holder's dtype, the holder built on an array, and facts the holder
+    derives from it (the operator's through its cached weights)."""
+    g = k5()
+    s = build_assembly(g, equi_transmitting_sigma(4))
+    x = np.arange(2 * g.B, dtype=np.complex128)
+    return {
+        "Graph.edges": (
+            np.array(g.edges),
+            lambda a: Graph(n=g.n, d=g.d, edges=a),
+            lambda o: o.adjacency,
+        ),
+        "MetricGraph.lengths": (
+            np.full(g.B, 1.5),
+            lambda a: MetricGraph(graph=g, lengths=a),
+            lambda o: o.directed_lengths,
+        ),
+        "BondOperator.blocks": (
+            np.array(s.blocks),
+            lambda a: BondOperator(g.bond_index, a),
+            lambda o: o @ x,
+        ),
+        "BondOperator.phases": (
+            np.exp(1j * x.real),
+            lambda a: BondOperator(g.bond_index, s.blocks, a),
+            lambda o: o @ x,
+        ),
+        "Observable.f": (
+            np.array([1.0, -1.0], dtype=np.complex128),
+            Observable,
+            lambda o: (o.kappa, o.traceless),
+        ),
+        "VertexScattering.entries": (
+            np.array(s.blocks[0]),
+            lambda a: VertexScattering(entries=a),
+            lambda o: o.d,
+        ),
+        "SkewHadamard.entries": (
+            np.array(skew_hadamard(4).entries),
+            SkewHadamard,
+            lambda o: len(o.entries),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "holder",
+    [
+        "Graph.edges",
+        "MetricGraph.lengths",
+        "BondOperator.blocks",
+        "BondOperator.phases",
+        "Observable.f",
+        "VertexScattering.entries",
+        "SkewHadamard.entries",
+    ],
+)
+def test_value_types_own_their_arrays(holder):
+    # the caller's array stays writeable, a later write to it reaches neither
+    # the holder's array nor what the holder derived from it, and a read-only
+    # array of the holder's dtype is kept as it is
+    array, build, derived = _array_holders()[holder]
+    field_name = holder.partition(".")[2]
+    original = array.copy()
+    obj = build(array)
+    held, facts = getattr(obj, field_name), derived(obj)
+    assert array.flags.writeable and not held.flags.writeable
+    array[...] = 0
+    assert np.array_equal(held, original)
+    assert np.array_equal(derived(obj), facts)
+    assert getattr(build(held), field_name) is held

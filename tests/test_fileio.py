@@ -125,7 +125,7 @@ class TestObservableFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "obs.txt"
         rng = np.random.default_rng(1)
-        f = qge.Observable.from_vector(rng.normal(size=20) + 1j * rng.normal(size=20))
+        f = qge.Observable(rng.normal(size=20) + 1j * rng.normal(size=20))
         save_observable(path, f)
         loaded = load_observable(path, 20)
         assert np.array_equal(loaded.f, f.f)
@@ -144,7 +144,7 @@ class TestObservableFile:
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "obs.txt"
-        f = qge.Observable.from_vector(np.arange(20) - 1j * np.arange(20) ** 2)
+        f = qge.Observable(np.arange(20) - 1j * np.arange(20) ** 2)
         save_observable(path, f)
         path.write_text(commented(path.read_text()))
         assert np.array_equal(load_observable(path, 20).f, f.f)

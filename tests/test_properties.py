@@ -68,7 +68,7 @@ def test_relabelling_keeps_beta_and_kirchhoff_variance(case, seed):
     f = rng.normal(size=2 * g.B)
     estimates = [
         variance_estimate(
-            build_assembly(mg, kirchhoff_sigma(g.d)), mg, Observable.from_vector(obs), 30.0, 6
+            build_assembly(mg, kirchhoff_sigma(g.d)), mg, Observable(obs), 30.0, 6
         ).estimate
         for mg, obs in (
             (MetricGraph(graph=g, lengths=lengths), f),

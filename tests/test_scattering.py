@@ -4,11 +4,13 @@ import pytest
 from qge import (
     HadamardOrderError,
     NoEquiTransmittingMatrixError,
+    ParameterError,
     equi_transmitting_sigma,
     is_equi_transmitting,
     kirchhoff_sigma,
     skew_hadamard,
 )
+from qge.scattering import SkewHadamard
 
 CONSTRUCTIBLE = [2, 4, 8, 12, 16, 20, 24, 32, 48, 64]
 
@@ -35,6 +37,15 @@ class TestSkewHadamard:
         # 15 is not prime, so 16 must come from doubling 8
         h = skew_hadamard(16).entries
         assert np.array_equal(h[:8, :8], h[:8, 8:])
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[[1, 1, 1], [-1, 1, 1]], [1, 1], [[1.0, 1.0], [-1.0, 1.0]]],
+        ids=["not-square", "vector", "float"],
+    )
+    def test_rejects_what_is_not_a_square_integer_matrix(self, entries):
+        with pytest.raises(ParameterError, match="square integer matrix"):
+            SkewHadamard(np.array(entries))
 
     @pytest.mark.parametrize("m", [3, 5, 6, 10, 13, 52])
     def test_unsupported_orders(self, m):

@@ -1,8 +1,8 @@
 """Every tolerance is a named constant and every raising check goes through
 qge._checks.check, which fails closed; only qge._runtime, the home of the
-process settings, reaches C libraries through ctypes; and only
-census.min_return_lengths, the search it bounds, reads the census work
-budget."""
+process settings, reaches C libraries through ctypes; only bonds._frozen
+sets an array's flags; and only census.min_return_lengths, the search it
+bounds, reads the census work budget."""
 
 import ast
 import math
@@ -106,6 +106,43 @@ def test_rule_sees_a_ctypes_import(tmp_path):
         "from . import ctypes_free\nimport ctypeslib\n"
     )
     assert _ctypes_imports(path) == ["probe.py:1", "probe.py:2", "probe.py:3"]
+
+
+def _setflags_uses(path: Path) -> list[str]:
+    """module:function of each mention of setflags (an attribute, a name or
+    an imported name), in line order; function is <module> outside every
+    function and the innermost one inside nested functions."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {}
+    for node in ast.walk(tree):  # breadth first: an inner function overrides its outer one
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(sub), node.name) for sub in ast.walk(node))
+    field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
+    uses = sorted(
+        (node.lineno, owner.get(id(node), "<module>"))
+        for node in ast.walk(tree)
+        if type(node) in field and getattr(node, field[type(node)]) == "setflags"
+    )
+    return [f"{path.name}:{function}" for _, function in uses]
+
+
+def test_only_bonds_frozen_calls_setflags():
+    # every value type owns its arrays through bonds._owned, which freezes
+    # through bonds._frozen: the one place that sets an array's flags
+    assert [hit for p in SOURCES for hit in _setflags_uses(p)] == ["bonds.py:_frozen"]
+
+
+def test_rule_sees_a_setflags_call(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "def _frozen(a):\n    a.setflags(write=False)\n    return a\n"
+        "def owner(a):\n    def inner():\n        a.setflags(write=False)\n    return inner\n"
+        "np.ones(2).setflags(write=False)\n"
+        "from numpy import setflags\n"
+    )
+    assert _setflags_uses(path) == [
+        "probe.py:_frozen", "probe.py:inner", "probe.py:<module>", "probe.py:<module>"
+    ]
 
 
 def _budget_reads(path: Path) -> list[str]:

@@ -389,7 +389,7 @@ class TestDecayProfile:
         # falls back to the span{e_v} envelope
         g, m, basis = k5_walk
         coeffs = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
-        f = Observable.from_vector(dense_basis(basis)[0].T @ coeffs)
+        f = Observable(dense_basis(basis)[0].T @ coeffs)
         rows = decay_profile(m, f, 5, 3.0)
         assert all(r.bound_kind == "vertex_span" for r in rows)
         fnorm = np.sqrt(8.0)
@@ -403,7 +403,7 @@ class TestDecayProfile:
         _, m, _ = k5_walk
         rng = np.random.default_rng(4)
         f_raw = rng.normal(size=20)
-        f = Observable.from_vector(f_raw - np.mean(f_raw))
+        f = Observable(f_raw - np.mean(f_raw))
         rows = decay_profile(m, f, 4, 3.0)
         assert all(r.bound_kind == "none" for r in rows)
         assert all(np.isnan(r.bound) for r in rows)
@@ -412,7 +412,7 @@ class TestDecayProfile:
         g, m, _ = random_walk_setup(40, 7)
         rng = np.random.default_rng(40)
         raw = rng.normal(size=2 * g.B) + 1j * rng.normal(size=2 * g.B)
-        f = Observable.from_vector(raw - np.mean(raw))
+        f = Observable(raw - np.mean(raw))
         rows = decay_profile(m, f, 30, spectral_report(g).beta)
         x = f.f
         for r in rows:
@@ -427,7 +427,7 @@ class TestDecayProfile:
         a = build_assembly(g, equi_transmitting_sigma(4))
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=2 * g.B) + 1j * rng.normal(size=2 * g.B)
-        f = Observable.from_vector(raw - np.mean(raw))
+        f = Observable(raw - np.mean(raw))
         beta = spectral_report(g).beta
         rows = decay_profile(classical_map(a), f, 30, beta)
         # U(0) = S exactly
@@ -459,7 +459,7 @@ class TestDecayProfile:
 
     def test_rejects_non_traceless(self, k5_walk):
         _, m, _ = k5_walk
-        f = Observable.from_vector(np.ones(20))
+        f = Observable(np.ones(20))
         with pytest.raises(ValidationError):
             decay_profile(m, f, 5, 1.0)
 
