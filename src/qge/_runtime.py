@@ -1,6 +1,6 @@
 """Process settings and the worker pool: the allocator thresholds, numpy's
-OpenBLAS thread count, the thread map that runs sweep rows and k-samples,
-and the manifest's record of all three.
+OpenBLAS thread count, the thread map that runs a row's k-samples, and the
+manifest's record of all three.
 
 Imports nothing from qge, and importing it sets nothing: cli.main applies
 the allocator thresholds, and the OpenBLAS calls are looked up on first
@@ -76,9 +76,9 @@ def openblas_threads():
 
 
 def pool_workers(items: int) -> int:
-    """The workers of a pool of `items` items: one per usable core, at most
-    one per item; one, the serial loop at the library's own thread count,
-    where no OpenBLAS setter is found."""
+    """The workers of a pool of `items` k-samples: one per usable core, at
+    most one per item; one, the serial loop at the library's own thread
+    count, where no OpenBLAS setter is found."""
     return 1 if openblas_threads() is None else min(len(os.sched_getaffinity(0)), items)
 
 
@@ -99,16 +99,11 @@ def one_blas_thread():
         set_threads(old)
 
 
-class _Worker(threading.Thread):
-    """A thread of thread_map, on which a thread_map call runs serially."""
-
-
 def thread_map(fn, items) -> list:
     """[fn(x) for x in items], on pool_workers(len(items)) threads while
     numpy's OpenBLAS is held to one thread, so that no result depends on
     the worker count or on OPENBLAS_NUM_THREADS.  The calling thread only
-    waits; a call from one of these threads runs serially on it, so pools
-    never nest.
+    waits.
 
     Items are handed out in index order and the results come back in
     item order.  After the first exception no item is handed out; those
@@ -116,8 +111,6 @@ def thread_map(fn, items) -> list:
     index, the one the serial loop would raise, is raised.  Every thread
     is joined and the old BLAS count restored, on return and on raise.
     """
-    if isinstance(threading.current_thread(), _Worker):
-        return [fn(x) for x in items]
     results: list = [None] * len(items)
     failures: dict = {}
     lock, taken = threading.Lock(), iter(range(len(items)))
@@ -133,7 +126,7 @@ def thread_map(fn, items) -> list:
                 i = None if failures else next(taken, None)
 
     # each thread is handed its first item before any starts
-    threads = [_Worker(target=work, args=(i,)) for i in islice(taken, pool_workers(len(items)))]
+    threads = [threading.Thread(target=work, args=(i,)) for i in islice(taken, pool_workers(len(items)))]
     with one_blas_thread():
         try:
             for thread in threads:
@@ -155,8 +148,8 @@ def run_block(items: int | None = None) -> dict:
     """The manifest's record of this process, which the BLAS thread count
     can change the last digits of: numpy's version, its BLAS, the thread
     variables and the allocator thresholds applied; for a pool of `items`
-    items (sweep rows or k-samples) also its workers and the BLAS threads
-    of each item (None: the library's own count)."""
+    k-samples also its workers and the BLAS threads of each item (None:
+    the library's own count)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     run = {
         "numpy": np.__version__,

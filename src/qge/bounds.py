@@ -175,10 +175,15 @@ def wormald_probability(p: WormaldParams) -> float:
     random d-regular graph on n vertices has exactly S edges on cycles of
     length at most k.
 
-    Evaluated in log space; underflows to 0.0 for large arguments.
+    Evaluated in log space; underflows to 0.0 for large arguments, and is
+    math.inf, the value of the formula, where the exponent exceeds the float
+    range (A < e with a large S: a vacuous bound).
     """
     try:
         log_value = -5.0 * math.pow(p.d - 1, p.k) + (p.S / (4.0 * p.k)) * (1.0 - math.log(p.A))
     except OverflowError:  # (d-1)^k beyond the float range: the bound underflows
         return 0.0
-    return math.exp(log_value)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf

@@ -58,8 +58,12 @@ _SINGULAR_GROUP_TOL = 1e-9  # `walk singular` groups values closer than this
 
 
 def _observable_for(name: str, g: Graph, kappa: float):
+    """The built-in observable `name` at scale kappa, or the observable
+    file `name`, which carries its own scale: a kappa other than 1 raises."""
     if name in _OBSERVABLES:
         return _OBSERVABLES[name](g.bond_index, kappa)
+    if kappa != 1.0:
+        raise ValidationError(f"--kappa {kappa} scales a built-in observable, not the file {name}")
     return load_observable(name, 2 * g.B)
 
 
@@ -71,8 +75,7 @@ def _manifest(args, seeds=(), params: dict | None = None, items: int | None = No
     `params` replaces them (`experiment` reads its parameters from a file).
     Every file the command reads is digested: the graph, config and lengths
     files, and an `--obs` that names no built-in observable.  The run block
-    is qge._runtime.run_block's, with the pool of `items` sweep rows or
-    k-samples.
+    is qge._runtime.run_block's, with the pool of `items` k-samples.
     """
     opts = vars(args)
     command = " ".join([opts["command"]] + [v for k, v in opts.items() if k.endswith("_command")])
@@ -212,7 +215,7 @@ def _cmd_experiment(args) -> int:
     rows = family_experiment(cfg)
     params = asdict(cfg)
     del params["output"]  # places the output, like --out
-    manifest = _manifest(args, seeds=cfg.seeds, params=params, items=len(rows))
+    manifest = _manifest(args, seeds=cfg.seeds, params=params, items=cfg.samples)
     out = Path(args.out or cfg.output)
     _emit_csv(out, EXPERIMENT_COLUMNS, [r.csv_values() for r in rows], manifest)
     sidecar = {

@@ -514,6 +514,11 @@ class FejerWeights:
 
     T: int
 
+    def __post_init__(self):
+        if self.T < 1 or not float(self.T).is_integer():
+            raise ParameterError(f"window T={self.T} must be a positive integer")
+        object.__setattr__(self, "T", int(self.T))
+
     @cached_property
     def values(self) -> np.ndarray:
         T, ts = self.T, np.arange(-self.T, self.T + 1)
@@ -526,9 +531,7 @@ class FejerWeights:
 
 
 def fejer(T: int) -> FejerWeights:
-    if T < 1 or int(T) != T:
-        raise ParameterError(f"window T={T} must be a positive integer")
-    return FejerWeights(int(T))
+    return FejerWeights(T)
 
 
 def fejer_kernel(T: int, x: float) -> float:

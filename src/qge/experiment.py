@@ -5,8 +5,8 @@ Each (n, seed) pair becomes one row: draw a uniform simple d-regular graph,
 seeded bond lengths, the equi-transmitting assembly, the deterministic
 vertex-parity observable, then estimate the quantum variance and assemble
 the explicit bound at horizon T(n).  Failed rows are marked, never dropped.
-The rows run on a pool of threads while numpy's OpenBLAS is held to one
-thread (see family_experiment and qge._runtime.thread_map).
+The rows run in order; each row's k-samples run on the pool of
+qge._runtime.thread_map (see family_experiment).
 """
 
 from __future__ import annotations
@@ -203,17 +203,11 @@ def _row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
 def family_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """One row per (n, seed), in config order: n_list outer, seeds inner.
 
-    The rows run through _runtime.thread_map, largest n first, so each row
-    and its k-samples run on one worker thread held to one BLAS thread;
-    the rows then depend neither on the worker count nor on
-    OPENBLAS_NUM_THREADS.  The first exception other than QgeError,
-    LinAlgError and MemoryError stops the rows not yet started and is
-    raised once the running rows have finished.
+    The rows run one after another in the calling thread, held to one BLAS
+    thread, and each row's k-samples run through _runtime.thread_map, so
+    the rows depend neither on the worker count nor on OPENBLAS_NUM_THREADS.
+    The first exception other than QgeError, LinAlgError and MemoryError
+    ends the sweep.
     """
-    tasks = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
-    # the longest rows first, so that none of them starts last
-    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][0])
-    rows: list = [None] * len(tasks)
-    for i, row in zip(order, _runtime.thread_map(lambda i: _row(cfg, *tasks[i]), order)):
-        rows[i] = row
-    return rows
+    with _runtime.one_blas_thread():
+        return [_row(cfg, n, seed) for n in cfg.n_list for seed in cfg.seeds]

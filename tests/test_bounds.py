@@ -200,6 +200,11 @@ class TestWormald:
         # (d-1)^k = 3^1000 lies beyond the float range
         assert wormald_probability(WormaldParams(n=10, d=4, k=1000.0, S=1, A=2)) == 0.0
 
+    def test_overflow_is_inf(self):
+        # (S/(4k))(1 - log A) beyond the float range at A < e: a vacuous bound
+        p = WormaldParams(n=10, d=4, k=3.0, S=1e5, A=1.5)
+        assert wormald_probability(p) == math.inf
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             WormaldParams(n=10, d=4, k=2.0, S=10, A=3.0)

@@ -398,8 +398,8 @@ class TestManifest:
 
     @pytest.mark.parametrize("command", list(MANIFEST_CASES))
     def test_no_pool_outside_experiment_and_variance(self, paths, command, monkeypatch):
-        # the sweep's rows and the variance's k-samples run on the pool;
-        # no other command has one
+        # the k-samples of the sweep's rows and of the variance run on the
+        # pool; no other command has one
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         assert run(*MANIFEST_CASES[command][0].format(**paths).split()) == 0
         record = json.loads(Path(paths["out"] + ".manifest.json").read_text())["run"]
@@ -408,8 +408,8 @@ class TestManifest:
         elif qge._runtime.openblas_threads() is None:
             assert (record["workers"], record["blas_threads"]) == (1, None)
         else:
-            # two rows, three k-samples
-            assert (record["workers"], record["blas_threads"]) == (2 if command == "experiment" else 3, 1)
+            # three k-samples a row
+            assert (record["workers"], record["blas_threads"]) == (3, 1)
 
 
 class TestAllocator:
@@ -646,6 +646,25 @@ class TestExitCodes:
             "--obs", str(obs), "--out", str(out),
         )
         assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["variance", "--K", "20", "--samples", "5"], ["walk", "decay", "--T", "4"]],
+        ids=["variance", "walk-decay"],
+    )
+    def test_kappa_with_observable_file_is_3(self, k5_file, tmp_path, capsys, argv):
+        # an observable file carries its own scale, so --kappa has nothing to scale
+        obs = tmp_path / "obs.txt"
+        qge.fileio.save_observable(obs, qge.parity_observable(k5().bond_index))
+        out = tmp_path / "out.txt"
+        argv = [*argv, "--graph", str(k5_file), "--obs", str(obs), "--out", str(out)]
+        assert run(*argv, "--kappa", "1") == 0
+        out.unlink()
+        assert run(*argv, "--kappa", "5") == 3
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1

@@ -44,7 +44,7 @@ from qge import (
 
 import qge.evolution as evolution_module
 from qge import _runtime
-from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, evolution
+from qge.evolution import _CAYLEY_SHIFTS, EIGENBASIS_TOL, FejerWeights, evolution
 from qge.experiment import LENGTH_SEED_OFFSET
 from qge.scattering import SkewHadamard
 
@@ -916,17 +916,6 @@ class TestThreadMap:
         assert _runtime.thread_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
         assert _runtime.thread_map(lambda x: x, []) == []
 
-    def test_nested_call_runs_on_its_worker(self, monkeypatch):
-        monkeypatch.setattr(_runtime, "pool_workers", lambda items: 2)
-        outer = threading.get_ident()
-
-        def row(i):
-            me = threading.get_ident()
-            assert me != outer
-            return _runtime.thread_map(lambda j: threading.get_ident() == me, range(4))
-
-        assert _runtime.thread_map(row, range(4)) == [[True] * 4] * 4
-
     def test_interrupt_while_waiting_joins_every_thread(self, monkeypatch):
         # an exception in the calling thread (a KeyboardInterrupt, or a
         # thread that would not start) hands out nothing more, joins the
@@ -1048,6 +1037,14 @@ class TestFejer:
     def test_parameter_error(self):
         with pytest.raises(ParameterError):
             fejer(0)
+        for T in (-1, 0, 2.5):
+            with pytest.raises(ParameterError, match=f"window T={T} must be a positive integer"):
+                FejerWeights(T)
+
+    def test_integral_float_window(self):
+        w = FejerWeights(4.0)
+        assert type(w.T) is int and w == fejer(4)
+        assert np.array_equal(w.values, fejer(4).values)
 
 
 class TestLemmaA:

@@ -29,8 +29,8 @@ BLAS = _runtime.openblas_threads()
 
 @pytest.fixture()
 def two_workers(monkeypatch):
-    """family_experiment runs its rows on two workers, each row held to one
-    BLAS thread where the OpenBLAS setter is found."""
+    """family_experiment runs each row's k-samples on two workers, each
+    held to one BLAS thread where the OpenBLAS setter is found."""
     monkeypatch.setattr(_runtime, "pool_workers", lambda rows: 2)
 
 
@@ -207,16 +207,37 @@ class TestFamilyExperiment:
 
 
 class TestRowPool:
-    """The rows run on a thread pool, each with one BLAS thread where the
+    """The rows run one after another on the calling thread and their
+    k-samples on a thread pool, each with one BLAS thread where the
     OpenBLAS setter is found."""
 
     CFG = ExperimentConfig(d=4, n_list=(10, 16, 20), seeds=(1, 2), K=10.0, samples=4)
 
-    def test_largest_n_first(self, monkeypatch):
-        monkeypatch.setattr(_runtime, "openblas_threads", lambda: None)
-        calls = spy_rows(monkeypatch)
-        family_experiment(self.CFG)
-        assert [n for n, _ in calls] == [20, 20, 16, 16, 10, 10]
+    def test_rows_independent_of_pool_width(self, monkeypatch):
+        # at any pool width, switching threads every microsecond, the rows
+        # run on the calling thread in config order and come out bit for bit
+        # the same (repr tells every pair of distinct floats apart)
+        calls, one_row = [], qge.experiment._one_row
+
+        def spy(cfg, n, seed):
+            calls.append((n, seed, threading.get_ident()))
+            return one_row(cfg, n, seed)
+
+        monkeypatch.setattr(qge.experiment, "_one_row", spy)
+        expected = [(n, seed, threading.get_ident()) for n in self.CFG.n_list for seed in self.CFG.seeds]
+        sweeps = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(_runtime, "pool_workers", lambda items, w=workers: w)
+                calls.clear()
+                sweeps.append(repr(family_experiment(self.CFG)))
+                assert calls == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert sweeps[0] == sweeps[1] == sweeps[2]
+        assert "error" not in sweeps[0]
 
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
@@ -242,8 +263,8 @@ class TestRowPool:
         assert len(threads) == 1
 
     def test_every_row_once_under_contention(self, monkeypatch):
-        # more workers than cores, switching threads every microsecond: a
-        # row taken twice or lost would show as a repeat or a None row
+        # a thousand rows, switching threads every microsecond: a row run
+        # twice or lost would show as a repeat or a missing row
         calls = []
 
         def one_row(cfg, n, seed):
@@ -273,47 +294,39 @@ class TestRowPool:
         assert threading.active_count() == threads
         assert (BLAS[1]() if BLAS else None) == count
 
-    def test_exception_waits_for_running_rows_and_cancels_the_rest(self, monkeypatch):
-        # the first row raises at once while the second runs: the sweep
-        # raises after the second finishes, and of the four rows left at
-        # most the one a free worker took before the cancel has run
-        finished = []
-
-        def one_row(cfg, n, seed):
-            if (n, seed) == (20, 1):
-                raise RuntimeError("row broke")
-            time.sleep(0.05)
-            finished.append((n, seed))
-            return qge.experiment.ExperimentRow(n=n, seed=seed)
-
-        monkeypatch.setattr(qge.experiment, "_one_row", one_row)
-        monkeypatch.setattr(_runtime, "pool_workers", lambda rows: 2)
+    @pytest.mark.usefixtures("two_workers")
+    def test_exception_ends_the_sweep_at_once(self, monkeypatch):
+        # as in a serial loop, no row after the one that raises runs
+        calls = spy_rows(monkeypatch, lambda n: RuntimeError("row broke") if n == 16 else None)
         with pytest.raises(RuntimeError, match="row broke"):
             family_experiment(self.CFG)
-        assert (20, 2) in finished and len(finished) <= 2
+        assert [n for n, _ in calls] == [10, 10, 16]
 
     @pytest.mark.usefixtures("two_workers")
-    def test_row_k_samples_run_on_the_row_thread(self, monkeypatch):
-        # each row's eigensolves run on the thread of its row: the pool of
-        # k-samples does not nest inside the pool of rows
+    def test_row_k_samples_run_on_the_pool(self, monkeypatch):
+        # each row runs on the calling thread, which only waits while the
+        # row's eigensolves run on the two workers of its pool (thread
+        # objects, kept alive, since a finished thread's ident is reused)
         estimate, eigenbasis = qge.experiment.variance_estimate, qge.evolution.eigenbasis
         rows, solves = {}, []  # by the id of each row's bond index, kept alive
 
         def spy_row(a, *args, **kwargs):
-            rows[id(a.bond_index)] = (a.bond_index, threading.get_ident())
+            rows[id(a.bond_index)] = (a.bond_index, threading.current_thread())
             return estimate(a, *args, **kwargs)
 
         def spy_solve(u):
-            solves.append((id(u.bond_index), threading.get_ident()))
+            solves.append((id(u.bond_index), threading.current_thread()))
             return eigenbasis(u)
 
         monkeypatch.setattr(qge.experiment, "variance_estimate", spy_row)
         monkeypatch.setattr(qge.evolution, "eigenbasis", spy_solve)
         family_experiment(self.CFG)
+        caller = threading.current_thread()
         assert len(rows) == 6 and len(solves) == 6 * self.CFG.samples
-        assert all(rows[row][1] == thread for row, thread in solves)
-        assert len({thread for _, thread in rows.values()}) == 2
-        assert threading.get_ident() not in {thread for _, thread in rows.values()}
+        assert {thread for _, thread in rows.values()} == {caller}
+        for row in rows:
+            threads = {thread for solved, thread in solves if solved == row}
+            assert len(threads) == 2 and caller not in threads
 
     @pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread setter found")
     @pytest.mark.parametrize("fail", [False, True], ids=["return", "raise"])
@@ -341,28 +354,28 @@ class TestCoreCount:
 
     CONFIG = "d = 4\nn_list = 10, 12\nseeds = 1, 2\nK = 10\nsamples = 4\n"
 
-    def sweep(self, tmp_path, monkeypatch, cores, one_row):
+    def sweep(self, tmp_path, monkeypatch, cores):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        monkeypatch.setattr(qge.experiment, "_one_row", one_row)
         config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
         config.write_text(self.CONFIG)
         assert qge.cli.main(["experiment", "--config", str(config), "--out", str(out)]) == 0
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         return manifest["run"]["workers"], out.read_text()
 
-    def test_two_cores_run_two_rows_at_once(self, tmp_path, monkeypatch):
-        # each row waits until another row is running too: on one thread
-        # the barrier would break after its timeout
-        barrier, threads = threading.Barrier(2), set()
+    def test_two_cores_run_two_k_samples_at_once(self, tmp_path, monkeypatch):
+        # each k-sample waits until another one is running too: on one
+        # thread the barrier would break after its timeout
+        barrier, threads, eigenbasis = threading.Barrier(2), set(), qge.evolution.eigenbasis
 
-        def one_row(cfg, n, seed):
+        def solve(u):
             threads.add(threading.get_ident())
             barrier.wait(timeout=10)
-            return qge.experiment.ExperimentRow(n=n, seed=seed)
+            return eigenbasis(u)
 
-        workers, table = self.sweep(tmp_path, monkeypatch, 2, one_row)
+        monkeypatch.setattr(qge.evolution, "eigenbasis", solve)
+        workers, table = self.sweep(tmp_path, monkeypatch, 2)
         assert workers == 2
-        assert len(threads) == 2 and threading.get_ident() not in threads
+        assert len(threads) >= 2 and threading.get_ident() not in threads
         assert "error" not in table
 
     def test_one_core_runs_rows_on_one_thread(self, tmp_path, monkeypatch):
@@ -372,6 +385,7 @@ class TestCoreCount:
             threads.add(threading.get_ident())
             return qge.experiment.ExperimentRow(n=n, seed=seed)
 
-        workers, _ = self.sweep(tmp_path, monkeypatch, 1, one_row)
+        monkeypatch.setattr(qge.experiment, "_one_row", one_row)
+        workers, _ = self.sweep(tmp_path, monkeypatch, 1)
         assert workers == 1
         assert len(threads) == 1

@@ -1,8 +1,9 @@
 """Every tolerance is a named constant and every raising check goes through
 qge._checks.check, which fails closed; only qge._runtime, the home of the
-process settings, reaches C libraries through ctypes; only bonds._frozen
-sets an array's flags; and only census.min_return_lengths, the search it
-bounds, reads the census work budget."""
+process settings, reaches C libraries through ctypes; only
+evolution.variance_estimate runs the worker pool, so pools never nest; only
+bonds._frozen sets an array's flags; and only census.min_return_lengths,
+the search it bounds, reads the census work budget."""
 
 import ast
 import math
@@ -108,8 +109,33 @@ def test_rule_sees_a_ctypes_import(tmp_path):
     assert _ctypes_imports(path) == ["probe.py:1", "probe.py:2", "probe.py:3"]
 
 
-def _setflags_uses(path: Path) -> list[str]:
-    """module:function of each mention of setflags (an attribute, a name or
+def test_one_thread_map_call_site():
+    # the k-samples of variance_estimate are the only pooled work: no other
+    # code (a sweep's rows, say) maps over the pool, so no pool runs inside
+    # one of its own workers
+    assert [hit for p in SOURCES for hit in _mentions(p, "thread_map")] == [
+        "evolution.py:variance_estimate"
+    ]
+
+
+def test_rule_sees_a_thread_map_use(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "def thread_map(fn, items):\n    return [fn(x) for x in items]\n"
+        "def variance_estimate(ks):\n    def per_k(k):\n        return k\n"
+        "    return _runtime.thread_map(per_k, ks)\n"
+        "def family_experiment(rows):\n    return thread_map(row, rows)\n"
+        "from ._runtime import thread_map as pool\n"
+        "run = _runtime.thread_map\n"
+    )
+    assert _mentions(path, "thread_map") == [
+        "probe.py:variance_estimate", "probe.py:family_experiment", "probe.py:<module>",
+        "probe.py:<module>",
+    ]
+
+
+def _mentions(path: Path, name: str) -> list[str]:
+    """module:function of each mention of `name` (an attribute, a name or
     an imported name), in line order; function is <module> outside every
     function and the innermost one inside nested functions."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -121,7 +147,7 @@ def _setflags_uses(path: Path) -> list[str]:
     uses = sorted(
         (node.lineno, owner.get(id(node), "<module>"))
         for node in ast.walk(tree)
-        if type(node) in field and getattr(node, field[type(node)]) == "setflags"
+        if type(node) in field and getattr(node, field[type(node)]) == name
     )
     return [f"{path.name}:{function}" for _, function in uses]
 
@@ -129,7 +155,7 @@ def _setflags_uses(path: Path) -> list[str]:
 def test_only_bonds_frozen_calls_setflags():
     # every value type owns its arrays through bonds._owned, which freezes
     # through bonds._frozen: the one place that sets an array's flags
-    assert [hit for p in SOURCES for hit in _setflags_uses(p)] == ["bonds.py:_frozen"]
+    assert [hit for p in SOURCES for hit in _mentions(p, "setflags")] == ["bonds.py:_frozen"]
 
 
 def test_rule_sees_a_setflags_call(tmp_path):
@@ -140,7 +166,7 @@ def test_rule_sees_a_setflags_call(tmp_path):
         "np.ones(2).setflags(write=False)\n"
         "from numpy import setflags\n"
     )
-    assert _setflags_uses(path) == [
+    assert _mentions(path, "setflags") == [
         "probe.py:_frozen", "probe.py:inner", "probe.py:<module>", "probe.py:<module>"
     ]
 
