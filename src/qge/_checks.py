@@ -1,16 +1,32 @@
-"""The one home of tolerance checks: `check`, the fail-closed comparison
-every raising invariant goes through, and the deviation measures they
-share.  Each tolerance is a named constant in the module that checks it."""
+"""The one home of invariant checks: `check`, the fail-closed comparison every
+raising tolerance check goes through, the deviation measures they share, and
+`integer`, the one check of an integer parameter (a count, degree, horizon or
+seed).  Each tolerance is a named constant in the module that checks it."""
 
 import math
 
 import numpy as np
+
+from .errors import ParameterError
 
 
 def check(dev: float, tol: float, exc: type[Exception], what: str) -> None:
     """Raise exc unless dev < tol, so a NaN deviation fails."""
     if not dev < tol:
         raise exc(f"{what}: deviation {dev:.3e} not below tolerance {tol:.3e}")
+
+
+def integer(value, least: int, what: str) -> int:
+    """value as an int when it is an int, a numpy integer or an integral finite
+    float of at least `least`; ParameterError for anything else, bools included."""
+    if isinstance(value, (float, np.floating)):
+        whole = float(value).is_integer()  # False for nan and inf
+    else:
+        whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (whole and value >= least):
+        bound = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ParameterError(f"{what}={value} must be {bound}")
+    return int(value)
 
 
 def unitarity_deviation(m: np.ndarray) -> float:

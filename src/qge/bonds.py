@@ -122,10 +122,13 @@ class BondIndex:
         n, half = self.num_directed, self.B
         cols = self.successors[self.successors].ravel()
         rows = np.repeat(np.arange(n), len(cols) // n)
-        r, c = rows % half, cols % half
-        targets = np.concatenate([c * n + r, (c + half) * n + r, c * n + r + half, (c + half) * n + r + half])
+        # few temporaries: variance_estimate builds this on the calling thread,
+        # whose freed memory no pool worker (each in its own malloc arena) reuses
+        quadrants = np.array([[0], [half * n], [half], [half * n + half]])
+        targets = (cols % half * n + rows % half + quadrants).ravel()
         sr, sc = np.where(rows < half, 1.0, -1.0), np.where(cols < half, 1.0, -1.0)
-        units = 0.5 * np.stack([np.ones(len(r)), 1j * sc, -1j * sr, sr * sc])
+        units = np.stack([np.ones(len(rows)), 1j * sc, -1j * sr, sr * sc])
+        units *= 0.5
         return _frozen(targets), _frozen(units)
 
 

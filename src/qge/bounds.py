@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import integer
 from .errors import ParameterError
 from .walk import walk_decay_constant
 
@@ -41,9 +42,7 @@ def weighted_geo_sum(theta: float, T: int) -> float:
     """sum_{t=1..T} t theta^t in closed form."""
     if theta == 1.0:
         raise ParameterError("closed form undefined at theta = 1")
-    if T < 1 or int(T) != T:
-        raise ParameterError("T must be a positive integer")
-    T = int(T)
+    T = integer(T, 1, "T")
     return (T * theta ** (T + 2) + theta - (T + 1) * theta ** (T + 1)) / (theta - 1.0) ** 2
 
 
@@ -58,9 +57,7 @@ def fejer_geo_sum(theta: float, T: int) -> float:
     """sum_{t=1..T} theta^t w_hat_T(t) = (theta/T^2)(T-1+theta^T-T theta)/(1-theta)^2."""
     if theta == 1.0:
         raise ParameterError("closed form undefined at theta = 1")
-    if T < 1 or int(T) != T:
-        raise ParameterError("T must be a positive integer")
-    T = int(T)
+    T = integer(T, 1, "T")
     return (theta / T**2) * (T - 1 + theta**T - T * theta) / (1.0 - theta) ** 2
 
 
@@ -82,18 +79,14 @@ class BoundInputs:
     def __post_init__(self):
         if not all(map(math.isfinite, vars(self).values())):
             raise ParameterError(f"bound inputs must be finite: {self}")
-        if self.kappa <= 0:
+        if self.kappa <= 0.0:
             raise ParameterError("kappa must be positive")
-        if self.d < 3:
-            raise ParameterError("d must be >= 3")
-        if not (0 < self.beta < self.d):
+        object.__setattr__(self, "d", integer(self.d, 3, "d"))
+        if not (0.0 < self.beta < self.d):
             raise ParameterError(f"beta={self.beta} must lie in (0, d)")
-        if self.T < 1 or int(self.T) != self.T:
-            raise ParameterError("T must be a positive integer")
-        if self.census < 0:
-            raise ParameterError("census must be >= 0")
-        if self.B < 1:
-            raise ParameterError("B must be >= 1")
+        object.__setattr__(self, "T", integer(self.T, 1, "T"))
+        object.__setattr__(self, "census", integer(self.census, 0, "census"))
+        object.__setattr__(self, "B", integer(self.B, 1, "B"))
 
 
 @dataclass(frozen=True)
@@ -136,10 +129,8 @@ def explicit_variance_bound(bi: BoundInputs) -> VarianceBound:
 
 def choose_horizon(n: int, d: int) -> int:
     """Window length T = max(1, floor((3/10) log_{d-1} n))."""
-    if n < 2:
-        raise ParameterError("n must be >= 2")
-    if d < 3:
-        raise ParameterError("d must be >= 3")
+    n = integer(n, 2, "n")
+    d = integer(d, 3, "d")
     raw = 0.3 * math.log(n) / math.log(d - 1)
     return max(1, math.floor(raw + _HORIZON_SLACK))
 
@@ -160,14 +151,14 @@ class WormaldParams:
     def __post_init__(self):
         if not all(map(math.isfinite, vars(self).values())):
             raise ParameterError(f"Wormald inputs must be finite: {self}")
-        if self.k < 3:
+        if self.k < 3.0:
             raise ParameterError("k must be >= 3")
-        if self.A <= 1:
+        if self.A <= 1.0:
             raise ParameterError("A must exceed 1")
-        if self.d < 3:
-            raise ParameterError("d must be >= 3")
-        if self.n < 1 or self.S < 0:
-            raise ParameterError("n must be >= 1 and S >= 0")
+        object.__setattr__(self, "d", integer(self.d, 3, "d"))
+        object.__setattr__(self, "n", integer(self.n, 1, "n"))
+        if self.S < 0.0:
+            raise ParameterError("S must be >= 0")
 
 
 def wormald_probability(p: WormaldParams) -> float:

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._checks import integer
 from .bonds import BondIndex
-from .errors import ParameterError, ValidationError, WorkBudgetError
+from .errors import ValidationError, WorkBudgetError
 from .graphs import Graph, girth
 
 __all__ = [
@@ -91,6 +92,7 @@ def min_return_lengths(bi: BondIndex, cap: int) -> np.ndarray:
     generation wraps.  A closed walk through b0 reverses to one through
     rev(b0), which gets the same length.
     """
+    cap = integer(cap, 0, "census cap")
     cost = _search_cost(bi, cap)
     if cost > DEFAULT_WORK_BUDGET:
         raise WorkBudgetError(
@@ -155,16 +157,14 @@ def _cycle_edges(ret: np.ndarray, B: int, t: int) -> frozenset[int]:
 def cycle_bond_census(g: Graph, t: int) -> frozenset[int]:
     """Edge indices of all bonds on a closed non-backtracking walk of
     length <= t."""
-    if t < 3:
-        raise ParameterError(f"cycle census horizon t={t} must be >= 3")
+    t = integer(t, 3, "cycle census horizon t")
     return _cycle_edges(min_return_lengths(g.bond_index, t), g.B, t)
 
 
 def near_cycle_census(g: Graph, t: int) -> frozenset[int]:
     """Directed bond indices within non-backtracking distance t1 of a closed
     walk of length <= 2 t2, for some t1 + t2 = t with t2 >= 2."""
-    if t < 2:
-        raise ParameterError(f"near-cycle census horizon t={t} must be >= 2")
+    t = integer(t, 2, "near-cycle census horizon t")
     bi = g.bond_index
     return _near_cycle_bonds(bi, min_return_lengths(bi, 2 * t), t)
 
@@ -209,8 +209,7 @@ class CensusReport:
 
 def census_report(g: Graph, t: int) -> CensusReport:
     """Both censuses at horizon t from one return-length search at 2t."""
-    if t < 2:
-        raise ParameterError(f"census horizon t={t} must be >= 2")
+    t = integer(t, 2, "census horizon t")
     bi = g.bond_index
     ret = min_return_lengths(bi, 2 * t)
     c_set = _cycle_edges(ret, g.B, t) if t >= 3 else frozenset()
@@ -232,13 +231,11 @@ def lemma_sides(g: Graph, t: int) -> tuple[int, Fraction]:
     both from one return-length search at 2t; the left side never exceeds
     the right.
     """
-    if g.d < 3:
-        raise ParameterError("census inequality needs d >= 3")
-    if t < 2:
-        raise ParameterError(f"census horizon t={t} must be >= 2")
+    d = integer(g.d, 3, "census inequality degree d")
+    t = integer(t, 2, "census horizon t")
     bi = g.bond_index
     ret = min_return_lengths(bi, 2 * t)
     t_count = len(_near_cycle_bonds(bi, ret, t))
     c_directed = 2 * len(_cycle_edges(ret, g.B, 2 * t))
-    bound = Fraction((g.d - 1) ** (t - 1) * c_directed, g.d - 2)
+    bound = Fraction((d - 1) ** (t - 1) * c_directed, d - 2)
     return t_count, bound

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _runtime
-from ._checks import check, imag_residue, stochasticity_deviation, unitarity_deviation
+from ._checks import check, imag_residue, integer, stochasticity_deviation, unitarity_deviation
 from .bonds import BondIndex, BondOperator, _frozen, _owned
 from .errors import (
     AssemblyError,
@@ -105,7 +105,7 @@ def draw_lengths(b: int, seed: int) -> np.ndarray:
     """Uniform bond lengths in LENGTH_RANGE from a seed in [0, 2^64);
     irrational length ratios with probability one, which is what the
     k-averages rely on."""
-    return _rng(seed).uniform(*LENGTH_RANGE, size=b)
+    return _rng(seed).uniform(*LENGTH_RANGE, size=integer(b, 0, "bond count b"))
 
 
 def build_assembly(mg: MetricGraph | Graph, rule) -> BondOperator:
@@ -399,10 +399,9 @@ def _k_grid(s: BondOperator, mg: MetricGraph, k_max: float, samples: int):
     """The midpoint grid of [0, k_max] (equispaced, never duplicating
     endpoints) and the map k -> U(k) = S.with_phases(e^{i k L}), which
     forms one operator per call.  samples and the window are checked when
-    called, before any U(k)."""
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    if not (math.isfinite(k_max) and k_max > 0):
+    called, before any U(k), and len(ks) is the checked sample count."""
+    samples = integer(samples, 1, "samples")
+    if not (math.isfinite(k_max) and k_max > 0.0):
         raise ParameterError(f"k window {k_max} must be finite and positive")
     lengths = mg.directed_lengths
     ks = (np.arange(samples) + 0.5) * (k_max / samples)
@@ -454,7 +453,12 @@ def variance_estimate(
     scratch, and the statistic is formed in column blocks.
     """
     ks, u_at = _k_grid(s, mg, k_max, samples)
+    samples = len(ks)
     _check_dim(s, f)
+    # the facts the k-samples share, built here: cached_property locks nothing on 3.12+
+    s.gather
+    if s.antisymmetric:
+        s.bond_index.pair_scatter
     two_b = s.bond_index.num_directed
     mean_element = f.trace() / two_b
     blocks = _column_blocks(two_b)
@@ -477,8 +481,7 @@ def trace_correlator(s: BondOperator, mg: MetricGraph, f: Observable, t: int, k:
 
     Imaginary residue beyond tolerance raises instead of being truncated.
     """
-    if t < 0:
-        raise ParameterError("t must be >= 0")
+    t = integer(t, 0, "t")
     _check_dim(s, f)
     u = evolution(s, mg, k)
     ut = np.linalg.matrix_power(u, t)
@@ -495,14 +498,13 @@ def m_tilde(
 
     Doubly stochastic (each |U^t|^2 is, U being unitary); checked to M_TILDE_TOL.
     """
-    if t < 0:
-        raise ParameterError("t must be >= 0")
+    t = integer(t, 0, "t")
     ks, u_at = _k_grid(s, mg, k_max, samples)
     two_b = s.bond_index.num_directed
     acc = np.zeros((two_b, two_b))
     for k in ks:
         acc += np.abs(np.linalg.matrix_power(u_at(k).dense(), t)) ** 2
-    acc /= samples
+    acc /= len(ks)
     check(stochasticity_deviation(acc), M_TILDE_TOL, NumericalError, "k-averaged |U^t|^2 sums")
     return acc
 
@@ -515,9 +517,7 @@ class FejerWeights:
     T: int
 
     def __post_init__(self):
-        if self.T < 1 or not float(self.T).is_integer():
-            raise ParameterError(f"window T={self.T} must be a positive integer")
-        object.__setattr__(self, "T", int(self.T))
+        object.__setattr__(self, "T", integer(self.T, 1, "window T"))
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -539,9 +539,7 @@ def fejer_kernel(T: int, x: float) -> float:
 
     Non-negative for all real x (it equals sinc^2(Tx/2) up to normalisation).
     """
-    if T < 1:
-        raise ParameterError(f"window T={T} must be >= 1")
-    u = T * float(x)
+    u = integer(T, 1, "window T") * float(x)
     if abs(u) < 1e-4:
         return 1.0 - u * u / 12.0
     return 2.0 * (1.0 - math.cos(u)) / (u * u)
@@ -569,7 +567,7 @@ def lemma_a_sides(u: np.ndarray, a_mat: np.ndarray, T: int) -> tuple[float, floa
     a_dag = a_mat.conj().T
     total = w.weight(0) * np.trace(a_dag @ a_mat)
     p = a_mat.copy()
-    for t in range(1, T + 1):
+    for t in range(1, w.T + 1):
         p = u @ p @ u.conj().T  # U^t A U^-t
         wt = w.weight(t)
         if wt == 0.0:

@@ -40,6 +40,9 @@ MAX_SEED = 2**64 - 1 - LENGTH_SEED_OFFSET
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep's parameters, checked when built: ParseError for an empty n_list or
+    seeds, ValidationError (or the d's construction error) for a value it cannot run."""
+
     d: int
     n_list: tuple[int, ...]
     seeds: tuple[int, ...]
@@ -47,6 +50,23 @@ class ExperimentConfig:
     samples: int = 200
     kappa: float = 1.0
     output: str = "experiment.csv"
+
+    def __post_init__(self):
+        if not self.n_list or not self.seeds:
+            raise ParseError("n_list and seeds must be non-empty")
+        if self.d < 3:
+            raise ValidationError(f"config d={self.d} must be >= 3")
+        equi_transmitting_sigma(self.d)  # raises for a d with no construction
+        if any(n <= self.d for n in self.n_list):
+            raise ValidationError(f"every n in n_list must exceed d={self.d}")
+        if self.samples < 1:
+            raise ValidationError(f"config samples={self.samples} must be >= 1")
+        if any(not 0 <= s <= MAX_SEED for s in self.seeds):
+            raise ValidationError(f"config seeds must lie in [0, {MAX_SEED}]")
+        if not (0 < self.K < math.inf and 0 < self.kappa < math.inf):
+            raise ValidationError(
+                f"config K={self.K} and kappa={self.kappa} must be finite and positive"
+            )
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -64,13 +84,8 @@ _REQUIRED = {name for name, f in _FIELDS.items() if f.default is MISSING}
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the key=value config format (keys: CONFIG_KEYS, each at most
     once; lists comma-separated; an absent optional key takes its
-    ExperimentConfig default).  An unknown or repeated key raises
-    ParseError.
-
-    Values a sweep cannot run with (d < 3, a d with no equi-transmitting
-    construction, n <= d, samples < 1, K or kappa not finite and positive,
-    a seed outside [0, MAX_SEED]) raise ValidationError before any row is
-    computed.
+    ExperimentConfig default).  An unknown, repeated or missing key
+    raises ParseError; ExperimentConfig checks the values.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -90,26 +105,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if missing:
         raise ParseError(f"config missing keys: {sorted(missing)}")
     try:
-        cfg = ExperimentConfig(**{k: _PARSERS[_FIELDS[k].type](v) for k, v in entries.items()})
+        values = {k: _PARSERS[_FIELDS[k].type](v) for k, v in entries.items()}
     except ValueError as exc:
         raise ParseError(f"config value malformed: {exc}") from exc
-    d = cfg.d
-    if not cfg.n_list or not cfg.seeds:
-        raise ParseError("n_list and seeds must be non-empty")
-    if d < 3:
-        raise ValidationError(f"config d={d} must be >= 3")
-    equi_transmitting_sigma(d)  # raises for a d with no construction
-    if any(n <= d for n in cfg.n_list):
-        raise ValidationError(f"every n in n_list must exceed d={d}")
-    if cfg.samples < 1:
-        raise ValidationError(f"config samples={cfg.samples} must be >= 1")
-    if any(not 0 <= s <= MAX_SEED for s in cfg.seeds):
-        raise ValidationError(f"config seeds must lie in [0, {MAX_SEED}]")
-    if not (0 < cfg.K < math.inf and 0 < cfg.kappa < math.inf):
-        raise ValidationError(
-            f"config K={cfg.K} and kappa={cfg.kappa} must be finite and positive"
-        )
-    return cfg
+    return ExperimentConfig(**values)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -14,6 +14,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from ._checks import integer
 from .bonds import BondIndex, _owned
 from .errors import NumericalError, ParameterError, SamplingError, ValidationError
 
@@ -40,7 +41,8 @@ HOPELESS_FACTOR = 10
 
 def _rng(seed: int) -> np.random.Generator:
     """numpy's default generator for a seed in [0, 2^64)."""
-    if not 0 <= seed < 2**64:
+    seed = integer(seed, 0, "seed")
+    if seed >= 2**64:
         raise ParameterError(f"seed {seed} must lie in [0, 2^64)")
     return np.random.default_rng(np.uint64(seed))
 
@@ -142,10 +144,8 @@ def generate_random_regular(n: int, d: int, seed: int) -> Graph:
     SamplingError after MAX_ATTEMPTS rejections, or before the first draw
     where HOPELESS_FACTOR says the rejections cannot succeed.
     """
-    if d < 3:
-        raise ParameterError(f"degree d={d} must be >= 3")
-    if d >= n:
-        raise ParameterError(f"need d < n, got d={d}, n={n}")
+    d = integer(d, 3, "degree d")
+    n = integer(n, d + 1, "vertex count n")
     if (n * d) % 2 != 0:
         raise ParameterError(f"n*d = {n * d} must be even")
     rng = _rng(seed)

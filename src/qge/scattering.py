@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check, unitarity_deviation
+from ._checks import check, integer, unitarity_deviation
 from .bonds import _owned
 from .errors import (
     HadamardOrderError,
@@ -121,8 +121,7 @@ def kirchhoff_sigma(d: int) -> VertexScattering:
 
     Real, symmetric, and an involution (sigma^2 = I).
     """
-    if d < 2:
-        raise ParameterError(f"degree d={d} must be >= 2")
+    d = integer(d, 2, "degree d")
     entries = np.full((d, d), 2.0 / d) - np.eye(d)
     return VertexScattering(entries=entries.astype(np.complex128))
 
@@ -134,12 +133,11 @@ def equi_transmitting_sigma(d: int) -> VertexScattering:
     matrix exists for d = 3; other unsupported degrees fail with the
     construction error of skew_hadamard.
     """
+    d = integer(d, 2, "degree d")
     if d == 3:
         raise NoEquiTransmittingMatrixError(
             "no 3x3 equi-transmitting matrix exists for any choice of phases"
         )
-    if d < 2:
-        raise ParameterError(f"degree d={d} must be >= 2")
     entries = (skew_hadamard(d).entries - np.eye(d)) / np.sqrt(d - 1)
     return VertexScattering(entries=entries.astype(np.complex128))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check, imag_residue, stochasticity_deviation
+from ._checks import check, imag_residue, integer, stochasticity_deviation
 from .bonds import BondIndex, BondOperator
 from .errors import (
     NumericalError,
@@ -179,8 +179,7 @@ def reduced_consistency(g: Graph, m: BondOperator, f, t: int) -> float:
     f may be given as n vertex coefficients or as a full 2B bond vector
     (which must lie in the span to tolerance).
     """
-    if t < 0:
-        raise ParameterError("t must be >= 0")
+    t = integer(t, 0, "t")
     basis = vertex_basis(g.bond_index)
     f = np.asarray(f, dtype=np.complex128)
     if f.shape == (g.n,):
@@ -236,10 +235,8 @@ def z_sequence(mu: float, d: int, T: int) -> np.ndarray:
     are compared at Z_TOL relative to the sequence scale; disagreement means
     a broken implementation and raises.
     """
-    if d < 3:
-        raise ParameterError("d must be >= 3")
-    if T < 0:
-        raise ParameterError("T must be >= 0")
+    d = integer(d, 3, "d")
+    T = integer(T, 0, "T")
     if not np.isfinite(mu):
         raise ParameterError(f"mu={mu} must be finite")
     z = np.zeros(T + 1)
@@ -261,8 +258,8 @@ def z_closed_form(mu: float, d: int, T: int) -> np.ndarray:
 
     Complex arithmetic throughout, valid for omega inside and outside
     [-1, 1]; undefined at omega = +-1 (degenerate root)."""
-    if d < 3:
-        raise ParameterError("d must be >= 3")
+    d = integer(d, 3, "d")
+    T = integer(T, 0, "T")
     omega = complex(mu / (2.0 * np.sqrt(d - 1.0)))
     disc = cmath.sqrt(omega * omega - 1.0)
     if abs(disc) < Z_DEGENERATE_TOL:
@@ -279,7 +276,7 @@ def z_closed_form(mu: float, d: int, T: int) -> np.ndarray:
 
 def z_bound(d: int, beta: float, T: int) -> np.ndarray:
     """The scalar decay envelope t ((d-1-beta)/(d-1))^(t-1) for t = 0..T."""
-    ts = np.arange(T + 1, dtype=np.float64)
+    ts = np.arange(integer(T, 0, "T") + 1, dtype=np.float64)
     ratio = (d - 1.0 - beta) / (d - 1.0)
     with np.errstate(divide="ignore"):
         powers = ratio ** np.clip(ts - 1, 0, None)
@@ -328,8 +325,7 @@ def decay_profile(m: BondOperator, f: Observable, T: int, beta: float) -> list[D
     larger gap (tiny complete graphs) can exceed it, which the violation
     flag reports honestly.
     """
-    if T < 1:
-        raise ParameterError("T must be >= 1")
+    T = integer(T, 1, "T")
     if not f.traceless:
         raise ValidationError("decay bounds require a traceless observable")
     basis = vertex_basis(m.bond_index)

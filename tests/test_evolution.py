@@ -482,6 +482,19 @@ def _pole_distance(u):
 class TestReversalRoute:
     """The bond-reversal route of eigenbasis and its selection."""
 
+    def test_odd_cluster_fails_the_attempt(self, k5_metric, monkeypatch):
+        # every eigenvalue of M^2 is double, so a cluster of one means a u
+        # without the bond-reversal symmetry: the attempt fails for the
+        # next one to run
+        def singles(operands):
+            n = len(operands[0])
+            return np.linspace(-1.0, 1.0, n), np.eye(n)
+
+        _, mg, a = k5_metric
+        monkeypatch.setattr(evolution_module, "_cayley", singles)
+        with pytest.raises(np.linalg.LinAlgError, match=r"odd cluster of M\^2 eigenphases, sizes \[1\]"):
+            evolution_module._reversal_attempt(_u(a, mg, 2.2), _CAYLEY_SHIFTS[0])
+
     @pytest.mark.parametrize("g,rule", WIRING_CASES)
     def test_antisymmetric_reads_every_vertex(self, g, rule):
         # only the equi-transmitting (H - I)/sqrt(d-1) is antisymmetric here;
@@ -886,6 +899,31 @@ class TestKSamplePool:
         assert threading.active_count() == threads
         assert _blas_threads() == blas
 
+    @pytest.mark.usefixtures("fast_switching")
+    def test_shared_facts_built_once_on_the_calling_thread(self, monkeypatch):
+        # cached_property takes no lock, so a fact the k-samples share (the
+        # block facts that with_phases passes on, and every bond-index fact)
+        # must be built before the pool starts, where no two workers race
+        monkeypatch.setattr(_runtime, "pool_workers", lambda items: 2)
+        builds = []
+        for cls in (BondOperator, BondIndex):
+            for name, prop in vars(cls).items():
+                if isinstance(prop, functools.cached_property) and name != "_weights":
+
+                    def spy(self, func=prop.func, name=name):
+                        builds.append((name, id(self), threading.current_thread()))
+                        return func(self)
+
+                    wrapped = functools.cached_property(spy)
+                    wrapped.__set_name__(cls, name)
+                    monkeypatch.setattr(cls, name, wrapped)
+        mg, a, f = _row_inputs()
+        variance_estimate(a, mg, f, self.K, self.SAMPLES)
+        names = [name for name, _, _ in builds]
+        assert {"gather", "antisymmetric", "pair_scatter"} <= set(names)
+        assert len({(name, owner) for name, owner, _ in builds}) == len(builds)
+        assert {thread for _, _, thread in builds} == {threading.current_thread()}
+
     def test_calling_thread_only_waits(self, monkeypatch):
         monkeypatch.setattr(_runtime, "pool_workers", lambda items: 2)
         mg, a, f = _row_inputs()
@@ -1096,6 +1134,11 @@ class TestObservable:
         assert abs(f.trace()) > 1e-12 * bi.num_directed
         assert f.traceless
         assert not constant_observable(bi, 1e6).traceless
+
+    @pytest.mark.parametrize("values", [np.zeros((2, 2)), 1.0], ids=["matrix", "scalar"])
+    def test_must_be_a_vector(self, values):
+        with pytest.raises(ValidationError, match="observable must be a vector"):
+            Observable(values)
 
     @pytest.mark.parametrize("values, sup", [([3.0, 0.0], 3.0), ([1j, -2.0, 0.5], 2.0), ([], 0.0)])
     def test_kappa_is_sup_norm(self, values, sup):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -16,7 +17,10 @@ from qge import _runtime
 from qge import (
     BoundInputs,
     ExperimentConfig,
+    HadamardOrderError,
+    NoEquiTransmittingMatrixError,
     ParseError,
+    SamplingError,
     ValidationError,
     explicit_variance_bound,
     family_experiment,
@@ -49,6 +53,19 @@ def spy_rows(monkeypatch, fail=None):
 
     monkeypatch.setattr(qge.experiment, "variance_estimate", spy)
     return calls
+
+
+def fail_generation(monkeypatch, n_fail):
+    """Make graph generation raise SamplingError for the rows with n_fail
+    vertices, as an exhausted rejection sampler would."""
+    generate = qge.experiment.generate_random_regular
+
+    def spy(n, d, seed):
+        if n == n_fail:
+            raise SamplingError(f"no simple pairing found for n={n}, d={d}")
+        return generate(n, d, seed)
+
+    monkeypatch.setattr(qge.experiment, "generate_random_regular", spy)
 
 
 class TestParseConfig:
@@ -115,6 +132,45 @@ class TestParseConfig:
         assert cfg.seeds == (0, qge.experiment.MAX_SEED)
 
 
+# the bad values of the CLI's invalid-config tests, as ExperimentConfig
+# fields, with the error each raises
+BAD_CONFIGS = {
+    "samples=0": ({"samples": 0}, ValidationError, "samples=0 must be >= 1"),
+    "K=0": ({"K": 0.0}, ValidationError, "must be finite and positive"),
+    "kappa=-1": ({"kappa": -1.0}, ValidationError, "must be finite and positive"),
+    "d=2": ({"d": 2}, ValidationError, "d=2 must be >= 3"),
+    "d=3": ({"d": 3}, NoEquiTransmittingMatrixError, "no 3x3"),
+    "d=6": ({"d": 6}, HadamardOrderError, "order 6"),
+    "n_list=10,4": ({"n_list": (10, 4)}, ValidationError, "must exceed d=4"),
+    "n_list=4": ({"n_list": (4,)}, ValidationError, "must exceed d=4"),
+    "K=inf": ({"K": math.inf}, ValidationError, "must be finite and positive"),
+    "kappa=inf": ({"kappa": math.inf}, ValidationError, "must be finite and positive"),
+    "seeds=-1": ({"seeds": (-1,)}, ValidationError, "seeds must lie in"),
+    "seeds=1,-3": ({"seeds": (1, -3)}, ValidationError, "seeds must lie in"),
+    "seeds=2^64-1": ({"seeds": (2**64 - 1,)}, ValidationError, "seeds must lie in"),
+    "n_list=()": ({"n_list": ()}, ParseError, "n_list and seeds must be non-empty"),
+    "seeds=()": ({"seeds": ()}, ParseError, "n_list and seeds must be non-empty"),
+}
+
+
+class TestConfigValues:
+    """ExperimentConfig checks its values however it is built, so a sweep
+    never starts from one it cannot run."""
+
+    @pytest.mark.parametrize("case", BAD_CONFIGS)
+    def test_direct_construction_refuses(self, case):
+        fields, error, message = BAD_CONFIGS[case]
+        base = {"d": 4, "n_list": (10,), "seeds": (1,), "K": 10.0, "samples": 5}
+        with pytest.raises(error, match=re.escape(message)):
+            ExperimentConfig(**{**base, **fields})
+
+    @pytest.mark.parametrize("key", ["n_list", "seeds"])
+    def test_parse_refuses_an_empty_list(self, key):
+        lines = {"d": "4", "n_list": "10", "seeds": "1", key: " , "}
+        with pytest.raises(ParseError, match="n_list and seeds must be non-empty"):
+            parse_config("".join(f"{k}={v}\n" for k, v in lines.items()))
+
+
 class TestFamilyExperiment:
     def test_small_sweep(self):
         cfg = ExperimentConfig(d=4, n_list=(10, 16), seeds=(1, 2), K=25.0, samples=25)
@@ -133,9 +189,9 @@ class TestFamilyExperiment:
                 assert math.isnan(r.bound)
 
     @pytest.mark.usefixtures("two_workers")
-    def test_failed_rows_marked_not_dropped(self):
-        # n = d forces a generation failure on that row only
-        cfg = ExperimentConfig(d=4, n_list=(4, 10), seeds=(1,), K=10.0, samples=5)
+    def test_failed_rows_marked_not_dropped(self, monkeypatch):
+        fail_generation(monkeypatch, 12)
+        cfg = ExperimentConfig(d=4, n_list=(12, 10), seeds=(1,), K=10.0, samples=5)
         rows = family_experiment(cfg)
         assert len(rows) == 2
         assert rows[0].status.startswith("error:")
@@ -179,9 +235,9 @@ class TestFamilyExperiment:
         assert time.perf_counter() - start < 2.0
         assert row.status.startswith("error: a simple pairing takes about e^15.75 draws")
 
-    def test_failed_row_girth_cell_empty(self):
-        # n = d forces a generation failure on that row only
-        cfg = ExperimentConfig(d=4, n_list=(4, 10), seeds=(1,), K=10.0, samples=5)
+    def test_failed_row_girth_cell_empty(self, monkeypatch):
+        fail_generation(monkeypatch, 12)
+        cfg = ExperimentConfig(d=4, n_list=(12, 10), seeds=(1,), K=10.0, samples=5)
         failed, ok = family_experiment(cfg)
         girth = EXPERIMENT_COLUMNS.index("girth")
         assert failed.status.startswith("error:")

@@ -53,6 +53,13 @@ class TestGraphInvariants:
         with pytest.raises(ValidationError, match="degree"):
             Graph(n=4, d=3, edges=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)))
 
+    @pytest.mark.parametrize("n, d", [(0, 3), (4, 0), (-2, 4)])
+    def test_rejects_empty_vertex_set_or_degree(self, n, d):
+        # without the check, n = 0 or d = 0 with no edges would pass every
+        # other test of the graph
+        with pytest.raises(ValidationError, match="n and d must be positive"):
+            Graph(n=n, d=d, edges=np.zeros((0, 2), dtype=np.int64))
+
 
 def loop_validation(n: int, d: int, edges) -> None:
     """The per-edge validation loop that Graph ran on tuple edges, kept as
@@ -325,6 +332,24 @@ class TestSpectralReport:
         assert rep.mu[0] == pytest.approx(4.0, abs=1e-9)
         assert rep.mu[1] == pytest.approx(4.0, abs=1e-9)
         assert rep.beta == pytest.approx(3.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [([False, False], "multiplicity of d"), ([True], "-d multiplicity")],
+        ids=["components", "bipartite"],
+    )
+    def test_dense_multiplicities_cross_check_the_traversal(self, monkeypatch, flags, match):
+        # a traversal that miscounts the components or the bipartite ones of
+        # the (connected, non-bipartite) Petersen graph fails the dense route
+        real = graphs._components
+
+        def wrong(g):
+            label, color, _ = real(g)
+            return label, color, flags
+
+        monkeypatch.setattr(graphs, "_components", wrong)
+        with pytest.raises(ValidationError, match=match):
+            spectral_report(petersen())
 
     def test_girth_matches_bond_walk_oracle(self):
         for g in [k5(), petersen(), cage46(), k5_chain(4)]:

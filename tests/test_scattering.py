@@ -4,7 +4,9 @@ import pytest
 from qge import (
     HadamardOrderError,
     NoEquiTransmittingMatrixError,
+    NumericalError,
     ParameterError,
+    VertexScattering,
     equi_transmitting_sigma,
     is_equi_transmitting,
     kirchhoff_sigma,
@@ -32,6 +34,21 @@ class TestSkewHadamard:
         h = skew_hadamard(4).entries
         assert np.all(h[0] == 1)
         assert np.all(h[1:, 0] == -1)
+
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            ([[1, 2], [-2, 1]], r"entries must be \+-1"),
+            ([[1, 1], [1, 1]], r"H \+ H\^T = 2I"),
+            ([[1, 1, 1], [-1, 1, 1], [-1, -1, 1]], "H H\\^T = mI"),
+        ],
+        ids=["entries", "skew", "orthogonal"],
+    )
+    def test_rejects_a_broken_identity(self, entries, match):
+        # each matrix passes the checks before the one it fails; no skew
+        # +-1 matrix of order 3 has orthogonal rows
+        with pytest.raises(NumericalError, match=match):
+            SkewHadamard(np.array(entries, dtype=np.int64))
 
     def test_doubling_reaches_16(self):
         # 15 is not prime, so 16 must come from doubling 8
@@ -108,3 +125,14 @@ class TestIsEquiTransmitting:
 
     def test_non_square_fails(self):
         assert not is_equi_transmitting(np.zeros((2, 3)))
+
+    def test_empty_matrix_fails(self):
+        # a 0 x 0 matrix is vacuously unitary, with no diagonal and no
+        # off-diagonal entries to fail
+        assert not is_equi_transmitting(np.zeros((0, 0)))
+
+
+def test_vertex_matrix_must_be_square():
+    for entries in (np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2))):
+        with pytest.raises(ParameterError, match="must be square"):
+            VertexScattering(entries)

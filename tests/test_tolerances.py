@@ -2,8 +2,9 @@
 qge._checks.check, which fails closed; only qge._runtime, the home of the
 process settings, reaches C libraries through ctypes; only
 evolution.variance_estimate runs the worker pool, so pools never nest; only
-bonds._frozen sets an array's flags; and only census.min_return_lengths,
-the search it bounds, reads the census work budget."""
+bonds._frozen sets an array's flags; only census.min_return_lengths, the
+search it bounds, reads the census work budget; and every integer bound
+goes through qge._checks.integer."""
 
 import ast
 import math
@@ -213,6 +214,64 @@ def test_rule_sees_a_budget_read(tmp_path):
         "from .census import DEFAULT_WORK_BUDGET as budget\n"
     )
     assert _budget_reads(path) == ["probe.py:5", "probe.py:6", "probe.py:7"]
+
+
+def _side(node) -> str:
+    """"ref" for a name or attribute, "int" for an int literal, negated or
+    not, and "" for anything else."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return "ref"
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return "int" if isinstance(node, ast.Constant) and type(node.value) is int else ""
+
+
+def _raises(stmt, name: str) -> bool:
+    if not isinstance(stmt, ast.Raise):
+        return False
+    exc = stmt.exc.func if isinstance(stmt.exc, ast.Call) else stmt.exc
+    return name in (getattr(exc, "id", None), getattr(exc, "attr", None))
+
+
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _hand_integer_bounds(path: Path) -> list[str]:
+    """Ordering comparisons between a name or attribute and an int literal
+    in the test of an `if` whose body raises ParameterError: an integer
+    bound written by hand instead of through _checks.integer.  A real bound
+    is written with a float literal (kappa <= 0.0) and passes."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (isinstance(node, ast.If) and any(_raises(stmt, "ParameterError") for stmt in node.body)):
+            continue
+        for cmp in (sub for sub in ast.walk(node.test) if isinstance(sub, ast.Compare)):
+            sides = [cmp.left, *cmp.comparators]
+            for op, left, right in zip(cmp.ops, sides, sides[1:]):
+                if isinstance(op, ORDERINGS) and {_side(left), _side(right)} == {"ref", "int"}:
+                    found.append(f"{path.name}:{cmp.lineno}")
+    return found
+
+
+def test_integer_bounds_go_through_the_check():
+    # every count, degree, horizon and seed is checked by _checks.integer,
+    # which also refuses bools, fractions and non-finite values
+    assert [hit for p in SOURCES for hit in _hand_integer_bounds(p)] == []
+
+
+def test_rule_sees_a_hand_integer_bound(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "if t < 0:\n    raise ParameterError('t')\n"
+        "if x.k <= 3 or flag:\n    raise errors.ParameterError('k')\n"
+        "if not 0 <= seed < 2**64:\n    raise ParameterError\n"
+        "if -1 > t:\n    log()\n    raise ParameterError('t')\n"
+        "if self.kappa <= 0.0:\n    raise ParameterError('kappa')\n"
+        "if d < 3:\n    raise ValidationError('config d')\n"
+        "if n <= d or 2 * n < 3:\n    raise ParameterError('n')\n"
+        "if t < 0:\n    t = 0\nelse:\n    raise ParameterError('t')\n"
+    )
+    assert _hand_integer_bounds(path) == ["probe.py:1", "probe.py:3", "probe.py:5", "probe.py:7"]
 
 
 class TestEigenRouteConstants:
