@@ -82,8 +82,8 @@ class BoundInputs:
         if self.kappa <= 0.0:
             raise ParameterError("kappa must be positive")
         object.__setattr__(self, "d", integer(self.d, 3, "d"))
-        if not (0.0 < self.beta < self.d):
-            raise ParameterError(f"beta={self.beta} must lie in (0, d)")
+        if not (0.0 <= self.beta < self.d):
+            raise ParameterError(f"beta={self.beta} must lie in [0, d)")
         object.__setattr__(self, "T", integer(self.T, 1, "T"))
         object.__setattr__(self, "census", integer(self.census, 0, "census"))
         object.__setattr__(self, "B", integer(self.B, 1, "B"))
@@ -102,11 +102,11 @@ class VarianceBound:
 def explicit_variance_bound(bi: BoundInputs) -> VarianceBound:
     """Assemble the three-term variance bound with explicit constants.
 
-    Raises WalkBoundUnavailableError when beta >= d-2 (the walk constant
-    degenerates there, mirroring the decay-profile fallback).
+    Raises WalkBoundUnavailableError where walk_decay_constant, the walk
+    bound's one gate, does: beta = 0 or beta >= d-2.
     """
     kappa, d, beta, T, census, b = bi.kappa, bi.d, bi.beta, bi.T, bi.census, bi.B
-    const = walk_decay_constant(d, beta)  # raises when beta >= d-2
+    const = walk_decay_constant(d, beta)
 
     term_diag = kappa**2 / T
     term_walk = 2.0 * kappa**2 * const * (d - 1) * (d - 1 - beta) / (T * beta**2)

@@ -123,9 +123,7 @@ def _cmd_graph_info(args) -> int:
     g = load_graph(args.graph)
     report = spectral_report(g)
     gth = girth(g)
-    ramanujan = None
-    if report.is_connected and not report.is_bipartite:
-        ramanujan = is_ramanujan(report)
+    ramanujan = is_ramanujan(report) if report.ergodic else None
     payload = {
         **asdict(report),
         "B": g.B,
@@ -169,8 +167,7 @@ def _cmd_walk_decay(args) -> int:
     g = load_graph(args.graph)
     m = classical_map(build_assembly(g, _SIGMAS[args.sigma](g.d)))
     f = _observable_for(args.obs, g, args.kappa)
-    beta = spectral_report(g).beta
-    rows = decay_profile(m, f, args.T, beta)
+    rows = decay_profile(m, f, args.T, spectral_report(g).walk_gap)
     _emit_csv(
         args.out,
         ["t", "norm", "bound", "bound_kind"],

@@ -39,7 +39,7 @@ class AssemblyError(ValidationError):
 
 
 class WalkBoundUnavailableError(ValidationError):
-    """beta >= d - 2: the explicit walk-decay constant degenerates."""
+    """beta outside (0, d - 2): the walk-decay constant degenerates, or the walk has no gap."""
 
 
 class NumericalError(QgeError):

@@ -17,6 +17,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import _runtime
+from ._checks import integer
 from .bounds import BoundInputs, choose_horizon, explicit_variance_bound
 from .census import cycle_bond_census
 from .errors import ParseError, QgeError, ValidationError, WalkBoundUnavailableError
@@ -41,7 +42,9 @@ MAX_SEED = 2**64 - 1 - LENGTH_SEED_OFFSET
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep's parameters, checked when built: ParseError for an empty n_list or
-    seeds, ValidationError (or the d's construction error) for a value it cannot run."""
+    seeds, ValidationError (or the d's construction error) for a value it cannot
+    run.  d, each n, samples and each seed go through _checks.integer, which
+    raises ParameterError, and are stored as ints."""
 
     d: int
     n_list: tuple[int, ...]
@@ -54,19 +57,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_list or not self.seeds:
             raise ParseError("n_list and seeds must be non-empty")
-        if self.d < 3:
-            raise ValidationError(f"config d={self.d} must be >= 3")
-        equi_transmitting_sigma(self.d)  # raises for a d with no construction
-        if any(n <= self.d for n in self.n_list):
-            raise ValidationError(f"every n in n_list must exceed d={self.d}")
-        if self.samples < 1:
-            raise ValidationError(f"config samples={self.samples} must be >= 1")
-        if any(not 0 <= s <= MAX_SEED for s in self.seeds):
+        d = integer(self.d, 3, "config d")
+        equi_transmitting_sigma(d)  # raises for a d with no construction
+        n_list = tuple(integer(n, d + 1, "config n_list") for n in self.n_list)
+        samples = integer(self.samples, 1, "config samples")
+        seeds = tuple(integer(s, 0, "config seeds") for s in self.seeds)
+        if any(s > MAX_SEED for s in seeds):
             raise ValidationError(f"config seeds must lie in [0, {MAX_SEED}]")
         if not (0 < self.K < math.inf and 0 < self.kappa < math.inf):
             raise ValidationError(
                 f"config K={self.K} and kappa={self.kappa} must be finite and positive"
             )
+        for name, value in (("d", d), ("n_list", n_list), ("samples", samples), ("seeds", seeds)):
+            object.__setattr__(self, name, value)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -162,7 +165,7 @@ def _one_row(cfg: ExperimentConfig, n: int, seed: int) -> ExperimentRow:
             BoundInputs(
                 kappa=f.kappa,
                 d=cfg.d,
-                beta=report.beta,
+                beta=report.walk_gap,
                 T=horizon,
                 census=census_directed,
                 B=g.B,

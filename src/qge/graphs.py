@@ -134,6 +134,21 @@ class SpectralReport:
     is_connected: bool
     is_bipartite: bool
 
+    @property
+    def ergodic(self) -> bool:
+        """Connected and not bipartite: beta then leaves out only the one
+        eigenvalue d, the constant vector's."""
+        return self.is_connected and not self.is_bipartite
+
+    @property
+    def walk_gap(self) -> float:
+        """The gap the bond walk's decay bound reads: beta on an ergodic
+        graph, else 0.  On traceless observables the walk M keeps what beta
+        leaves out: the eigenvalue 1 for each component beyond the first
+        (f = +-1 by component) and -1 for each bipartite component (f = the
+        sign of the tail's colour), and those observables never decay."""
+        return self.beta if self.ergodic else 0.0
+
 
 def generate_random_regular(n: int, d: int, seed: int) -> Graph:
     """Sample a uniform simple d-regular graph on n labelled vertices.
@@ -367,10 +382,8 @@ def is_ramanujan(report: SpectralReport) -> bool:
     """True iff every non-trivial |mu_i| <= 2 sqrt(d-1) + tol, that is
     d - beta <= 2 sqrt(d-1) + tol.
 
-    Only defined for connected, non-bipartite graphs.
+    Only defined for ergodic (connected, non-bipartite) graphs.
     """
-    if not report.is_connected:
-        raise ValidationError("Ramanujan test requires a connected graph")
-    if report.is_bipartite:
-        raise ValidationError("Ramanujan test requires a non-bipartite graph")
+    if not report.ergodic:
+        raise ValidationError("Ramanujan test requires a connected non-bipartite graph")
     return bool(report.d - report.beta <= 2.0 * np.sqrt(report.d - 1) + RAMANUJAN_TOL)

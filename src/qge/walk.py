@@ -276,28 +276,36 @@ def z_closed_form(mu: float, d: int, T: int) -> np.ndarray:
 
 def z_bound(d: int, beta: float, T: int) -> np.ndarray:
     """The scalar decay envelope t ((d-1-beta)/(d-1))^(t-1) for t = 0..T."""
+    d = integer(d, 3, "d")
+    if not np.isfinite(beta):
+        raise ParameterError(f"beta={beta} must be finite")
     ts = np.arange(integer(T, 0, "T") + 1, dtype=np.float64)
     ratio = (d - 1.0 - beta) / (d - 1.0)
-    with np.errstate(divide="ignore"):
-        powers = ratio ** np.clip(ts - 1, 0, None)
-    return ts * powers
+    return ts * ratio ** np.clip(ts - 1, 0, None)
 
 
 def y_from_z(z: np.ndarray, d: int) -> np.ndarray:
     """y_t = -z_{t-1}/(d-1), the upper-block coefficient; y_0 = 0."""
+    d = integer(d, 3, "d")
     y = np.zeros_like(z)
     y[1:] = -z[:-1] / (d - 1)
     return y
 
 
 def walk_decay_constant(d: int, beta: float) -> float:
-    """The explicit norm-decay constant 5(d-1)/(2(d-2-beta)).
+    """The explicit norm-decay constant 5(d-1)/(2(d-2-beta)): the one gate
+    of the walk bound.
 
-    Only defined for beta < d-2; at or above that the derivation degenerates.
+    Only defined for 0 < beta < d-2; at or above d-2 the derivation
+    degenerates, and a gap of 0 (SpectralReport.walk_gap of a bipartite or
+    disconnected graph) leaves a traceless observable that never decays.
     """
-    if beta >= d - 2:
+    d = integer(d, 3, "d")
+    if not np.isfinite(beta):
+        raise ParameterError(f"beta={beta} must be finite")
+    if not 0.0 < beta < d - 2:
         raise WalkBoundUnavailableError(
-            f"beta={beta} >= d-2={d - 2}: explicit decay constant unavailable"
+            f"beta={beta} outside (0, d-2={d - 2}): explicit decay constant unavailable"
         )
     return 5.0 * (d - 1) / (2.0 * (d - 2 - beta))
 
@@ -317,10 +325,11 @@ class DecayRow:
 def decay_profile(m: BondOperator, f: Observable, T: int, beta: float) -> list[DecayRow]:
     """Norms ||M^t f|| for t = 1..T against the explicit decay envelope.
 
-    For beta < d-2 the bound is K ||f|| t ((d-1-beta)/(d-1))^t with
-    K = 5(d-1)/(2(d-2-beta)), valid for any traceless f.  Otherwise the
-    profile falls back to the span{e_v} envelope 2 ||f|| t ((d-1-beta)/(d-1))^(t-1)
-    when f lies in that span, and reports norms only when it does not.
+    Where walk_decay_constant gives K, the bound is K ||f|| t r^t with
+    r = (d-1-beta)/(d-1), valid for any traceless f, and is read as
+    K r ||f|| z_bound[t].  Otherwise the profile falls back to the span{e_v}
+    envelope 2 ||f|| z_bound[t] when f lies in that span, and reports norms
+    only when it does not.  beta is the walk's gap (SpectralReport.walk_gap).
     The envelope itself presumes d-1-beta >= sqrt(d-1); graphs with an even
     larger gap (tiny complete graphs) can exceed it, which the violation
     flag reports honestly.
@@ -332,26 +341,18 @@ def decay_profile(m: BondOperator, f: Observable, T: int, beta: float) -> list[D
     d = basis.d
     fvec = f.f
     fnorm = float(np.linalg.norm(fvec))
-    ratio = (d - 1.0 - beta) / (d - 1.0)
-
-    kind = "none"
-    const = float("nan")
-    if beta < d - 2:
+    try:  # K ||f|| t r^t = (K r ||f||) t r^(t-1)
+        scale = walk_decay_constant(d, beta) * (d - 1.0 - beta) / (d - 1.0) * fnorm
         kind = "general"
-        const = walk_decay_constant(d, beta)
-    elif np.linalg.norm(project_g2(fvec, basis)) <= G2_MEMBERSHIP_TOL * max(1.0, fnorm):
-        kind = "vertex_span"
+    except WalkBoundUnavailableError:
+        in_span = np.linalg.norm(project_g2(fvec, basis)) <= G2_MEMBERSHIP_TOL * max(1.0, fnorm)
+        kind, scale = ("vertex_span", 2.0 * fnorm) if in_span else ("none", float("nan"))
+    bounds = scale * z_bound(d, beta, T)
 
     rows = []
     x = fvec
     for t in range(1, T + 1):
         x = m @ x
         norm = float(np.linalg.norm(x))
-        if kind == "general":
-            bound = const * fnorm * t * ratio**t
-        elif kind == "vertex_span":
-            bound = 2.0 * fnorm * t * ratio ** (t - 1)
-        else:
-            bound = float("nan")
-        rows.append(DecayRow(t=t, norm=norm, bound=bound, bound_kind=kind))
+        rows.append(DecayRow(t=t, norm=norm, bound=float(bounds[t]), bound_kind=kind))
     return rows

@@ -55,6 +55,18 @@ def cage46() -> Graph:
     return Graph(n=26, d=4, edges=tuple(sorted(edges)))
 
 
+def circulant(n: int, steps: tuple[int, ...]) -> Graph:
+    """The circulant graph C_n(steps): i ~ i +- s mod n for each step s; it
+    is bipartite when n is even and every step odd."""
+    edges = sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+    return Graph(n=n, d=2 * len(steps), edges=edges)
+
+
+def two_copies(g: Graph) -> Graph:
+    """The disjoint union of g with itself: vertex v + g.n copies v."""
+    return Graph(n=2 * g.n, d=g.d, edges=np.vstack((g.edges, g.edges + g.n)))
+
+
 def k5_chain(m: int) -> Graph:
     """Chain of K5-based gadgets joined by bridge edges: 4-regular with a
     spectral gap shrinking in m."""

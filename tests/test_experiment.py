@@ -19,6 +19,7 @@ from qge import (
     ExperimentConfig,
     HadamardOrderError,
     NoEquiTransmittingMatrixError,
+    ParameterError,
     ParseError,
     SamplingError,
     ValidationError,
@@ -135,21 +136,30 @@ class TestParseConfig:
 # the bad values of the CLI's invalid-config tests, as ExperimentConfig
 # fields, with the error each raises
 BAD_CONFIGS = {
-    "samples=0": ({"samples": 0}, ValidationError, "samples=0 must be >= 1"),
+    "samples=0": ({"samples": 0}, ParameterError, "config samples=0 must be a positive integer"),
     "K=0": ({"K": 0.0}, ValidationError, "must be finite and positive"),
     "kappa=-1": ({"kappa": -1.0}, ValidationError, "must be finite and positive"),
-    "d=2": ({"d": 2}, ValidationError, "d=2 must be >= 3"),
+    "d=2": ({"d": 2}, ParameterError, "config d=2 must be an integer >= 3"),
     "d=3": ({"d": 3}, NoEquiTransmittingMatrixError, "no 3x3"),
     "d=6": ({"d": 6}, HadamardOrderError, "order 6"),
-    "n_list=10,4": ({"n_list": (10, 4)}, ValidationError, "must exceed d=4"),
-    "n_list=4": ({"n_list": (4,)}, ValidationError, "must exceed d=4"),
+    "n_list=10,4": ({"n_list": (10, 4)}, ParameterError, "config n_list=4 must be an integer >= 5"),
+    "n_list=4": ({"n_list": (4,)}, ParameterError, "config n_list=4 must be an integer >= 5"),
     "K=inf": ({"K": math.inf}, ValidationError, "must be finite and positive"),
     "kappa=inf": ({"kappa": math.inf}, ValidationError, "must be finite and positive"),
-    "seeds=-1": ({"seeds": (-1,)}, ValidationError, "seeds must lie in"),
-    "seeds=1,-3": ({"seeds": (1, -3)}, ValidationError, "seeds must lie in"),
+    "seeds=-1": ({"seeds": (-1,)}, ParameterError, "config seeds=-1 must be an integer >= 0"),
+    "seeds=1,-3": ({"seeds": (1, -3)}, ParameterError, "config seeds=-3 must be an integer >= 0"),
     "seeds=2^64-1": ({"seeds": (2**64 - 1,)}, ValidationError, "seeds must lie in"),
     "n_list=()": ({"n_list": ()}, ParseError, "n_list and seeds must be non-empty"),
     "seeds=()": ({"seeds": ()}, ParseError, "n_list and seeds must be non-empty"),
+}
+
+# values only a Python caller can pass: each once ran, or became an error row
+NON_INTEGER_CONFIGS = {
+    "samples=2.5": ({"samples": 2.5}, "config samples=2.5 must be a positive integer"),
+    "n_list=10.5": ({"n_list": (10.5,)}, "config n_list=10.5 must be an integer >= 5"),
+    "seeds=1.5": ({"seeds": (1.5,)}, "config seeds=1.5 must be an integer >= 0"),
+    "d=True": ({"d": True}, "config d=True must be an integer >= 3"),
+    "samples=nan": ({"samples": math.nan}, "config samples=nan must be a positive integer"),
 }
 
 
@@ -163,6 +173,22 @@ class TestConfigValues:
         base = {"d": 4, "n_list": (10,), "seeds": (1,), "K": 10.0, "samples": 5}
         with pytest.raises(error, match=re.escape(message)):
             ExperimentConfig(**{**base, **fields})
+
+    @pytest.mark.parametrize("case", NON_INTEGER_CONFIGS)
+    def test_non_integer_refused_up_front(self, case):
+        fields, message = NON_INTEGER_CONFIGS[case]
+        base = {"d": 4, "n_list": (10,), "seeds": (1,), "K": 10.0, "samples": 5}
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            ExperimentConfig(**{**base, **fields})
+
+    def test_integral_values_stored_as_ints(self):
+        cfg = ExperimentConfig(
+            d=4.0, n_list=[np.int64(10), 12.0], seeds=(np.uint8(1), 2.0), samples=5.0
+        )
+        assert cfg == ExperimentConfig(d=4, n_list=(10, 12), seeds=(1, 2), samples=5)
+        values = [cfg.d, *cfg.n_list, *cfg.seeds, cfg.samples]
+        assert all(type(v) is int for v in values)
+        assert type(cfg.n_list) is tuple and type(cfg.seeds) is tuple
 
     @pytest.mark.parametrize("key", ["n_list", "seeds"])
     def test_parse_refuses_an_empty_list(self, key):

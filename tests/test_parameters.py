@@ -34,7 +34,9 @@ from qge import (
     reduced_consistency,
     trace_correlator,
     variance_estimate,
+    walk_decay_constant,
     weighted_geo_sum,
+    y_from_z,
     z_bound,
     z_closed_form,
     z_sequence,
@@ -131,7 +133,10 @@ CASES = {
     "z_sequence.T": (lambda x, v: z_sequence(0.5, 4, v), 5, 0),
     "z_closed_form.d": (lambda x, v: z_closed_form(0.5, v, 5), 4, 3),
     "z_closed_form.T": (lambda x, v: z_closed_form(0.5, 4, v), 5, 0),
+    "z_bound.d": (lambda x, v: z_bound(v, 0.5, 3), 4, 3),
     "z_bound.T": (lambda x, v: z_bound(4, 0.5, v), 5, 0),
+    "y_from_z.d": (lambda x, v: y_from_z(np.arange(4.0), v), 4, 3),
+    "walk_decay_constant.d": (lambda x, v: walk_decay_constant(v, 0.5), 4, 3),
     "decay_profile.T": (lambda x, v: decay_profile(x["m"], x["f"], v, 0.5), 3, 1),
 }
 
@@ -167,3 +172,16 @@ def test_integral_float_and_numpy_integer_act_as_the_int(inputs, case):
 def test_variance_estimate_records_the_int(inputs):
     est = variance_estimate(inputs["s"], inputs["mg"], inputs["f"], 10.0, 3.0)
     assert type(est.samples) is int and est.samples == 3
+
+
+# the walk bound's gate and envelope refuse a beta that is not finite, which
+# once gave a nan constant or nan envelope entries
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [lambda beta: walk_decay_constant(4, beta), lambda beta: z_bound(4, beta, 3)],
+    ids=["walk_decay_constant", "z_bound"],
+)
+def test_walk_bound_refuses_a_non_finite_beta(call, beta):
+    with pytest.raises(ParameterError, match="beta=.* must be finite"):
+        call(beta)

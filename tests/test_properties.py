@@ -1,9 +1,10 @@
 """Hypothesis properties over generated graphs: invariance under relabelling
-the vertices, and the structure of S and M under every vertex rule."""
+the vertices, the structure of S and M under every vertex rule, and the walk
+bound on every ergodic graph it covers."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qge import (
@@ -12,6 +13,7 @@ from qge import (
     Observable,
     build_assembly,
     classical_map,
+    decay_profile,
     draw_lengths,
     equi_transmitting_sigma,
     generate_random_regular,
@@ -32,9 +34,9 @@ RELABEL_TOL = 1e-9
 
 
 @st.composite
-def graphs(draw, degrees=(3, 4)):
+def graphs(draw, degrees=(3, 4), max_n=16):
     d = draw(st.sampled_from(degrees))
-    n = draw(st.integers(d + 1, 16).filter(lambda n: n * d % 2 == 0))
+    n = draw(st.integers(d + 1, max_n).filter(lambda n: n * d % 2 == 0))
     return generate_random_regular(n, d, draw(st.integers(0, 2**32)))
 
 
@@ -106,3 +108,20 @@ def test_s_unitary_without_backscattering_and_m_doubly_stochastic(case):
     assert np.all(back[zero_diagonal[bi.heads]] == 0.0)
     assert s.no_backscatter == bool(zero_diagonal.all())
     assert stochasticity_deviation(classical_map(s).dense()) < STOCHASTICITY_TOL
+
+
+@seed(26)
+@settings(max_examples=40, deadline=None)
+@given(g=graphs(degrees=(4,), max_n=40), rng_seed=st.integers(0, 2**32), in_span=st.booleans())
+def test_no_decay_row_with_an_envelope_is_violated(g, rng_seed, in_span):
+    # on a connected non-bipartite graph with beta < d - 2 the walk's gap is
+    # beta and every row carries the general bound; f is a random traceless
+    # observable, drawn in span{e_v} or on all bonds
+    rep = spectral_report(g)
+    assume(rep.ergodic and rep.beta < g.d - 2)
+    m = classical_map(build_assembly(g, equi_transmitting_sigma(g.d)))
+    rng = np.random.default_rng(rng_seed)
+    raw = rng.normal(size=g.n)[g.bond_index.tails] if in_span else rng.normal(size=2 * g.B)
+    rows = decay_profile(m, Observable(raw - raw.mean()), 30, rep.walk_gap)
+    assert all(r.bound_kind == "general" for r in rows)
+    assert not any(r.violated for r in rows)

@@ -3,8 +3,9 @@ qge._checks.check, which fails closed; only qge._runtime, the home of the
 process settings, reaches C libraries through ctypes; only
 evolution.variance_estimate runs the worker pool, so pools never nest; only
 bonds._frozen sets an array's flags; only census.min_return_lengths, the
-search it bounds, reads the census work budget; and every integer bound
-goes through qge._checks.integer."""
+search it bounds, reads the census work budget; every integer bound
+goes through qge._checks.integer; and only walk.walk_decay_constant, the
+walk bound's one gate, compares beta with d - 2."""
 
 import ast
 import math
@@ -272,6 +273,62 @@ def test_rule_sees_a_hand_integer_bound(tmp_path):
         "if t < 0:\n    t = 0\nelse:\n    raise ParameterError('t')\n"
     )
     assert _hand_integer_bounds(path) == ["probe.py:1", "probe.py:3", "probe.py:5", "probe.py:7"]
+
+
+def _names(node, name: str) -> bool:
+    """node is the name `name` or an attribute `name` of something."""
+    return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+
+def _beta_against_d_minus_2(path: Path) -> list[str]:
+    """Comparisons that set beta (a name or attribute) against d - 2 outside
+    the body of a function walk_decay_constant: a restated walk-bound domain."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "walk_decay_constant"
+        for sub in ast.walk(node)
+    }
+
+    def d_minus_2(node) -> bool:
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)
+            and _names(node.left, "d")
+            and isinstance(node.right, ast.Constant)
+            and node.right.value == 2
+        )
+
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or id(node) in inside:
+            continue
+        sides = [node.left, *node.comparators]
+        if any(
+            (_names(a, "beta") and d_minus_2(b)) or (d_minus_2(a) and _names(b, "beta"))
+            for a, b in zip(sides, sides[1:])
+        ):
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_one_gate_decides_the_walk_bound():
+    # decay_profile and explicit_variance_bound take their kind from
+    # walk_decay_constant, so the bound's domain is decided in one place
+    assert [hit for p in SOURCES for hit in _beta_against_d_minus_2(p)] == []
+
+
+def test_rule_sees_a_restated_walk_gate(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "def walk_decay_constant(d, beta):\n    if not 0.0 < beta < d - 2:\n        raise E\n"
+        "def decay_profile(d, beta):\n    if beta < d - 2:\n        kind = 'general'\n"
+        "ok = report.beta >= self.d - 2.0\n"
+        "flipped = 0 < d - 2 <= beta\n"
+        "fine = beta < d - 1 or d - 2 > 0 or gap < d - 2 or beta < n - 2\n"
+    )
+    assert _beta_against_d_minus_2(path) == ["probe.py:5", "probe.py:7", "probe.py:8"]
 
 
 class TestEigenRouteConstants:

@@ -1,10 +1,14 @@
+import csv
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qge.experiment
 from qge import (
+    BoundInputs,
     DecayRow,
+    ExperimentConfig,
     MetricGraph,
     Observable,
     ParameterError,
@@ -14,6 +18,9 @@ from qge import (
     classical_map,
     decay_profile,
     equi_transmitting_sigma,
+    explicit_variance_bound,
+    export_graph,
+    family_experiment,
     g2_contraction,
     generate_random_regular,
     kirchhoff_sigma,
@@ -33,9 +40,18 @@ from qge import (
     z_closed_form,
     z_sequence,
 )
+from qge.cli import main
 from qge.evolution import evolution
+from qge.fileio import save_observable
 
-from conftest import assert_products_match_dense, k5, petersen, random_unitary
+from conftest import (
+    assert_products_match_dense,
+    circulant,
+    k5,
+    petersen,
+    random_unitary,
+    two_copies,
+)
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +481,92 @@ class TestDecayProfile:
 
     def test_decay_constant_domain(self):
         assert walk_decay_constant(4, 1.0) == pytest.approx(7.5)
+        for beta in (2.0, 3.0, 0.0, -0.0, -0.5):
+            with pytest.raises(WalkBoundUnavailableError):
+                walk_decay_constant(4, beta)
+
+    def test_bounds_are_the_envelope_scaled(self):
+        # general rows read K r ||f|| z_bound[t] = K ||f|| t r^t, vertex-span
+        # rows 2 ||f|| z_bound[t]
+        g, m, basis = random_walk_setup(20, 1)
+        beta = spectral_report(g).beta
+        f = parity_observable(g.bond_index)
+        fnorm = np.linalg.norm(f.f)
+        const, ratio = walk_decay_constant(4, beta), (3.0 - beta) / 3.0
+        rows = decay_profile(m, f, 30, beta)
+        for r in rows:
+            assert r.bound == pytest.approx(const * fnorm * r.t * ratio**r.t, rel=1e-14)
+        f = Observable(dense_basis(basis)[0].T @ (np.arange(20.0) - 9.5))
+        envelope = z_bound(4, 0.0, 30)
+        rows = decay_profile(m, f, 30, 0.0)
+        assert [r.bound_kind for r in rows] == ["vertex_span"] * 30
+        assert [r.bound for r in rows] == list(2.0 * np.linalg.norm(f.f) * envelope[1:])
+
+
+def _component_sign(g):
+    """+1 on the bonds leaving the first copy of two_copies, -1 on the
+    second: traceless and fixed by M."""
+    return Observable(np.where(g.bond_index.tails < g.n // 2, 1.0, -1.0))
+
+
+# graphs whose beta lies below d - 2 while their walk does not decay: the
+# circulant is bipartite, the union of two copies disconnected; each comes
+# with an observable that M keeps at its norm (the tail colour's sign, the
+# component's sign)
+NON_ERGODIC = {
+    "C14(1,3)": (circulant(14, (1, 3)), lambda g: parity_observable(g.bond_index)),
+    "two-n20": (two_copies(generate_random_regular(20, 4, seed=1)), _component_sign),
+}
+
+
+class TestWalkGap:
+    @pytest.mark.parametrize("case", NON_ERGODIC)
+    def test_gap_keeps_what_beta_removes(self, case):
+        g, observable = NON_ERGODIC[case]
+        rep = spectral_report(g)
+        assert 0.5 < rep.beta < 2.0 and not rep.ergodic and rep.walk_gap == 0.0
+        m = classical_map(build_assembly(g, equi_transmitting_sigma(4)))
+        f = observable(g)
+        fnorm = np.linalg.norm(f.f)
+        # beta's general bound falls below the norms that never decay ...
+        assert any(r.violated for r in decay_profile(m, f, 30, rep.beta))
+        rows = decay_profile(m, f, 30, rep.walk_gap)
+        assert all(r.norm == pytest.approx(fnorm, rel=1e-12) for r in rows)
+        # ... and the walk's gap leaves only the span{e_v} envelope
+        assert [r.bound_kind for r in rows] == ["vertex_span"] * 30
+        assert not any(r.violated for r in rows)
+
+    def test_ergodic_graph_keeps_beta(self):
+        rep = spectral_report(generate_random_regular(20, 4, seed=1))
+        assert rep.ergodic and rep.walk_gap == rep.beta
+
+    @pytest.mark.parametrize("case", NON_ERGODIC)
+    def test_walk_decay_command(self, case, tmp_path):
+        g, observable = NON_ERGODIC[case]
+        gpath, obs, out = tmp_path / "g.txt", tmp_path / "obs.txt", tmp_path / "decay.csv"
+        gpath.write_text(export_graph(g))
+        save_observable(obs, observable(g))
+        argv = ["walk", "decay", "--graph", str(gpath), "--T", "30", "--obs", str(obs)]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert len(rows) == 30
+        for row in rows:
+            assert row["bound_kind"] == "vertex_span"
+            assert float(row["norm"]) <= float(row["bound"])
+
+    @pytest.mark.parametrize("case", NON_ERGODIC)
+    def test_sweep_row_bound_unavailable(self, case, monkeypatch):
+        g, _ = NON_ERGODIC[case]
+        monkeypatch.setattr(qge.experiment, "generate_random_regular", lambda n, d, seed: g)
+        cfg = ExperimentConfig(d=4, n_list=(g.n,), seeds=(1,), K=10.0, samples=3)
+        (row,) = family_experiment(cfg)
+        assert (row.status, row.bound_kind, row.bound_terms) == ("ok", "walk-unavailable", {})
+        assert np.isnan(row.bound)
+        assert row.beta == spectral_report(g).beta  # the column keeps graph info's beta
+
+    def test_zero_gap_is_unavailable_not_invalid(self):
+        # a walk gap of 0 reaches the gate, which refuses it as it refuses
+        # beta >= d - 2, so a sweep row reads walk-unavailable, not an error
+        inputs = BoundInputs(kappa=1.0, d=4, beta=0.0, T=3, census=0, B=40)
         with pytest.raises(WalkBoundUnavailableError):
-            walk_decay_constant(4, 2.0)
-        with pytest.raises(WalkBoundUnavailableError):
-            walk_decay_constant(4, 3.0)
+            explicit_variance_bound(inputs)
