@@ -1,6 +1,7 @@
 """Process settings and the worker pool: the allocator thresholds, numpy's
-OpenBLAS thread count, the thread map that runs a row's k-samples, and the
-manifest's record of all three.
+OpenBLAS thread count, the thread map that runs a row's k-samples, LAPACK's
+tridiagonal eigensolver in the same OpenBLAS, and the manifest's record of
+them.
 
 Imports nothing from qge, and importing it sets nothing: cli.main applies
 the allocator thresholds, and the OpenBLAS calls are looked up on first
@@ -50,20 +51,28 @@ def keep_freed_pages() -> None:
 
 
 @cache
-def openblas_threads():
-    """The thread-count (setter, getter) of the OpenBLAS that numpy loaded,
-    found by its path in /proc/self/maps (a copy under numpy's own
-    directory first); None where no such library or call is found."""
+def _openblas() -> tuple:
+    """The OpenBLAS libraries in this process, found by their paths in
+    /proc/self/maps and opened, a copy under numpy's own directory first."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
     except OSError:
-        return None
+        return ()
+    libs = []
     for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except (OSError, TypeError):
             continue
+    return tuple(libs)
+
+
+@cache
+def openblas_threads():
+    """The thread-count (setter, getter) of the OpenBLAS that numpy loaded;
+    None where no such library or call is found."""
+    for lib in _openblas():
         for set_name, get_name in _OPENBLAS_THREAD_CALLS:
             try:
                 setter, getter = getattr(lib, set_name), getattr(lib, get_name)
@@ -73,6 +82,56 @@ def openblas_threads():
             getter.argtypes, getter.restype = (), ctypes.c_int
             return setter, getter
     return None
+
+
+@cache
+def lapacke_dstemr():
+    """LAPACKE's dstemr (MRRR, Dhillon & Parlett 2004) in the OpenBLAS that
+    numpy loaded: the ILP64 build of the numpy wheels, whose every integer,
+    the tryrac flag included, is 64-bit.  None where it is not found."""
+    for lib in _openblas():
+        try:
+            dstemr = lib.scipy_LAPACKE_dstemr64_
+        except AttributeError:
+            continue
+        int64, double, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        # layout, jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz, tryrac
+        dstemr.argtypes = (
+            ctypes.c_int, ctypes.c_char, ctypes.c_char, int64, ptr, ptr, double, double,
+            int64, int64, ptr, ptr, ptr, int64, int64, ptr, ptr,
+        )
+        dstemr.restype = int64
+        return dstemr
+    return None
+
+
+def tridiagonal_extremes(d, e):
+    """The lowest and highest eigenpair of the symmetric tridiagonal with
+    diagonal d (length n >= 1) and off-diagonal e[:n-1], as
+    ((theta_min, s_min), (theta_max, s_max)) with s the last entry of the
+    unit eigenvector, from lapacke_dstemr; None where the routine is not
+    found or either call fails (info != 0, or other than one eigenpair)."""
+    dstemr = lapacke_dstemr()
+    if dstemr is None:
+        return None
+    n = len(d)
+    pairs = []
+    for i in (1, n):
+        # dstemr overwrites d and e (e[n-1] is its scratch) and, for any
+        # range, writes up to n eigenvalues into w
+        diag, off, w, z = np.zeros((4, n))
+        diag[:] = d
+        off[: n - 1] = e[: n - 1]
+        m, isuppz, tryrac = np.zeros(1, np.int64), np.zeros(2, np.int64), np.ones(1, np.int64)
+        # LAPACK_COL_MAJOR = 102, jobz 'V', range 'I' with il = iu = i
+        info = dstemr(
+            102, b"V", b"I", n, diag.ctypes.data, off.ctypes.data, 0.0, 0.0, i, i,
+            m.ctypes.data, w.ctypes.data, z.ctypes.data, n, 1, isuppz.ctypes.data, tryrac.ctypes.data,
+        )
+        if info != 0 or m[0] != 1:
+            return None
+        pairs.append((float(w[0]), float(z[-1])))
+    return tuple(pairs)
 
 
 def pool_workers(items: int) -> int:
@@ -146,15 +205,18 @@ def thread_map(fn, items) -> list:
 
 def run_block(items: int | None = None) -> dict:
     """The manifest's record of this process, which the BLAS thread count
-    can change the last digits of: numpy's version, its BLAS, the thread
-    variables and the allocator thresholds applied; for a pool of `items`
-    k-samples also its workers and the BLAS threads of each item (None:
-    the library's own count)."""
+    and the Ritz route can change the last digits of: numpy's version, its
+    BLAS, the routine that gives the Lanczos Ritz pairs (`ritz`, None where
+    the dense eigh does), the thread variables and the allocator thresholds
+    applied; for a pool of `items` k-samples also its workers and the BLAS
+    threads of each item (None: the library's own count)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    dstemr = lapacke_dstemr()
     run = {
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "ritz": None if dstemr is None else dstemr.__name__,
         **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         "malloc": _malloc,
     }

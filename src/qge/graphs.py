@@ -14,6 +14,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from . import _runtime
 from ._checks import integer
 from .bonds import BondIndex, _owned
 from .errors import NumericalError, ParameterError, SamplingError, ValidationError
@@ -289,7 +290,10 @@ def _lanczos_extremes(matvec, deflate, n: int, max_steps: int) -> tuple[float, f
     projected out of every new vector instead, so rounding cannot grow
     them back.  The extreme Ritz pairs are trusted once their residual
     estimates beta_j |s_{j,i}| fall below LANCZOS_TOL (Paige 1980); they are
-    checked on a growing schedule, since each check is a tridiagonal eigh.
+    checked on a growing schedule.  Each check takes the two extreme
+    eigenpairs of the tridiagonal T_j from LAPACK's dstemr
+    (_runtime.tridiagonal_extremes), and takes a dense eigh of T_j only
+    where that routine is not found or its call fails.
     """
     q = deflate(_rng(LANCZOS_SEED).standard_normal(n))
     q /= np.linalg.norm(q)
@@ -305,10 +309,14 @@ def _lanczos_extremes(matvec, deflate, n: int, max_steps: int) -> tuple[float, f
         w -= alphas[-1] * q
         betas.append(float(np.linalg.norm(w)))
         if j == check or j == max_steps or betas[-1] < LANCZOS_TOL:
-            t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-            theta, s = np.linalg.eigh(t)
-            if betas[-1] * max(abs(s[-1, 0]), abs(s[-1, -1])) < LANCZOS_TOL:
-                return float(theta[0]), float(theta[-1])
+            pairs = _runtime.tridiagonal_extremes(alphas, betas)
+            if pairs is None:
+                t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+                theta, s = np.linalg.eigh(t)
+                pairs = (theta[0], s[-1, 0]), (theta[-1], s[-1, -1])
+            (lo, s_lo), (hi, s_hi) = pairs
+            if betas[-1] * max(abs(s_lo), abs(s_hi)) < LANCZOS_TOL:
+                return float(lo), float(hi)
             check = j + max(10, j // 4)
         q_prev, q = q, w / betas[-1]
     raise NumericalError(

@@ -2,9 +2,10 @@
 
 The digest covers command, parameters, seeds, tool version and input file
 digests; the timestamp and the run block (qge._runtime.run_block: numpy,
-its BLAS, the thread variables, the allocator thresholds, the worker pool
-of the k-samples of `qge experiment` and `qge variance`) are recorded but
-excluded from the digest, so identical runs emit byte-identical tables.
+its BLAS, the Lanczos checks' routine, the thread variables, the allocator
+thresholds, the worker pool of the k-samples of `qge experiment` and
+`qge variance`) are recorded but excluded from the digest, so identical
+runs emit byte-identical tables.
 """
 
 from __future__ import annotations

@@ -328,11 +328,10 @@ def decay_profile(m: BondOperator, f: Observable, T: int, beta: float) -> list[D
     Where walk_decay_constant gives K, the bound is K ||f|| t r^t with
     r = (d-1-beta)/(d-1), valid for any traceless f, and is read as
     K r ||f|| z_bound[t].  Otherwise the profile falls back to the span{e_v}
-    envelope 2 ||f|| z_bound[t] when f lies in that span, and reports norms
-    only when it does not.  beta is the walk's gap (SpectralReport.walk_gap).
-    The envelope itself presumes d-1-beta >= sqrt(d-1); graphs with an even
-    larger gap (tiny complete graphs) can exceed it, which the violation
-    flag reports honestly.
+    envelope 2 ||f|| z_bound[t] when f lies in that span and its premise
+    d-1-beta >= sqrt(d-1) holds, and reports norms only when either fails
+    (a larger gap, as on tiny complete graphs, takes the envelope to 0 while
+    the norms stay).  beta is the walk's gap (SpectralReport.walk_gap).
     """
     T = integer(T, 1, "T")
     if not f.traceless:
@@ -346,7 +345,8 @@ def decay_profile(m: BondOperator, f: Observable, T: int, beta: float) -> list[D
         kind = "general"
     except WalkBoundUnavailableError:
         in_span = np.linalg.norm(project_g2(fvec, basis)) <= G2_MEMBERSHIP_TOL * max(1.0, fnorm)
-        kind, scale = ("vertex_span", 2.0 * fnorm) if in_span else ("none", float("nan"))
+        covered = in_span and d - 1.0 - beta >= np.sqrt(d - 1.0)
+        kind, scale = ("vertex_span", 2.0 * fnorm) if covered else ("none", float("nan"))
     bounds = scale * z_bound(d, beta, T)
 
     rows = []

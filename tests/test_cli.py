@@ -38,6 +38,10 @@ def run_child(*argv, prelude: str = "", **env) -> None:
     subprocess.run([sys.executable, "-c", code, *argv], env=child_env(**env), check=True)
 
 
+# the OpenBLAS libraries are opened once per process: open them before a
+# test patches ctypes.CDLL, whose fake would otherwise stay in the cache
+qge._runtime._openblas()
+
 # a child prelude that leaves the CLI a C library without mallopt
 NO_MALLOPT = "import ctypes, qge.cli; ctypes.CDLL = lambda name: object(); "
 THRESHOLDS = {"M_MMAP_THRESHOLD": 8 << 20, "M_TRIM_THRESHOLD": 16 << 20}
@@ -364,6 +368,24 @@ class TestManifest:
             runs.append((manifest["digest"], out.read_bytes(), constants))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("found", [True, False], ids=["dstemr", "dense"])
+    def test_ritz_route_outside_digest(self, tmp_path, found, monkeypatch):
+        # above 512 vertices beta comes from Lanczos, whose checks take
+        # dstemr or, where it is not found, the dense eigh; the run block
+        # names the route, which can move beta's last bits
+        dstemr = qge._runtime.lapacke_dstemr()
+        if found and dstemr is None:
+            pytest.skip("no dstemr found")
+        if not found:
+            monkeypatch.setattr(qge._runtime, "lapacke_dstemr", lambda: None)
+        graph, out = tmp_path / "g.txt", tmp_path / "info.json"
+        graph.write_text(qge.export_graph(qge.generate_random_regular(600, 4, 3)))
+        assert run("graph", "info", str(graph), "--out", str(out)) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["run"]["ritz"] == (dstemr.__name__ if found else None)
+        oracle = 4 - np.max(np.abs(np.linalg.eigvalsh(qge.import_graph(graph.read_text()).adjacency)[:-1]))
+        assert abs(json.loads(out.read_text())["beta"] - oracle) <= 1e-8
+
     def test_allocator_setting_outside_digest(self, paths):
         argv = MANIFEST_CASES["experiment"][0].format(**paths).split()
         out = Path(paths["out"])
@@ -376,8 +398,9 @@ class TestManifest:
             runs.append((manifest["digest"], out.read_bytes(), constants))
         assert runs[0] == runs[1]
         assert mallocs[1] is None
-        # without a C library to open, no BLAS setter is found either
+        # without a C library to open, no BLAS setter or dstemr is found either
         assert (manifest["run"]["workers"], manifest["run"]["blas_threads"]) == (1, None)
+        assert manifest["run"]["ritz"] is None
         if platform.libc_ver()[0] == "glibc":
             assert mallocs[0] == THRESHOLDS
 
@@ -439,17 +462,21 @@ class TestAllocator:
         assert manifest["run"]["malloc"] is None
 
     def test_import_sets_nothing(self):
-        # the child reads the OpenBLAS thread count through a copy of
-        # qge/_runtime.py loaded on its own, then imports qge: no C library
-        # is opened (no mallopt, no BLAS lookup) and the count is unchanged
+        # the child reads the OpenBLAS thread count and looks up dstemr
+        # through a copy of qge/_runtime.py loaded on its own, then imports
+        # qge: no C library is opened (no mallopt, no BLAS lookup), the
+        # count is unchanged and no lookup of qge's own has run
         code = (
             "import ctypes, importlib.util, json, sys; "
             "spec = importlib.util.spec_from_file_location('probe', sys.argv[1]); "
             "probe = importlib.util.module_from_spec(spec); spec.loader.exec_module(probe); "
             "blas = probe.openblas_threads(); count = lambda: blas and blas[1](); before = count(); "
+            "found = probe.lapacke_dstemr() is not None; "
             "real, opened = ctypes.CDLL, []; "
             "ctypes.CDLL = lambda name, *a, **k: opened.append(name) or real(name, *a, **k); "
-            "import qge, qge.cli; print(json.dumps([opened, before, count()]))"
+            "import qge, qge.cli; rt = qge._runtime; "
+            "cached = [f.cache_info().currsize for f in (rt._openblas, rt.openblas_threads, rt.lapacke_dstemr)]; "
+            "print(json.dumps([opened, before, count(), cached, found]))"
         )
         runtime = Path(qge.__file__).with_name("_runtime.py")
         child = subprocess.run(
@@ -459,9 +486,11 @@ class TestAllocator:
             text=True,
             check=True,
         )
-        opened, before, after = json.loads(child.stdout)
-        assert opened == []
+        opened, before, after, cached, found = json.loads(child.stdout)
+        assert opened == [] and cached == [0, 0, 0]
         assert after == before
+        # the probe's own lookup finds what this process finds
+        assert found == (qge._runtime.lapacke_dstemr() is not None)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator")
     def test_k_samples_fault_in_no_fresh_pages(self, tmp_path):

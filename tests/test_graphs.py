@@ -1,3 +1,4 @@
+import ctypes
 import json
 import tracemalloc
 
@@ -21,7 +22,7 @@ from qge import (
     is_ramanujan,
     spectral_report,
 )
-from qge import graphs
+from qge import _runtime, graphs
 from qge.cli import main
 
 from conftest import cage46, k5, k5_chain, oracle_girth, petersen
@@ -464,6 +465,44 @@ def assert_routes_agree(g: Graph):
     return rep
 
 
+needs_dstemr = pytest.mark.skipif(_runtime.lapacke_dstemr() is None, reason="no dstemr found")
+
+# beta's bits on the seed's pinned graphs: where every Lanczos check takes
+# the dense eigh of T_j, and where it takes dstemr
+BETA_BITS = {
+    "random-d3-n514-s1": ("0x1.6cfa5a4764200p-3", "0x1.6cfa5a4764230p-3"),
+    "random-d3-n514-s2": ("0x1.4ba0cb1b78490p-3", "0x1.4ba0cb1b78490p-3"),
+    "random-d3-n1200-s1": ("0x1.58e70d600e0d0p-3", "0x1.58e70d600e0f0p-3"),
+    "random-d3-n1200-s2": ("0x1.6b1e8d73983e0p-3", "0x1.6b1e8d73983d0p-3"),
+    "random-d4-n513-s1": ("0x1.11a107ca65becp-1", "0x1.11a107ca65bf8p-1"),
+    "random-d4-n513-s2": ("0x1.1412562e88f44p-1", "0x1.1412562e88f48p-1"),
+    "random-d4-n1000-s1": ("0x1.19793862620dcp-1", "0x1.19793862620e0p-1"),
+    "random-d4-n1000-s2": ("0x1.157da0d8b56b8p-1", "0x1.157da0d8b56b0p-1"),
+    "random-d4-n2000-s1": ("0x1.1510d849e8e68p-1", "0x1.1510d849e8e64p-1"),
+    "random-d4-n2000-s2": ("0x1.130e1dce6cf48p-1", "0x1.130e1dce6cf48p-1"),
+    "random-d5-n600-s1": ("0x1.08385eed9325ep+0", "0x1.08385eed9325cp+0"),
+    "random-d5-n600-s2": ("0x1.0196d3fb8fcfcp+0", "0x1.0196d3fb8fcf8p+0"),
+    "random-d5-n1500-s1": ("0x1.01aa373b593d4p+0", "0x1.01aa373b593d8p+0"),
+    "random-d5-n1500-s2": ("0x1.fe10233b556e0p-1", "0x1.fe10233b556d8p-1"),
+    "two-components": ("0x1.187b9cfd3ddccp-1", "0x1.187b9cfd3ddc8p-1"),
+    "double-cover": ("0x1.187b9cfd3ddc4p-1", "0x1.187b9cfd3ddc8p-1"),
+    "mixed": ("0x1.187b9cfd3ddc4p-1", "0x1.187b9cfd3ddc8p-1"),
+    "k5-chain": ("0x1.16b3b21c3a000p-12", "0x1.16b3b21c38000p-12"),
+}
+
+
+def pinned_graph(name: str, g600: Graph) -> Graph:
+    if name.startswith("random"):
+        d, n, seed = (int(part[1:]) for part in name.split("-")[1:])
+        return generate_random_regular(n, d, seed=seed)
+    return {
+        "two-components": lambda: disjoint_union(g600, g600),
+        "double-cover": lambda: double_cover(g600),
+        "mixed": lambda: disjoint_union(g600, double_cover(g600)),
+        "k5-chain": lambda: k5_chain(103),
+    }[name]()
+
+
 @pytest.fixture(scope="module")
 def g600():
     return generate_random_regular(600, 4, seed=3)
@@ -505,43 +544,76 @@ class TestLanczosRoute:
         rep = assert_routes_agree(k5_chain(103))
         assert rep.beta < 1e-3
 
-    @pytest.mark.parametrize(
-        "name, beta_hex",
-        [
-            ("random-d3-n514-s1", "0x1.6cfa5a4764200p-3"),
-            ("random-d3-n514-s2", "0x1.4ba0cb1b78490p-3"),
-            ("random-d3-n1200-s1", "0x1.58e70d600e0d0p-3"),
-            ("random-d3-n1200-s2", "0x1.6b1e8d73983e0p-3"),
-            ("random-d4-n513-s1", "0x1.11a107ca65becp-1"),
-            ("random-d4-n513-s2", "0x1.1412562e88f44p-1"),
-            ("random-d4-n1000-s1", "0x1.19793862620dcp-1"),
-            ("random-d4-n1000-s2", "0x1.157da0d8b56b8p-1"),
-            ("random-d4-n2000-s1", "0x1.1510d849e8e68p-1"),
-            ("random-d4-n2000-s2", "0x1.130e1dce6cf48p-1"),
-            ("random-d5-n600-s1", "0x1.08385eed9325ep+0"),
-            ("random-d5-n600-s2", "0x1.0196d3fb8fcfcp+0"),
-            ("random-d5-n1500-s1", "0x1.01aa373b593d4p+0"),
-            ("random-d5-n1500-s2", "0x1.fe10233b556e0p-1"),
-            ("two-components", "0x1.187b9cfd3ddccp-1"),
-            ("double-cover", "0x1.187b9cfd3ddc4p-1"),
-            ("mixed", "0x1.187b9cfd3ddc4p-1"),
-            ("k5-chain", "0x1.16b3b21c3a000p-12"),
-        ],
-    )
-    def test_beta_bits_pinned(self, g600, name, beta_hex):
+    @pytest.mark.parametrize("name, beta_hex", [(k, bits[0]) for k, bits in BETA_BITS.items()])
+    def test_beta_bits_pinned(self, g600, name, beta_hex, monkeypatch):
         # the adjacency gather adds the d neighbour rows left to right; these
-        # bits pin that order, so a change to it cannot shift beta unnoticed
-        if name.startswith("random"):
-            d, n, seed = (int(part[1:]) for part in name.split("-")[1:])
-            g = generate_random_regular(n, d, seed=seed)
-        else:
-            g = {
-                "two-components": lambda: disjoint_union(g600, g600),
-                "double-cover": lambda: double_cover(g600),
-                "mixed": lambda: disjoint_union(g600, double_cover(g600)),
-                "k5-chain": lambda: k5_chain(103),
-            }[name]()
-        assert spectral_report(g).beta.hex() == beta_hex
+        # bits pin that order, so a change to it cannot shift beta unnoticed.
+        # Here every check takes the dense eigh of T_j, the route of a
+        # platform without dstemr
+        monkeypatch.setattr(_runtime, "lapacke_dstemr", lambda: None)
+        assert spectral_report(pinned_graph(name, g600)).beta.hex() == beta_hex
+
+    @needs_dstemr
+    @pytest.mark.parametrize("name, beta_hex", [(k, bits[1]) for k, bits in BETA_BITS.items()])
+    def test_beta_bits_pinned_dstemr(self, g600, name, beta_hex):
+        # the same pin on the route every check takes where dstemr is found
+        assert spectral_report(pinned_graph(name, g600)).beta.hex() == beta_hex
+
+    @needs_dstemr
+    @pytest.mark.parametrize("name", list(BETA_BITS))
+    def test_dense_checks_agree(self, g600, name, monkeypatch):
+        g = pinned_graph(name, g600)
+        beta = spectral_report(g).beta
+        monkeypatch.setattr(_runtime, "lapacke_dstemr", lambda: None)
+        assert abs(spectral_report(g).beta - beta) <= 1e-14
+
+    @needs_dstemr
+    @pytest.mark.parametrize("n, d, seed", [(1000, 4, 1), (1500, 5, 2), (1200, 3, 1)])
+    def test_no_dense_eigh_when_dstemr_found(self, n, d, seed, monkeypatch):
+        # every check comes from dstemr, and the pair returned passes
+        # Paige's test on dstemr's own vectors
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("dense eigh called")
+
+        checks, extremes = [], _runtime.tridiagonal_extremes
+
+        def spy(alphas, betas):
+            pairs = extremes(alphas, betas)
+            checks.append((betas[-1], pairs))
+            return pairs
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(_runtime, "tridiagonal_extremes", spy)
+        rep = spectral_report(generate_random_regular(n, d, seed=seed))
+        assert len(checks) >= 2 and all(pairs is not None for _, pairs in checks)
+        beta_j, ((lo, s_lo), (hi, s_hi)) = checks[-1]
+        assert beta_j * max(abs(s_lo), abs(s_hi)) < graphs.LANCZOS_TOL
+        assert rep.beta == d - max(-lo, hi)
+        for beta_j, ((_, s_lo), (_, s_hi)) in checks[:-1]:
+            assert beta_j * max(abs(s_lo), abs(s_hi)) >= graphs.LANCZOS_TOL
+
+    @needs_dstemr
+    def test_failed_call_falls_back_for_that_check(self, monkeypatch):
+        # the first dstemr call reports info = -1: that check alone takes
+        # the dense eigh, and every later one dstemr again
+        dstemr, calls, eighs = _runtime.lapacke_dstemr(), [], []
+        real_eigh = np.linalg.eigh
+
+        def failing_first(*args):
+            calls.append(args[3])
+            return -1 if len(calls) == 1 else dstemr(*args)
+
+        def counted_eigh(a):
+            eighs.append(len(a))
+            return real_eigh(a)
+
+        g = generate_random_regular(1000, 4, seed=1)
+        beta = spectral_report(g).beta
+        monkeypatch.setattr(_runtime, "lapacke_dstemr", lambda: failing_first)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        assert spectral_report(g).beta == beta
+        assert eighs == [graphs.LANCZOS_FIRST_CHECK]
+        assert len(calls) > 3 and calls[0] == graphs.LANCZOS_FIRST_CHECK
 
     def test_route_threshold(self):
         at = generate_random_regular(graphs.DENSE_SPECTRUM_MAX_N, 4, seed=1)
@@ -606,6 +678,75 @@ class TestLanczosRoute:
         # oracle: connected and not bipartite, so only the top eigenvalue is trivial
         mu = np.linalg.eigvalsh(g600.adjacency.astype(float))
         assert abs(payload["beta"] - (4 - np.max(np.abs(mu[:-1])))) <= 1e-8
+
+
+def tridiagonal_cases():
+    """(name, d, e), with the name as id, for random tridiagonals at each size, one with a zero
+    off-diagonal (a split), one with tiny off-diagonals, and one whose top
+    pair is nearly double."""
+    rng = np.random.default_rng(28)
+    cases = []
+    for j in (1, 2, 30, 187, 600):
+        d, e = rng.standard_normal(j), rng.standard_normal(j - 1)
+        cases.append(pytest.param(f"random-{j}", d, e, id=f"random-{j}"))
+        if j >= 30:
+            split = e.copy()
+            split[j // 2] = 0.0
+            cases.append(pytest.param(f"split-{j}", d, split, id=f"split-{j}"))
+            cases.append(pytest.param(f"tiny-{j}", d, 1e-13 * e, id=f"tiny-{j}"))
+    # two copies of a block joined by a 1e-9 coupling: each extreme comes
+    # as a pair 1e-9 apart
+    d, e = rng.standard_normal(40), rng.standard_normal(39)
+    pair = np.concatenate((d, d)), np.concatenate((e, [1e-9], e))
+    cases.append(pytest.param("near-double", *pair, id="near-double"))
+    return cases
+
+
+@needs_dstemr
+class TestTridiagonalExtremes:
+    """_runtime.tridiagonal_extremes (dstemr) against the dense eigh of the
+    same tridiagonal, its oracle."""
+
+    @pytest.mark.parametrize("name, d, e", tridiagonal_cases())
+    def test_matches_eigh(self, name, d, e):
+        j = len(d)
+        theta, s = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        pairs = _runtime.tridiagonal_extremes(d, e)
+        scale = max(1.0, float(np.max(np.abs(theta))))
+        for (value, last), i in zip(pairs, (0, j - 1)):
+            assert abs(value - theta[i]) <= 1e-13 * scale
+            # the last entry of a unit eigenvector; within a cluster only
+            # the cluster's share of e_j is determined
+            cluster = np.abs(theta - theta[i]) <= 1e-6 * scale
+            if cluster.sum() == 1:
+                assert abs(abs(last) - abs(s[-1, i])) <= 1e-10
+            else:
+                assert abs(last) <= np.linalg.norm(s[-1, cluster]) + 1e-10
+        assert name != "near-double" or np.sum(np.abs(theta - theta[-1]) <= 1e-8) == 2
+
+    def test_inputs_kept(self):
+        # dstemr overwrites d and e: the wrapper hands it copies
+        d, e = [2.0, 1.0, 3.0], [0.5, 0.25, 7.0]
+        _runtime.tridiagonal_extremes(d, e)
+        assert (d, e) == ([2.0, 1.0, 3.0], [0.5, 0.25, 7.0])
+
+    @pytest.mark.parametrize("fault", ["info", "count"])
+    def test_failed_call_gives_none(self, fault, monkeypatch):
+        dstemr = _runtime.lapacke_dstemr()
+
+        def faulty(*args):
+            if fault == "info":
+                return 3
+            info = dstemr(*args)
+            ctypes.c_int64.from_address(args[10]).value = 2  # m: two eigenpairs, not one
+            return info
+
+        monkeypatch.setattr(_runtime, "lapacke_dstemr", lambda: faulty)
+        assert _runtime.tridiagonal_extremes(np.ones(4), np.ones(3)) is None
+
+    def test_none_without_routine(self, monkeypatch):
+        monkeypatch.setattr(_runtime, "lapacke_dstemr", lambda: None)
+        assert _runtime.tridiagonal_extremes(np.ones(4), np.ones(3)) is None
 
 
 class TestRamanujan:

@@ -401,19 +401,46 @@ class TestDecayProfile:
             assert not any(r.violated for r in rows)
 
     def test_k5_fallback(self, k5_walk):
-        # beta = 3 >= d-2: the general constant degenerates and the profile
-        # falls back to the span{e_v} envelope
+        # beta = 3 >= d-2: the general constant degenerates, and d-1-beta = 0
+        # < sqrt(d-1) breaks the span{e_v} envelope's premise (it would read
+        # 0 from t = 2 on while the norms stay): norms only
         g, m, basis = k5_walk
         coeffs = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
         f = Observable(dense_basis(basis)[0].T @ coeffs)
         rows = decay_profile(m, f, 5, 3.0)
+        assert all(r.bound_kind == "none" and np.isnan(r.bound) for r in rows)
+        assert rows[1].norm > 0.1 and not any(r.violated for r in rows)
+        # a gap of 0 meets the premise and the gate refuses it: the envelope
+        rows = decay_profile(m, f, 5, 0.0)
         assert all(r.bound_kind == "vertex_span" for r in rows)
-        fnorm = np.sqrt(8.0)
-        assert rows[0].bound == pytest.approx(2 * fnorm)
-        # with beta = 3 the envelope vanishes beyond t=1 while the norms do
-        # not; the violation flag reports this honestly
-        assert rows[1].bound == 0.0
-        assert rows[1].violated
+        assert rows[0].bound == pytest.approx(2 * np.sqrt(8.0))
+
+    @pytest.mark.parametrize("beta, kind", [(2.0, "none"), (-0.0, "vertex_span")])
+    def test_vertex_span_premise_at_the_gate(self, k5_walk, beta, kind):
+        # outside the gate's (0, d-2) the premise d-1-beta >= sqrt(d-1)
+        # holds only at beta <= 0: at beta = d-2, d-1-beta = 1 < sqrt(3)
+        _, m, basis = k5_walk
+        f = Observable(dense_basis(basis)[0].T @ np.array([1.0, -1.0, 0.0, 0.0, 0.0]))
+        assert {r.bound_kind for r in decay_profile(m, f, 3, beta)} == {kind}
+
+    def test_k5_walk_decay_command(self, tmp_path):
+        # the parity observable on K5 (walk gap 3) lies in span{e_v}; its
+        # norms 1.79, 1.19, 0.80, 0.29, 0.28 at t = 2..6 once stood against
+        # a vertex_span bound of 0
+        gpath, out = tmp_path / "k5.txt", tmp_path / "decay.csv"
+        gpath.write_text(export_graph(k5()))
+        argv = ["walk", "decay", "--graph", str(gpath), "--T", "6", "--obs", "parity"]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert [row["bound_kind"] for row in rows] == ["none"] * 6
+        assert all(row["bound"] == "nan" for row in rows)
+        assert [round(float(row["norm"]), 2) for row in rows[1:]] == [1.79, 1.19, 0.8, 0.29, 0.28]
+        g = k5()
+        rep = spectral_report(g)
+        m = classical_map(build_assembly(g, equi_transmitting_sigma(4)))
+        profile = decay_profile(m, parity_observable(g.bond_index), 6, rep.walk_gap)
+        assert rep.walk_gap == pytest.approx(3.0)
+        assert [(r.norm, r.bound_kind) for r in profile] == [(float(row["norm"]), "none") for row in rows]
 
     def test_k5_general_observable_norms_only(self, k5_walk):
         _, m, _ = k5_walk
