@@ -1,7 +1,7 @@
 """Process settings and the worker pool: the allocator thresholds, numpy's
-OpenBLAS thread count, the thread map that runs a row's k-samples, LAPACK's
-tridiagonal eigensolver in the same OpenBLAS, and the manifest's record of
-them.
+OpenBLAS thread count, the thread map of a row's k-samples (a
+ThreadPoolExecutor of at most `workers` threads, started on demand), LAPACK's
+tridiagonal eigensolver in the same OpenBLAS, and the manifest's record.
 
 Imports nothing from qge, and importing it sets nothing: cli.main applies
 the allocator thresholds, and the OpenBLAS calls are looked up on first
@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import ctypes
 import os
-import threading
 from contextlib import contextmanager
 from functools import cache
-from itertools import islice
 
 import numpy as np
 
@@ -159,48 +157,42 @@ def one_blas_thread():
 
 
 def thread_map(fn, items) -> list:
-    """[fn(x) for x in items], on pool_workers(len(items)) threads while
-    numpy's OpenBLAS is held to one thread, so that no result depends on
-    the worker count or on OPENBLAS_NUM_THREADS.  The calling thread only
-    waits.
+    """[fn(x) for x in items] on the standard library's thread pool, with
+    at most pool_workers(len(items)) workers, started on demand, while
+    numpy's OpenBLAS is held to one thread: no result depends on the worker
+    count or on OPENBLAS_NUM_THREADS.  The calling thread only waits.
 
-    Items are handed out in index order and the results come back in
-    item order.  After the first exception no item is handed out; those
-    taken run to completion, and the exception of the lowest failing
-    index, the one the serial loop would raise, is raised.  Every thread
-    is joined and the old BLAS count restored, on return and on raise.
+    Items are submitted in index order.  One above the lowest index that
+    has raised, and every one after an exception in the calling thread (an
+    interrupt), returns without calling fn; the exception of the lowest
+    failing index, the one the serial loop would raise, is raised.  Every
+    thread is joined and the old BLAS count restored, on return and on raise.
     """
-    results: list = [None] * len(items)
-    failures: dict = {}
-    lock, taken = threading.Lock(), iter(range(len(items)))
+    if not len(items):
+        return []
+    # concurrent.futures imports logging, which importing qge does not need
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
-    def work(i):
-        while i is not None:
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                with lock:
-                    failures[i] = exc
-            with lock:
-                i = None if failures else next(taken, None)
+    failed = [len(items)]  # only appended to, and min reads it in one call: no lock
 
-    # each thread is handed its first item before any starts
-    threads = [threading.Thread(target=work, args=(i,)) for i in islice(taken, pool_workers(len(items)))]
-    with one_blas_thread():
+    def run(i):
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        except BaseException as exc:  # a thread that would not start, or an interrupt
-            with lock:
-                failures[-1] = exc  # before every item: hand out no more
-            for thread in threads:
-                if thread.ident is not None:
-                    thread.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
+            return fn(items[i]) if i < min(failed) else None
+        except BaseException:
+            failed.append(i)
+            raise
+
+    with one_blas_thread():
+        pool = ThreadPoolExecutor(pool_workers(len(items)))
+        try:
+            futures = [pool.submit(run, i) for i in range(len(items))]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        except BaseException:
+            failed.append(-1)  # before every item: call fn no more
+            raise
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]
 
 
 def run_block(items: int | None = None) -> dict:
@@ -208,8 +200,8 @@ def run_block(items: int | None = None) -> dict:
     and the Ritz route can change the last digits of: numpy's version, its
     BLAS, the routine that gives the Lanczos Ritz pairs (`ritz`, None where
     the dense eigh does), the thread variables and the allocator thresholds
-    applied; for a pool of `items` k-samples also its workers and the BLAS
-    threads of each item (None: the library's own count)."""
+    applied; for a pool of `items` k-samples also the most workers that may
+    start and the BLAS threads of each item (None: the library's own count)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     dstemr = lapacke_dstemr()
     run = {

@@ -167,7 +167,7 @@ def _cmd_walk_decay(args) -> int:
     g = load_graph(args.graph)
     m = classical_map(build_assembly(g, _SIGMAS[args.sigma](g.d)))
     f = _observable_for(args.obs, g, args.kappa)
-    rows = decay_profile(m, f, args.T, spectral_report(g).walk_gap)
+    rows = decay_profile(m, f, args.T, spectral_report(g))
     _emit_csv(
         args.out,
         ["t", "norm", "bound", "bound_kind"],

@@ -254,10 +254,12 @@ def _dense_spectrum(g: Graph, flags: list[bool]) -> tuple[tuple[float, ...], flo
     """Full eigenvalue list (decreasing) of the connectivity matrix and beta.
 
     The eigenvalue multiplicities of +/-d are cross-checked against the
-    component count and the bipartite flags.
+    component count and the bipartite flags.  The eigensolve runs at one
+    BLAS thread, so its bits do not depend on the thread count.
     """
     c = g.adjacency.astype(np.float64)
-    mu = np.linalg.eigvalsh(c)[::-1]  # decreasing
+    with _runtime.one_blas_thread():
+        mu = np.linalg.eigvalsh(c)[::-1]  # decreasing
     comps = len(flags)
     n_bip = sum(flags)  # one -d eigenvalue per bipartite component
 

@@ -25,7 +25,7 @@ from .errors import (
     WalkBoundUnavailableError,
 )
 from .evolution import Observable
-from .graphs import Graph
+from .graphs import Graph, SpectralReport
 
 __all__ = [
     "VertexBasis",
@@ -322,8 +322,10 @@ class DecayRow:
         return not np.isnan(self.bound) and not self.norm <= self.bound + DECAY_SLACK
 
 
-def decay_profile(m: BondOperator, f: Observable, T: int, beta: float) -> list[DecayRow]:
-    """Norms ||M^t f|| for t = 1..T against the explicit decay envelope.
+def decay_profile(m: BondOperator, f: Observable, T: int, report: SpectralReport) -> list[DecayRow]:
+    """Norms ||M^t f|| for t = 1..T against the explicit decay envelope at
+    the walk's gap beta = report.walk_gap, report being the spectral report
+    of m's graph.
 
     Where walk_decay_constant gives K, the bound is K ||f|| t r^t with
     r = (d-1-beta)/(d-1), valid for any traceless f, and is read as
@@ -331,13 +333,15 @@ def decay_profile(m: BondOperator, f: Observable, T: int, beta: float) -> list[D
     envelope 2 ||f|| z_bound[t] when f lies in that span and its premise
     d-1-beta >= sqrt(d-1) holds, and reports norms only when either fails
     (a larger gap, as on tiny complete graphs, takes the envelope to 0 while
-    the norms stay).  beta is the walk's gap (SpectralReport.walk_gap).
+    the norms stay).
     """
     T = integer(T, 1, "T")
     if not f.traceless:
         raise ValidationError("decay bounds require a traceless observable")
     basis = vertex_basis(m.bond_index)
-    d = basis.d
+    d, beta = basis.d, report.walk_gap
+    if (report.n, report.d) != (basis.n, d):
+        raise ValidationError(f"spectral report for n={report.n}, d={report.d}, walk on n={basis.n}, d={d}")
     fvec = f.f
     fnorm = float(np.linalg.norm(fvec))
     try:  # K ||f|| t r^t = (K r ||f||) t r^(t-1)

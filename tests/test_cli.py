@@ -492,6 +492,18 @@ class TestAllocator:
         # the probe's own lookup finds what this process finds
         assert found == (qge._runtime.lapacke_dstemr() is not None)
 
+    def test_import_loads_no_pool(self):
+        # thread_map imports concurrent.futures, which loads logging, on
+        # first use: importing qge pays for neither
+        code = (
+            "import json, sys, qge, qge.cli; "
+            "print(json.dumps([name in sys.modules for name in ('concurrent.futures', 'logging')]))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+        )
+        assert json.loads(child.stdout) == [False, False]
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator")
     def test_k_samples_fault_in_no_fresh_pages(self, tmp_path):
         # at 2B = 320 each k-sample frees and reallocates megabytes of

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import re
@@ -807,6 +808,14 @@ def _row_inputs(n=20, seed=3):
     return mg, build_assembly(mg, equi_transmitting_sigma(4)), parity_observable(g.bond_index)
 
 
+@pytest.fixture()
+def fast_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
 def _blas_threads():
     blas = _runtime.openblas_threads()
     return blas[1]() if blas else None
@@ -816,13 +825,6 @@ class TestKSamplePool:
     """variance_estimate runs its k-samples through _runtime.thread_map."""
 
     K, SAMPLES = 60.0, 12
-
-    @pytest.fixture()
-    def fast_switching(self):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        yield
-        sys.setswitchinterval(interval)
 
     def _spy_samples(self, monkeypatch, mg, fail):
         """eigenbasis, told the index of its k-sample, raising fail(i) where
@@ -952,12 +954,109 @@ class TestThreadMap:
     def test_results_in_item_order(self, monkeypatch):
         monkeypatch.setattr(_runtime, "pool_workers", lambda items: 3)
         assert _runtime.thread_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an executor was built")
+
+        # no items, no executor
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         assert _runtime.thread_map(lambda x: x, []) == []
+        assert _runtime.thread_map(lambda x: x, np.array([])) == []
+
+    @pytest.mark.usefixtures("fast_switching")
+    def test_lowest_failure_under_contention(self, monkeypatch):
+        # eight workers on 600 items, switching threads every microsecond:
+        # the map comes back whole and in order, and of three failing items
+        # the lowest one's error is raised
+        monkeypatch.setattr(_runtime, "pool_workers", lambda items: 8)
+        assert _runtime.thread_map(lambda x: -x, range(600)) == [-x for x in range(600)]
+
+        def fn(i):
+            if i in (101, 250, 400):
+                raise RuntimeError(f"item {i} broke")
+            return i
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="item 101 broke"):
+            _runtime.thread_map(fn, range(600))
+        assert threading.active_count() == threads
+
+    def test_lowest_failing_item_raises_while_a_higher_one_runs(self, monkeypatch):
+        # three workers, all started by items 0-2; item 5 raises, then item
+        # 3, while item 4 runs until item 3's future holds its error: item
+        # 3's error is raised and no item above 5 calls fn
+        monkeypatch.setattr(_runtime, "pool_workers", lambda items: 3)
+        barrier, five_failed, three_failed = threading.Barrier(3), threading.Event(), threading.Event()
+        started = []
+        set_exception = concurrent.futures.Future.set_exception
+
+        def record(future, exc):
+            set_exception(future, exc)
+            if str(exc) == "item 3 broke":
+                three_failed.set()
+
+        monkeypatch.setattr(concurrent.futures.Future, "set_exception", record)
+
+        def fn(i):
+            started.append(i)
+            if i < 3:
+                barrier.wait(timeout=10)
+            elif i == 3:
+                assert five_failed.wait(timeout=10)
+                raise RuntimeError("item 3 broke")
+            elif i == 4:
+                assert three_failed.wait(timeout=10)
+            elif i == 5:
+                five_failed.set()
+                raise RuntimeError("item 5 broke")
+            return i
+
+        threads, blas = threading.active_count(), _blas_threads()
+        with pytest.raises(RuntimeError, match="item 3 broke"):
+            _runtime.thread_map(fn, range(12))
+        assert sorted(started) == list(range(6))
+        assert threading.active_count() == threads
+        assert _blas_threads() == blas
+
+    def test_keyboard_interrupt_runs_no_queued_item(self, monkeypatch):
+        # the interrupt reaches the calling thread while it waits, with
+        # items 0 and 1 running: they finish before the pool shuts down,
+        # their workers take queued items for 50 ms, and none calls fn
+        monkeypatch.setattr(_runtime, "pool_workers", lambda items: 2)
+        barrier, released, started, done = threading.Barrier(2), threading.Event(), [], []
+        shutdown = concurrent.futures.ThreadPoolExecutor.shutdown
+
+        def interrupted_wait(futures, timeout=None, return_when=None):
+            while len(started) < 2:
+                threading.Event().wait(0.001)
+            raise KeyboardInterrupt
+
+        def release_then_shutdown(pool, *args, **kwargs):
+            released.set()
+            while len(done) < 2:
+                threading.Event().wait(0.001)
+            threading.Event().wait(0.05)
+            shutdown(pool, *args, **kwargs)
+
+        def fn(i):
+            started.append(i)
+            barrier.wait(timeout=10)
+            assert released.wait(timeout=10)
+            done.append(i)
+
+        monkeypatch.setattr(concurrent.futures, "wait", interrupted_wait)
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "shutdown", release_then_shutdown)
+        threads, blas = threading.active_count(), _blas_threads()
+        with pytest.raises(KeyboardInterrupt):
+            _runtime.thread_map(fn, range(20))
+        assert sorted(started) == [0, 1]
+        assert threading.active_count() == threads
+        assert _blas_threads() == blas
 
     def test_interrupt_while_waiting_joins_every_thread(self, monkeypatch):
-        # an exception in the calling thread (a KeyboardInterrupt, or a
-        # thread that would not start) hands out nothing more, joins the
-        # threads already started and is raised
+        # an exception in the calling thread (here a worker that would not
+        # start) calls fn no more, joins the threads already started and
+        # is raised
         monkeypatch.setattr(_runtime, "pool_workers", lambda items: 2)
         started, done = threading.Event(), []
         start = threading.Thread.start

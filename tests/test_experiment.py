@@ -387,8 +387,10 @@ class TestRowPool:
     @pytest.mark.usefixtures("two_workers")
     def test_row_k_samples_run_on_the_pool(self, monkeypatch):
         # each row runs on the calling thread, which only waits while the
-        # row's eigensolves run on the two workers of its pool (thread
-        # objects, kept alive, since a finished thread's ident is reused)
+        # row's eigensolves run on its pool: at most two workers, which start
+        # on demand, so a worker that starts late may find a tiny row done
+        # (thread objects, kept alive, since a finished thread's ident is
+        # reused)
         estimate, eigenbasis = qge.experiment.variance_estimate, qge.evolution.eigenbasis
         rows, solves = {}, []  # by the id of each row's bond index, kept alive
 
@@ -408,7 +410,7 @@ class TestRowPool:
         assert {thread for _, thread in rows.values()} == {caller}
         for row in rows:
             threads = {thread for solved, thread in solves if solved == row}
-            assert len(threads) == 2 and caller not in threads
+            assert 1 <= len(threads) <= 2 and caller not in threads
 
     @pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread setter found")
     @pytest.mark.parametrize("fail", [False, True], ids=["return", "raise"])

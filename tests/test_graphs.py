@@ -352,6 +352,23 @@ class TestSpectralReport:
         with pytest.raises(ValidationError, match=match):
             spectral_report(petersen())
 
+    @pytest.mark.skipif(_runtime.openblas_threads() is None, reason="no OpenBLAS thread setter found")
+    def test_dense_route_at_one_blas_thread(self):
+        # the dense eigvalsh at n = 512 gave other last bits at two BLAS
+        # threads than at one; it runs at one whatever the count, which is
+        # restored after
+        set_threads, get_threads = _runtime.openblas_threads()
+        g = generate_random_regular(graphs.DENSE_SPECTRUM_MAX_N, 4, seed=1)
+        old, reports = get_threads(), []
+        try:
+            for threads in (1, 2):
+                set_threads(threads)
+                reports.append(spectral_report(g))
+                assert get_threads() == threads
+        finally:
+            set_threads(old)
+        assert reports[0].mu == reports[1].mu and reports[0].beta == reports[1].beta
+
     def test_girth_matches_bond_walk_oracle(self):
         for g in [k5(), petersen(), cage46(), k5_chain(4)]:
             assert girth(g) == oracle_girth(g)

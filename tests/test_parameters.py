@@ -32,6 +32,7 @@ from qge import (
     near_cycle_census,
     parity_observable,
     reduced_consistency,
+    spectral_report,
     trace_correlator,
     variance_estimate,
     walk_decay_constant,
@@ -137,7 +138,7 @@ CASES = {
     "z_bound.T": (lambda x, v: z_bound(4, 0.5, v), 5, 0),
     "y_from_z.d": (lambda x, v: y_from_z(np.arange(4.0), v), 4, 3),
     "walk_decay_constant.d": (lambda x, v: walk_decay_constant(v, 0.5), 4, 3),
-    "decay_profile.T": (lambda x, v: decay_profile(x["m"], x["f"], v, 0.5), 3, 1),
+    "decay_profile.T": (lambda x, v: decay_profile(x["m"], x["f"], v, spectral_report(x["g"])), 3, 1),
 }
 
 

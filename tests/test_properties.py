@@ -122,6 +122,6 @@ def test_no_decay_row_with_an_envelope_is_violated(g, rng_seed, in_span):
     m = classical_map(build_assembly(g, equi_transmitting_sigma(g.d)))
     rng = np.random.default_rng(rng_seed)
     raw = rng.normal(size=g.n)[g.bond_index.tails] if in_span else rng.normal(size=2 * g.B)
-    rows = decay_profile(m, Observable(raw - raw.mean()), 30, rep.walk_gap)
+    rows = decay_profile(m, Observable(raw - raw.mean()), 30, rep)
     assert all(r.bound_kind == "general" for r in rows)
     assert not any(r.violated for r in rows)

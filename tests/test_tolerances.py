@@ -1,11 +1,12 @@
 """Every tolerance is a named constant and every raising check goes through
 qge._checks.check, which fails closed; only qge._runtime, the home of the
-process settings, reaches C libraries through ctypes; only
-evolution.variance_estimate runs the worker pool, so pools never nest; only
-bonds._frozen sets an array's flags; only census.min_return_lengths, the
-search it bounds, reads the census work budget; every integer bound
-goes through qge._checks.integer; and only walk.walk_decay_constant, the
-walk bound's one gate, compares beta with d - 2."""
+process settings, reaches C libraries through ctypes and imports
+threading or concurrent.futures; only evolution.variance_estimate runs the
+worker pool, so pools never nest; only bonds._frozen sets an array's flags;
+only census.min_return_lengths, the search it bounds, reads the census work
+budget; every integer bound goes through qge._checks.integer; and only
+walk.walk_decay_constant, the walk bound's one gate, compares beta with
+d - 2."""
 
 import ast
 import math
@@ -81,23 +82,24 @@ def test_rule_sees_a_slack_in_a_call(tmp_path):
     assert _bare_tolerances(path) == ["probe.py:2: 1e-09", "probe.py:3: 5e-10", "probe.py:5: 1e-09"]
 
 
-def _ctypes_imports(path: Path) -> list[str]:
-    """The `import ctypes` and `from ctypes ...` statements of a module."""
+def _imports(path: Path, *modules: str) -> list[str]:
+    """The import statements of a module that import one of `modules`, a
+    submodule of it or a name from it (qge's own relative imports aside)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(name.partition(".")[0] == "ctypes" for name in names):
-            found.append(f"{path.name}:{node.lineno}")
-    return found
+        if any(name == m or name.startswith(m + ".") for name in names for m in modules):
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
 
 
 def test_only_runtime_imports_ctypes():
-    hits = {p.name: _ctypes_imports(p) for p in SOURCES}
+    hits = {p.name: _imports(p, "ctypes") for p in SOURCES}
     assert hits.pop("_runtime.py") != []
     assert [hit for found in hits.values() for hit in found] == []
 
@@ -108,7 +110,30 @@ def test_rule_sees_a_ctypes_import(tmp_path):
         "import os, ctypes\nfrom ctypes import CDLL\nimport ctypes.util as cu\n"
         "from . import ctypes_free\nimport ctypeslib\n"
     )
-    assert _ctypes_imports(path) == ["probe.py:1", "probe.py:2", "probe.py:3"]
+    assert _imports(path, "ctypes") == ["probe.py:1", "probe.py:2", "probe.py:3"]
+
+
+THREAD_MODULES = ("threading", "concurrent.futures")
+
+
+def test_only_runtime_imports_threads():
+    # thread_map is the one pool: no other module starts a thread
+    hits = {p.name: _imports(p, *THREAD_MODULES) for p in SOURCES}
+    assert hits.pop("_runtime.py") != []
+    assert [hit for found in hits.values() for hit in found] == []
+
+
+def test_rule_sees_a_thread_import(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import os, threading\nfrom threading import Thread\n"
+        "def pool():\n    from concurrent.futures import ThreadPoolExecutor\n"
+        "import concurrent.futures as cf\nfrom concurrent import futures\n"
+        "from . import threading_free\nimport threadpoolctl\nfrom concurrent import interpreters\n"
+    )
+    assert _imports(path, *THREAD_MODULES) == [
+        "probe.py:1", "probe.py:2", "probe.py:4", "probe.py:5", "probe.py:6"
+    ]
 
 
 def test_one_thread_map_call_site():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,7 @@ from qge import (
 from qge.cli import main
 from qge.evolution import evolution
 from qge.fileio import save_observable
+from qge.graphs import SpectralReport
 
 from conftest import (
     assert_products_match_dense,
@@ -75,6 +77,13 @@ def dense_basis(basis):
     e[basis.tails, bonds] = 1.0
     et[basis.heads, bonds] = 1.0
     return e, et
+
+
+def gap_report(m, beta):
+    """A spectral report of m's graph, read as connected and not bipartite,
+    whose walk gap is beta: decay_profile's bound kinds at a chosen gap."""
+    n, d = m.bond_index.out_bonds.shape
+    return SpectralReport(n=n, d=d, mu=None, beta=beta, is_connected=True, is_bipartite=False)
 
 
 def _rule_cases():
@@ -393,10 +402,10 @@ class TestDecayProfile:
     def test_random_graphs_no_violation(self):
         for seed in (1, 2):
             g, m, _ = random_walk_setup(20, seed)
-            beta = spectral_report(g).beta
-            assert beta < 2
+            rep = spectral_report(g)
+            assert rep.beta < 2
             f = parity_observable(g.bond_index)
-            rows = decay_profile(m, f, 30, beta)
+            rows = decay_profile(m, f, 30, rep)
             assert all(r.bound_kind == "general" for r in rows)
             assert not any(r.violated for r in rows)
 
@@ -407,11 +416,11 @@ class TestDecayProfile:
         g, m, basis = k5_walk
         coeffs = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
         f = Observable(dense_basis(basis)[0].T @ coeffs)
-        rows = decay_profile(m, f, 5, 3.0)
+        rows = decay_profile(m, f, 5, spectral_report(g))
         assert all(r.bound_kind == "none" and np.isnan(r.bound) for r in rows)
         assert rows[1].norm > 0.1 and not any(r.violated for r in rows)
         # a gap of 0 meets the premise and the gate refuses it: the envelope
-        rows = decay_profile(m, f, 5, 0.0)
+        rows = decay_profile(m, f, 5, gap_report(m, 0.0))
         assert all(r.bound_kind == "vertex_span" for r in rows)
         assert rows[0].bound == pytest.approx(2 * np.sqrt(8.0))
 
@@ -421,7 +430,7 @@ class TestDecayProfile:
         # holds only at beta <= 0: at beta = d-2, d-1-beta = 1 < sqrt(3)
         _, m, basis = k5_walk
         f = Observable(dense_basis(basis)[0].T @ np.array([1.0, -1.0, 0.0, 0.0, 0.0]))
-        assert {r.bound_kind for r in decay_profile(m, f, 3, beta)} == {kind}
+        assert {r.bound_kind for r in decay_profile(m, f, 3, gap_report(m, beta))} == {kind}
 
     def test_k5_walk_decay_command(self, tmp_path):
         # the parity observable on K5 (walk gap 3) lies in span{e_v}; its
@@ -438,16 +447,16 @@ class TestDecayProfile:
         g = k5()
         rep = spectral_report(g)
         m = classical_map(build_assembly(g, equi_transmitting_sigma(4)))
-        profile = decay_profile(m, parity_observable(g.bond_index), 6, rep.walk_gap)
+        profile = decay_profile(m, parity_observable(g.bond_index), 6, rep)
         assert rep.walk_gap == pytest.approx(3.0)
         assert [(r.norm, r.bound_kind) for r in profile] == [(float(row["norm"]), "none") for row in rows]
 
     def test_k5_general_observable_norms_only(self, k5_walk):
-        _, m, _ = k5_walk
+        g, m, _ = k5_walk
         rng = np.random.default_rng(4)
         f_raw = rng.normal(size=20)
         f = Observable(f_raw - np.mean(f_raw))
-        rows = decay_profile(m, f, 4, 3.0)
+        rows = decay_profile(m, f, 4, spectral_report(g))
         assert all(r.bound_kind == "none" for r in rows)
         assert all(np.isnan(r.bound) for r in rows)
 
@@ -456,7 +465,7 @@ class TestDecayProfile:
         rng = np.random.default_rng(40)
         raw = rng.normal(size=2 * g.B) + 1j * rng.normal(size=2 * g.B)
         f = Observable(raw - np.mean(raw))
-        rows = decay_profile(m, f, 30, spectral_report(g).beta)
+        rows = decay_profile(m, f, 30, spectral_report(g))
         x = f.f
         for r in rows:
             x = m @ x
@@ -471,8 +480,7 @@ class TestDecayProfile:
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=2 * g.B) + 1j * rng.normal(size=2 * g.B)
         f = Observable(raw - np.mean(raw))
-        beta = spectral_report(g).beta
-        rows = decay_profile(classical_map(a), f, 30, beta)
+        rows = decay_profile(classical_map(a), f, 30, spectral_report(g))
         # U(0) = S exactly
         dense = np.abs(evolution(a, MetricGraph(graph=g, lengths=np.ones(g.B)), 0.0)) ** 2
         x = np.stack([f.f.real, f.f.imag], axis=1)
@@ -492,7 +500,7 @@ class TestDecayProfile:
         try:
             a = build_assembly(g, equi_transmitting_sigma(4))
             m = classical_map(a)
-            rows = decay_profile(m, parity_observable(g.bond_index), 30, 2.5)
+            rows = decay_profile(m, parity_observable(g.bond_index), 30, gap_report(m, 2.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -504,7 +512,15 @@ class TestDecayProfile:
         _, m, _ = k5_walk
         f = Observable(np.ones(20))
         with pytest.raises(ValidationError):
-            decay_profile(m, f, 5, 1.0)
+            decay_profile(m, f, 5, gap_report(m, 1.0))
+
+    def test_rejects_another_graphs_report(self, k5_walk):
+        g, m, _ = k5_walk
+        f = parity_observable(g.bond_index)
+        rep = spectral_report(g)
+        for other in (dataclasses.replace(rep, n=6), dataclasses.replace(rep, d=3), spectral_report(petersen())):
+            with pytest.raises(ValidationError, match="spectral report"):
+                decay_profile(m, f, 5, other)
 
     def test_decay_constant_domain(self):
         assert walk_decay_constant(4, 1.0) == pytest.approx(7.5)
@@ -516,16 +532,16 @@ class TestDecayProfile:
         # general rows read K r ||f|| z_bound[t] = K ||f|| t r^t, vertex-span
         # rows 2 ||f|| z_bound[t]
         g, m, basis = random_walk_setup(20, 1)
-        beta = spectral_report(g).beta
+        rep = spectral_report(g)
         f = parity_observable(g.bond_index)
         fnorm = np.linalg.norm(f.f)
-        const, ratio = walk_decay_constant(4, beta), (3.0 - beta) / 3.0
-        rows = decay_profile(m, f, 30, beta)
+        const, ratio = walk_decay_constant(4, rep.beta), (3.0 - rep.beta) / 3.0
+        rows = decay_profile(m, f, 30, rep)
         for r in rows:
             assert r.bound == pytest.approx(const * fnorm * r.t * ratio**r.t, rel=1e-14)
         f = Observable(dense_basis(basis)[0].T @ (np.arange(20.0) - 9.5))
         envelope = z_bound(4, 0.0, 30)
-        rows = decay_profile(m, f, 30, 0.0)
+        rows = decay_profile(m, f, 30, gap_report(m, 0.0))
         assert [r.bound_kind for r in rows] == ["vertex_span"] * 30
         assert [r.bound for r in rows] == list(2.0 * np.linalg.norm(f.f) * envelope[1:])
 
@@ -555,11 +571,10 @@ class TestWalkGap:
         m = classical_map(build_assembly(g, equi_transmitting_sigma(4)))
         f = observable(g)
         fnorm = np.linalg.norm(f.f)
-        # beta's general bound falls below the norms that never decay ...
-        assert any(r.violated for r in decay_profile(m, f, 30, rep.beta))
-        rows = decay_profile(m, f, 30, rep.walk_gap)
+        # the norms never decay, and the walk's gap leaves only the span{e_v}
+        # envelope
+        rows = decay_profile(m, f, 30, rep)
         assert all(r.norm == pytest.approx(fnorm, rel=1e-12) for r in rows)
-        # ... and the walk's gap leaves only the span{e_v} envelope
         assert [r.bound_kind for r in rows] == ["vertex_span"] * 30
         assert not any(r.violated for r in rows)
 
