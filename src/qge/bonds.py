@@ -13,8 +13,7 @@ and so does every BondOperator: S, the walk M and U(k).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -40,38 +39,33 @@ def _owned(a, dtype=None) -> np.ndarray:
     return _frozen(a.copy()) if a.flags.writeable else a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BondIndex:
-    """Index of the 2B directed bonds of a validated d-regular graph.
+    """Index of the 2B directed bonds of a validated d-regular graph, built
+    from the graph alone, whose validation (range, loops, repeats,
+    regularity) makes every row of out_bonds exactly d long.
 
     tails[b] / heads[b] give the start / end vertex of directed bond b,
     and rev[b] its reversal.  head(b) == tail(rev(b)) by construction.
     out_bonds is the (n, d) wiring array described in the module docstring.
     """
 
-    n: int
-    tails: np.ndarray = field(repr=False)
-    heads: np.ndarray = field(repr=False)
-    rev: np.ndarray = field(repr=False)
-    out_bonds: np.ndarray = field(repr=False)
+    graph: InitVar[Graph]
+    n: int = field(init=False)
+    tails: np.ndarray = field(init=False, repr=False)
+    heads: np.ndarray = field(init=False, repr=False)
+    rev: np.ndarray = field(init=False, repr=False)
+    out_bonds: np.ndarray = field(init=False, repr=False)
 
-    @classmethod
-    def from_graph(cls, g: Graph) -> "BondIndex":
-        """Bond index of a Graph, whose validation (range, loops, repeats,
-        regularity) makes every row of out_bonds exactly d long."""
-        u, v = g.edges.T
+    def __post_init__(self, graph: Graph):
+        u, v = graph.edges.T
         tails = np.concatenate([u, v])
         heads = np.concatenate([v, u])
-        two_b = 2 * g.B
-        rev = (np.arange(two_b) + g.B) % two_b
-        out_bonds = np.lexsort((heads, tails)).reshape(g.n, g.d)
-        return cls(
-            n=g.n,
-            tails=_frozen(tails),
-            heads=_frozen(heads),
-            rev=_frozen(rev),
-            out_bonds=_frozen(out_bonds),
-        )
+        rev = (np.arange(2 * graph.B) + graph.B) % (2 * graph.B)
+        out_bonds = np.lexsort((heads, tails)).reshape(graph.n, graph.d)
+        for name, value in (("tails", tails), ("heads", heads), ("rev", rev), ("out_bonds", out_bonds)):
+            object.__setattr__(self, name, _frozen(value))
+        object.__setattr__(self, "n", graph.n)
 
     @property
     def B(self) -> int:
@@ -132,7 +126,7 @@ class BondIndex:
         return _frozen(targets), _frozen(units)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BondOperator:
     """diag(phases) X on the 2B directed bonds (phases default to all ones),
     where X[in_bonds[v, i], out_bonds[v, j]] = blocks[v, j, i] is wired
@@ -149,11 +143,15 @@ class BondOperator:
     phases: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
+        n, d = self.bond_index.out_bonds.shape
+        blocks = _owned(self.blocks)
+        if blocks.shape != (n, d, d):
+            raise ValidationError(f"blocks must have shape ({n}, {d}, {d}), got {blocks.shape}")
         two_b = self.bond_index.num_directed
         phases = _frozen(np.ones(two_b)) if self.phases is None else _owned(self.phases)
         if phases.shape != (two_b,):
             raise ValidationError(f"phases for {two_b} bonds, got shape {phases.shape}")
-        object.__setattr__(self, "blocks", _owned(self.blocks))
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "phases", phases)
 
     def with_phases(self, phases: np.ndarray) -> BondOperator:
@@ -196,26 +194,19 @@ class BondOperator:
         return _frozen(self.phases[:, None] * self.gather[1])
 
     @cached_property
-    def _gram(self) -> np.ndarray | None:
-        """blocks[v]^T conj(blocks[v]), the blocks of X X^H when out_bonds and
-        in_bonds each list every bond once (X is then block diagonal up to
-        row and column permutations); None for any other wiring."""
-        bi = self.bond_index
-        bonds = np.arange(bi.num_directed)
-        if not all(np.array_equal(np.sort(w, axis=None), bonds) for w in (bi.out_bonds, bi.in_bonds)):
-            return None
+    def _gram(self) -> np.ndarray:
+        """blocks[v]^T conj(blocks[v]), the blocks of X X^H: out_bonds and
+        in_bonds each list every bond once, so X is block diagonal up to row
+        and column permutations."""
         rows = self.blocks.transpose(0, 2, 1)
         return rows @ rows.conj().transpose(0, 2, 1)
 
     def unitarity_deviation(self) -> float:
         """max |O O^H - I| from the blocks: O O^H has the blocks
         diag(p_v) gram_v diag(p_v)^H, p_v the phases of the bonds entering
-        v.  A broken wiring reads as infinite."""
-        gram = self._gram
-        if gram is None:
-            return math.inf
+        v."""
         p = self.phases[self.bond_index.in_bonds]
-        gram = p[:, :, None] * gram * p.conj()[:, None, :]
+        gram = p[:, :, None] * self._gram * p.conj()[:, None, :]
         return float(np.max(np.abs(gram - np.eye(gram.shape[-1]))))
 
     def __matmul__(self, x) -> np.ndarray:

@@ -76,7 +76,7 @@ _BLOCK_BYTES = 1 << 19
 LENGTH_RANGE = (1.0, 2.0)  # bounds of the uniform draw_lengths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricGraph:
     """A graph with one positive length per undirected bond.
 
@@ -92,7 +92,7 @@ class MetricGraph:
             raise ValidationError(
                 f"need {self.graph.B} bond lengths, got shape {lengths.shape}"
             )
-        if not np.all(np.isfinite(lengths) & (lengths > 0)):
+        if not np.all(np.isfinite(lengths) & (lengths > 0.0)):
             raise ValidationError("all bond lengths must be finite and positive")
         object.__setattr__(self, "lengths", lengths)
 
@@ -344,7 +344,7 @@ def eigenbasis(u: np.ndarray | BondOperator) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """A bond observable f in C^(2B) with sup-norm kappa = sup|f| (0 for an empty f);
     f is traceless when |Tr f| < OBSERVABLE_TOL * max(1, 2B) * max(1, kappa)."""

@@ -64,7 +64,7 @@ class ExperimentConfig:
         seeds = tuple(integer(s, 0, "config seeds") for s in self.seeds)
         if any(s > MAX_SEED for s in seeds):
             raise ValidationError(f"config seeds must lie in [0, {MAX_SEED}]")
-        if not (0 < self.K < math.inf and 0 < self.kappa < math.inf):
+        if not (0.0 < self.K < math.inf and 0.0 < self.kappa < math.inf):
             raise ValidationError(
                 f"config K={self.K} and kappa={self.kappa} must be finite and positive"
             )

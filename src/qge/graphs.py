@@ -54,6 +54,7 @@ RAMANUJAN_TOL = 1e-9
 class Graph:
     """Simple d-regular graph on n labelled vertices with B = n d / 2 edges.
 
+    n and d are positive integers, stored as int (see _checks.integer);
     edges is a read-only (B, 2) int64 array, one row "u v" per edge, kept as
     given or else copied from any (B, 2) integer array-like.
     """
@@ -63,9 +64,7 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
-        n, d = self.n, self.d
-        if n <= 0 or d <= 0:
-            raise ValidationError("n and d must be positive")
+        n, d = integer(self.n, 1, "n"), integer(self.d, 1, "d")
         if (n * d) % 2 != 0:
             raise ValidationError(f"n*d = {n * d} is odd; no {d}-regular graph on {n} vertices")
         try:
@@ -96,7 +95,8 @@ class Graph:
         bad = np.flatnonzero(deg != d)
         if len(bad):
             raise ValidationError(f"vertex {bad[0]} has degree {deg[bad[0]]}, expected {d}")
-        object.__setattr__(self, "edges", uv)
+        for name, value in (("n", n), ("d", d), ("edges", uv)):
+            object.__setattr__(self, name, value)
 
     @property
     def B(self) -> int:
@@ -114,7 +114,7 @@ class Graph:
 
     @cached_property
     def bond_index(self) -> BondIndex:
-        return BondIndex.from_graph(self)
+        return BondIndex(self)
 
 
 @dataclass(frozen=True)
@@ -294,8 +294,8 @@ def _lanczos_extremes(matvec, deflate, n: int, max_steps: int) -> tuple[float, f
     estimates beta_j |s_{j,i}| fall below LANCZOS_TOL (Paige 1980); they are
     checked on a growing schedule.  Each check takes the two extreme
     eigenpairs of the tridiagonal T_j from LAPACK's dstemr
-    (_runtime.tridiagonal_extremes), and takes a dense eigh of T_j only
-    where that routine is not found or its call fails.
+    (_runtime.tridiagonal_extremes), and takes a dense eigh of T_j, at one
+    BLAS thread, only where that routine is not found or its call fails.
     """
     q = deflate(_rng(LANCZOS_SEED).standard_normal(n))
     q /= np.linalg.norm(q)
@@ -314,7 +314,8 @@ def _lanczos_extremes(matvec, deflate, n: int, max_steps: int) -> tuple[float, f
             pairs = _runtime.tridiagonal_extremes(alphas, betas)
             if pairs is None:
                 t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-                theta, s = np.linalg.eigh(t)
+                with _runtime.one_blas_thread():
+                    theta, s = np.linalg.eigh(t)
                 pairs = (theta[0], s[-1, 0]), (theta[-1], s[-1, -1])
             (lo, s_lo), (hi, s_hi) = pairs
             if betas[-1] * max(abs(s_lo), abs(s_hi)) < LANCZOS_TOL:

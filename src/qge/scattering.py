@@ -37,7 +37,7 @@ UNITARITY_TOL = 1e-10
 EQUI_TRANSMITTING_TOL = 1e-9  # each deviation is_equi_transmitting measures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexScattering:
     """A d x d unitary vertex matrix."""
 
@@ -55,7 +55,7 @@ class VertexScattering:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkewHadamard:
     """Integer matrix with entries +-1, H + H^T = 2I and H H^T = mI exactly."""
 

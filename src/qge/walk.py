@@ -72,7 +72,7 @@ def classical_map(s: BondOperator) -> BondOperator:
     return BondOperator(s.bond_index, w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexBasis:
     """Outgoing (e_v) and incoming (e~_v) bond indicator vectors per vertex,
     held as index arrays: e_v indicates the bonds b with tails[b] = v and

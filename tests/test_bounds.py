@@ -210,6 +210,8 @@ class TestWormald:
             WormaldParams(n=10, d=4, k=2.0, S=10, A=3.0)
         with pytest.raises(ParameterError):
             WormaldParams(n=10, d=4, k=3.0, S=10, A=1.0)
+        with pytest.raises(ParameterError, match="S must be >= 0"):
+            WormaldParams(n=10, d=4, k=3.0, S=-1.0, A=3.0)
 
     @pytest.mark.parametrize("field", ["n", "d", "k", "S", "A"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -2,6 +2,7 @@ import ctypes
 import hashlib
 import itertools
 import json
+import math
 import os
 import platform
 import subprocess
@@ -256,6 +257,25 @@ class TestExperimentCommand:
         assert (row["bound"], row["bound_kind"], row["status"]) == ("nan", "walk-unavailable", "ok")
         sidecar = json.loads(Path(str(out) + ".constants.json").read_text())
         assert sidecar["rows"] == [{"n": 5, "seed": 1, "terms": {}, "status": "ok"}]
+
+    def test_plot_with_a_walk_unavailable_row(self, tmp_path, monkeypatch):
+        # K5's row (n = 5) is walk-unavailable, so the plotted bound is NaN
+        # there and drawn from the n = 10 row alone
+        plotted, line_plot = [], qge.cli.line_plot
+
+        def spy(series, *args, **kwargs):
+            plotted.append(series)
+            line_plot(series, *args, **kwargs)
+
+        monkeypatch.setattr(qge.cli, "line_plot", spy)
+        cfg = tmp_path / "exp.cfg"
+        out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        cfg.write_text("d=4\nn_list=5,10\nseeds=1\nK=10\nsamples=3\n")
+        assert run("experiment", "--config", str(cfg), "--out", str(out), "--plot", str(svg)) == 0
+        (_, ns, variance), (_, bound_ns, bounds) = plotted[0]
+        assert ns == bound_ns == [5.0, 10.0] and all(map(math.isfinite, variance))
+        assert math.isnan(bounds[0]) and math.isfinite(bounds[1])
+        ET.fromstring(svg.read_text())
 
     def test_manifest_reproducibility(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

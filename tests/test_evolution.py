@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import dataclasses
 import functools
 import re
@@ -244,15 +245,27 @@ class TestAssemblyWiring:
         with pytest.raises(NumericalError):
             build_assembly(k5(), rule)
 
-    @pytest.mark.parametrize("field", ["out_bonds", "rev"])
-    def test_broken_wiring_raises(self, field):
+    def test_wiring_comes_from_the_graph_alone(self):
+        # the graph is the one constructor argument: no wiring array can be
+        # set, replaced or written, so no bond is wired twice
         g = k5()
         bi = g.bond_index
-        broken = getattr(bi, field).copy()
-        broken.flat[0] = broken.flat[1]  # one bond wired twice, another never
-        g.__dict__["bond_index"] = dataclasses.replace(bi, **{field: broken})
-        with pytest.raises(NumericalError):
-            build_assembly(g, equi_transmitting_sigma(4))
+        assert [f.name for f in dataclasses.fields(bi) if f.init] == []
+        for field in ("out_bonds", "rev", "tails", "heads"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(bi, **{field: getattr(bi, field).copy()})
+            with pytest.raises(ValueError):
+                dataclasses.replace(bi, graph=g, **{field: getattr(bi, field).copy()})
+        fresh = BondIndex(g)
+        assert fresh is not bi and "graph" not in vars(fresh)
+        for field in ("out_bonds", "rev", "tails", "heads"):
+            assert np.array_equal(getattr(fresh, field), getattr(bi, field))
+            assert not getattr(fresh, field).flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (5, 4, 3), (5, 4, 4, 1)], ids=str)
+    def test_blocks_of_another_shape_raise(self, shape):
+        with pytest.raises(ValidationError, match=r"blocks must have shape \(5, 4, 4\), got"):
+            BondOperator(k5().bond_index, np.zeros(shape))
 
 
 class TestEvolution:
@@ -1337,3 +1350,24 @@ def test_value_types_own_their_arrays(holder):
     assert np.array_equal(held, original)
     assert np.array_equal(derived(obj), facts)
     assert getattr(build(held), field_name) is held
+
+
+def test_value_types_with_arrays_compare_by_identity():
+    # a field-wise == would compare arrays, whose truth value is ambiguous,
+    # and such a type would not hash; these types compare by identity
+    g = k5()
+    s = build_assembly(g, equi_transmitting_sigma(4))
+    values = [
+        g,
+        g.bond_index,
+        MetricGraph(graph=g, lengths=np.ones(g.B)),
+        s,
+        qge.vertex_basis(g.bond_index),
+        Observable(np.ones(2)),
+        equi_transmitting_sigma(4),
+        skew_hadamard(4),
+    ]
+    for value in values:
+        twin = copy.copy(value)
+        assert (value == value) is True and (value == twin) is False
+        assert len({value, value, twin}) == 2

@@ -344,28 +344,6 @@ class TestRowPool:
         assert [r.status for r in family_experiment(self.CFG)] == ["ok"] * 6
         assert len(threads) == 1
 
-    def test_every_row_once_under_contention(self, monkeypatch):
-        # a thousand rows, switching threads every microsecond: a row run
-        # twice or lost would show as a repeat or a missing row
-        calls = []
-
-        def one_row(cfg, n, seed):
-            calls.append((n, seed))
-            return qge.experiment.ExperimentRow(n=n, seed=seed)
-
-        monkeypatch.setattr(qge.experiment, "_one_row", one_row)
-        monkeypatch.setattr(_runtime, "pool_workers", lambda rows: 8)
-        cfg = ExperimentConfig(d=4, n_list=tuple(range(5, 45)), seeds=tuple(range(25)))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rows = family_experiment(cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        expected = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
-        assert [(r.n, r.seed) for r in rows] == expected
-        assert sorted(calls) == expected
-
     @pytest.mark.usefixtures("two_workers")
     def test_unexpected_exception_propagates(self, monkeypatch):
         spy_rows(monkeypatch, lambda n: RuntimeError("row broke") if n == 16 else None)

@@ -58,7 +58,7 @@ class TestGraphInvariants:
     def test_rejects_empty_vertex_set_or_degree(self, n, d):
         # without the check, n = 0 or d = 0 with no edges would pass every
         # other test of the graph
-        with pytest.raises(ValidationError, match="n and d must be positive"):
+        with pytest.raises(ValidationError, match="must be a positive integer"):
             Graph(n=n, d=d, edges=np.zeros((0, 2), dtype=np.int64))
 
 
@@ -631,6 +631,29 @@ class TestLanczosRoute:
         assert spectral_report(g).beta == beta
         assert eighs == [graphs.LANCZOS_FIRST_CHECK]
         assert len(calls) > 3 and calls[0] == graphs.LANCZOS_FIRST_CHECK
+
+    @pytest.mark.skipif(_runtime.openblas_threads() is None, reason="no OpenBLAS thread setter found")
+    def test_dense_checks_at_one_blas_thread(self, monkeypatch):
+        # without dstemr every check takes a dense eigh of T_j; each runs at
+        # one BLAS thread, and the caller's count is restored after
+        set_threads, get_threads = _runtime.openblas_threads()
+        seen, real_eigh = [], np.linalg.eigh
+
+        def counted_eigh(a):
+            seen.append(get_threads())
+            return real_eigh(a)
+
+        monkeypatch.setattr(_runtime, "lapacke_dstemr", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        g = generate_random_regular(1000, 4, seed=1)
+        old = get_threads()
+        try:
+            set_threads(3)
+            spectral_report(g)
+            assert get_threads() == 3
+        finally:
+            set_threads(old)
+        assert len(seen) >= 2 and set(seen) == {1}
 
     def test_route_threshold(self):
         at = generate_random_regular(graphs.DENSE_SPECTRUM_MAX_N, 4, seed=1)

@@ -10,6 +10,7 @@ import pytest
 
 from qge import (
     BoundInputs,
+    Graph,
     MetricGraph,
     ParameterError,
     WormaldParams,
@@ -122,6 +123,8 @@ CASES = {
     "fejer.T": (lambda x, v: fejer(v), 4, 1),
     "fejer_kernel.T": (lambda x, v: fejer_kernel(v, 0.3), 4, 1),
     "lemma_a_sides.T": (lambda x, v: lemma_a_sides(x["u"], np.diag(x["f"].f), v), 3, 1),
+    "Graph.n": (lambda x, v: Graph(n=v, d=4, edges=x["g"].edges), 5, 1),
+    "Graph.d": (lambda x, v: Graph(n=5, d=v, edges=x["g"].edges), 4, 1),
     "generate_random_regular.n": (lambda x, v: generate_random_regular(v, 4, 1), 10, 5),
     "generate_random_regular.d": (lambda x, v: generate_random_regular(10, v, 1), 4, 3),
     "generate_random_regular.seed": (lambda x, v: generate_random_regular(10, 4, v), 1, 0),

@@ -252,11 +252,11 @@ def _side(node) -> str:
     return "int" if isinstance(node, ast.Constant) and type(node.value) is int else ""
 
 
-def _raises(stmt, name: str) -> bool:
+def _raises(stmt, names: tuple[str, ...]) -> bool:
     if not isinstance(stmt, ast.Raise):
         return False
     exc = stmt.exc.func if isinstance(stmt.exc, ast.Call) else stmt.exc
-    return name in (getattr(exc, "id", None), getattr(exc, "attr", None))
+    return bool({getattr(exc, "id", None), getattr(exc, "attr", None)} & set(names))
 
 
 ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
@@ -264,12 +264,13 @@ ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 def _hand_integer_bounds(path: Path) -> list[str]:
     """Ordering comparisons between a name or attribute and an int literal
-    in the test of an `if` whose body raises ParameterError: an integer
-    bound written by hand instead of through _checks.integer.  A real bound
-    is written with a float literal (kappa <= 0.0) and passes."""
-    found = []
+    in the test of an `if` whose body raises ParameterError or
+    ValidationError: an integer bound written by hand instead of through
+    _checks.integer.  A real bound is written with a float literal
+    (kappa <= 0.0) and passes."""
+    found, errors = [], ("ParameterError", "ValidationError")
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if not (isinstance(node, ast.If) and any(_raises(stmt, "ParameterError") for stmt in node.body)):
+        if not (isinstance(node, ast.If) and any(_raises(stmt, errors) for stmt in node.body)):
             continue
         for cmp in (sub for sub in ast.walk(node.test) if isinstance(sub, ast.Compare)):
             sides = [cmp.left, *cmp.comparators]
@@ -297,7 +298,7 @@ def test_rule_sees_a_hand_integer_bound(tmp_path):
         "if n <= d or 2 * n < 3:\n    raise ParameterError('n')\n"
         "if t < 0:\n    t = 0\nelse:\n    raise ParameterError('t')\n"
     )
-    assert _hand_integer_bounds(path) == ["probe.py:1", "probe.py:3", "probe.py:5", "probe.py:7"]
+    assert _hand_integer_bounds(path) == ["probe.py:1", "probe.py:3", "probe.py:5", "probe.py:7", "probe.py:12"]
 
 
 def _names(node, name: str) -> bool:

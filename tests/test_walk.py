@@ -368,6 +368,14 @@ class TestReducedEvolution:
         with pytest.raises(ValidationError):
             reduced_consistency(g, m, f, 2)
 
+    def test_rejects_a_wrong_length(self, k5_walk):
+        # f is n vertex coefficients or a 2B bond vector, nothing else
+        g, m, basis = k5_walk
+        with pytest.raises(ValidationError, match="length n .* or 2B"):
+            reduced_consistency(g, m, np.ones(7), 2)
+        with pytest.raises(ValidationError, match="length 10"):
+            psi(np.ones(5), basis)
+
 
 class TestG2Contraction:
     def test_k5_ratio(self, k5_walk):
@@ -380,6 +388,11 @@ class TestG2Contraction:
         _, m, basis = k5_walk
         with pytest.raises(ValidationError):
             g2_contraction(m, dense_basis(basis)[0][0])
+
+    def test_zero_vector_rejected(self, k5_walk):
+        _, m, _ = k5_walk
+        with pytest.raises(ValidationError, match="zero vector"):
+            g2_contraction(m, np.zeros(20))
 
     def test_many_random_vectors(self):
         _, m, basis = random_walk_setup(20, 3)
