@@ -1,7 +1,8 @@
-"""Process settings and the worker pool: the allocator thresholds, numpy's
-OpenBLAS thread count, the thread map of a row's k-samples (a
-ThreadPoolExecutor of at most `workers` threads, started on demand), LAPACK's
-tridiagonal eigensolver in the same OpenBLAS, and the manifest's record.
+"""Process settings and the worker pool: the allocator thresholds, the
+machine's physical memory, numpy's OpenBLAS thread count, the thread map of
+a row's k-samples (a ThreadPoolExecutor of at most `workers` threads,
+started on demand), LAPACK's tridiagonal eigensolver in the same OpenBLAS,
+and the manifest's record.
 
 Imports nothing from qge, and importing it sets nothing: cli.main applies
 the allocator thresholds, and the OpenBLAS calls are looked up on first
@@ -137,6 +138,16 @@ def pool_workers(items: int) -> int:
     most one per item; one, the serial loop at the library's own thread
     count, where no OpenBLAS setter is found."""
     return 1 if openblas_threads() is None else min(len(os.sched_getaffinity(0)), items)
+
+
+def physical_memory() -> int | None:
+    """The machine's physical memory in bytes, from os.sysconf; None where
+    it is not available."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
 
 
 @contextmanager

@@ -31,7 +31,9 @@ class NoEquiTransmittingMatrixError(ValidationError):
 
 
 class WorkBudgetError(ValidationError):
-    """A census search would exceed the configured work budget."""
+    """A computation would exceed its work budget: a census search its
+    configured budget, or the k-samples of a variance estimate the
+    machine's physical memory."""
 
 
 class AssemblyError(ValidationError):

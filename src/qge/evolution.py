@@ -29,6 +29,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     ValidationError,
+    WorkBudgetError,
 )
 from .graphs import Graph, _rng
 from .scattering import VertexScattering
@@ -414,6 +415,20 @@ def _check_dim(s: BondOperator, f: Observable) -> None:
         raise ValidationError(f"observable has dim {f.dim}, expected {two_b}")
 
 
+def _check_operand_memory(two_b: int, workers: int) -> None:
+    """Raise WorkBudgetError where the k-samples in flight cannot fit in
+    physical memory: every eigenbasis route holds at least two 2B x 2B
+    float64 operands per k-sample, so this lower bound refuses no run that
+    can finish.  No check where the memory size is not available."""
+    need = workers * 2 * two_b * two_b * 8
+    memory = _runtime.physical_memory()
+    if memory is not None and need > memory:
+        raise WorkBudgetError(
+            f"{workers} k-samples in flight at 2B = {two_b} hold at least {need} bytes "
+            f"of operands, more than the {memory} bytes of physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class VarianceEstimate:
     estimate: float
@@ -450,16 +465,19 @@ def variance_estimate(
     The k-samples run through _runtime.thread_map, each at one BLAS
     thread, so the estimate depends neither on the worker count nor on
     OPENBLAS_NUM_THREADS; each worker holds one k-sample's eigenbasis and
-    scratch, and the statistic is formed in column blocks.
+    scratch, and the statistic is formed in column blocks.  Before the
+    first U(k), WorkBudgetError refuses k-samples whose operands cannot
+    fit in physical memory (_check_operand_memory).
     """
     ks, u_at = _k_grid(s, mg, k_max, samples)
     samples = len(ks)
     _check_dim(s, f)
+    two_b = s.bond_index.num_directed
+    _check_operand_memory(two_b, _runtime.pool_workers(samples))
     # the facts the k-samples share, built here: cached_property locks nothing on 3.12+
     s.gather
     if s.antisymmetric:
         s.bond_index.pair_scatter
-    two_b = s.bond_index.num_directed
     mean_element = f.trace() / two_b
     blocks = _column_blocks(two_b)
 

@@ -62,8 +62,22 @@ def content_lines(text: str) -> list[str]:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to path through a new file beside it and one rename.
+
+    The new file is created with mode 0o666, so the process umask applies
+    as it does to open(path, "w"); tempfile.mkstemp's 0o600 would reach
+    the output through the rename.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    for _ in range(tempfile.TMP_MAX):
+        tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no unused temporary name beside {path}")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

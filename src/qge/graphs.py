@@ -28,8 +28,7 @@ __all__ = [
     "girth",
 ]
 
-EIG_TOL = 1e-9  # eigenvalue tolerance for multiplicity / bipartite detection
-DENSE_SPECTRUM_MAX_N = 512  # above this many vertices beta comes from Lanczos
+EIG_TOL = 1e-9  # distance of a Ritz value from +/-d at which the traversal is refuted
 LANCZOS_TOL = 1e-10  # residual estimate at which an extreme Ritz pair has converged
 LANCZOS_FIRST_CHECK = 30  # Lanczos step of the first convergence check
 LANCZOS_SEED = 0  # seed of the Gaussian start vector
@@ -119,18 +118,15 @@ class Graph:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Connectivity-matrix spectrum and derived structural facts.
+    """Spectral gap of the connectivity matrix and derived structural facts.
 
-    mu is the full eigenvalue list in decreasing order, or None above
-    DENSE_SPECTRUM_MAX_N vertices, where it is not computed.  beta is
-    d - max |mu| over the non-trivial spectrum, where one eigenvalue d is
-    removed per connected component and one eigenvalue -d per bipartite
-    component.
+    beta is d - max |mu| over the non-trivial spectrum mu, where one
+    eigenvalue d is removed per connected component and one eigenvalue -d
+    per bipartite component.
     """
 
     n: int
     d: int
-    mu: tuple[float, ...] | None
     beta: float
     is_connected: bool
     is_bipartite: bool
@@ -250,39 +246,6 @@ def girth(g: Graph) -> int | None:
     return best
 
 
-def _dense_spectrum(g: Graph, flags: list[bool]) -> tuple[tuple[float, ...], float]:
-    """Full eigenvalue list (decreasing) of the connectivity matrix and beta.
-
-    The eigenvalue multiplicities of +/-d are cross-checked against the
-    component count and the bipartite flags.  The eigensolve runs at one
-    BLAS thread, so its bits do not depend on the thread count.
-    """
-    c = g.adjacency.astype(np.float64)
-    with _runtime.one_blas_thread():
-        mu = np.linalg.eigvalsh(c)[::-1]  # decreasing
-    comps = len(flags)
-    n_bip = sum(flags)  # one -d eigenvalue per bipartite component
-
-    mult_top = int(np.sum(mu > g.d - EIG_TOL))
-    if mult_top != comps:
-        raise ValidationError(
-            f"eigenvalue multiplicity of d ({mult_top}) disagrees with the "
-            f"traversal component count ({comps})"
-        )
-    mult_bottom = int(np.sum(mu < -g.d + EIG_TOL))
-    if mult_bottom != n_bip:
-        raise ValidationError(
-            f"-d multiplicity ({mult_bottom}) disagrees with the bipartite "
-            f"component count ({n_bip})"
-        )
-
-    # Non-trivial spectrum: drop one +d per component and one -d per
-    # bipartite component.
-    nontrivial = mu[mult_top : len(mu) - n_bip] if n_bip else mu[mult_top:]
-    beta = g.d - float(np.max(np.abs(nontrivial))) if len(nontrivial) else float(g.d)
-    return tuple(float(x) for x in mu), beta
-
-
 def _lanczos_extremes(matvec, deflate, n: int, max_steps: int) -> tuple[float, float]:
     """Lowest and highest eigenvalue of a symmetric operator on the
     (non-empty) complement of the vectors that `deflate` projects out.
@@ -336,8 +299,8 @@ def _lanczos_gap(g: Graph, label: np.ndarray, color: np.ndarray, flags: list[boo
     component (eigenvalue -d); the two colour classes of a regular
     bipartite component have equal size, so the vectors are orthonormal and
     are projected out component by component.  They span everything only
-    when every component is a single edge (d = 1); then beta = d, as on the
-    dense route.
+    when every component is a single edge (d = 1); then the non-trivial
+    spectrum is empty and beta = d.
     """
     comps, n_bip = len(flags), sum(flags)
     if comps + n_bip == g.n:
@@ -368,22 +331,15 @@ def spectral_report(g: Graph) -> SpectralReport:
     """Spectral gap of the connectivity matrix, connectivity and bipartiteness.
 
     Connectivity and bipartiteness are decided structurally, by one
-    traversal with 2-colouring.  Up to DENSE_SPECTRUM_MAX_N vertices the
-    full spectrum comes from a dense eigensolve, whose multiplicities of
-    +/-d are cross-checked against the traversal; above it, beta comes
-    from deflated Lanczos, which rejects any Ritz value at +/-d, and mu is
-    None.  Either way numerics never decide alone.
+    traversal with 2-colouring; beta comes from deflated Lanczos, which
+    rejects any Ritz value at +/-d, so numerics never decide alone.  No
+    n x n matrix is built.
     """
     label, color, flags = _components(g)
-    if g.n <= DENSE_SPECTRUM_MAX_N:
-        mu, beta = _dense_spectrum(g, flags)
-    else:
-        mu, beta = None, _lanczos_gap(g, label, color, flags)
     return SpectralReport(
         n=g.n,
         d=g.d,
-        mu=mu,
-        beta=beta,
+        beta=_lanczos_gap(g, label, color, flags),
         is_connected=len(flags) == 1,
         is_bipartite=all(flags),
     )

@@ -1,3 +1,4 @@
+import csv
 import ctypes
 import hashlib
 import itertools
@@ -43,8 +44,16 @@ def run_child(*argv, prelude: str = "", **env) -> None:
 # test patches ctypes.CDLL, whose fake would otherwise stay in the cache
 qge._runtime._openblas()
 
-# a child prelude that leaves the CLI a C library without mallopt
-NO_MALLOPT = "import ctypes, qge.cli; ctypes.CDLL = lambda name: object(); "
+# child preludes: the C library without mallopt, while the OpenBLAS
+# libraries still open by path; and no C library to open at all
+NO_MALLOPT = (
+    "import ctypes, qge.cli; real = ctypes.CDLL; "
+    "ctypes.CDLL = lambda name, *a, **k: object() if name is None else real(name, *a, **k); "
+)
+NO_C_LIBRARY = "import ctypes, qge.cli; ctypes.CDLL = lambda name: object(); "
+# the sweep's values that the Ritz route of the Lanczos checks can move:
+# beta, within README's 1e-14, and what the bound derives from it
+RITZ_MOVED = ("beta", "bound", "term_walk", "total", "walk_constant")
 THRESHOLDS = {"M_MMAP_THRESHOLD": 8 << 20, "M_TRIM_THRESHOLD": 16 << 20}
 
 
@@ -168,6 +177,15 @@ class TestVarianceCommand:
         assert payload["stderr"] is None
         assert payload["estimate"] >= 0.0
 
+    def test_operands_beyond_memory_exit_3(self, k5_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(qge._runtime, "physical_memory", lambda: 1024)
+        out = tmp_path / "var.json"
+        assert run("variance", "--graph", str(k5_file), "--samples", "3", "--out", str(out)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "WorkBudgetError"
+        assert list(tmp_path.iterdir()) == [k5_file]
+
 
 class TestWalkCommands:
     def test_decay_bound_dominates(self, tmp_path):
@@ -244,6 +262,18 @@ class TestExperimentCommand:
         assert len(lines) == 2 + 4  # manifest comment + header + 4 rows
         assert Path(str(out) + ".constants.json").exists()
         ET.fromstring(svg.read_text())
+
+    def test_operands_beyond_memory_error_row(self, tmp_path, monkeypatch):
+        # memory for the k-samples in flight at n = 10 (2B = 40), not at
+        # n = 20 (2B = 80): that row alone becomes an error row
+        workers = qge._runtime.pool_workers(3)
+        monkeypatch.setattr(qge._runtime, "physical_memory", lambda: workers * 2 * 40**2 * 8)
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "sweep.csv"
+        cfg.write_text("d=4\nn_list=10,20\nseeds=1\nK=10\nsamples=3\n")
+        assert run("experiment", "--config", str(cfg), "--out", str(out)) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert [row["status"].split(":")[0] for row in rows] == ["ok", "error"]
+        assert "at 2B = 80 hold at least" in rows[1]["status"]
 
     def test_walk_unavailable_row(self, tmp_path):
         # n = 5 at d = 4 draws K5, whose beta = 3 >= d - 2 leaves no walk bound
@@ -406,23 +436,48 @@ class TestManifest:
         oracle = 4 - np.max(np.abs(np.linalg.eigvalsh(qge.import_graph(graph.read_text()).adjacency)[:-1]))
         assert abs(json.loads(out.read_text())["beta"] - oracle) <= 1e-8
 
-    def test_allocator_setting_outside_digest(self, paths):
+    def sweep_run(self, paths, prelude: str) -> tuple[dict, tuple]:
+        """The run block and (digest, CSV, constants) of the experiment
+        case in a child after `prelude`, at one BLAS thread."""
         argv = MANIFEST_CASES["experiment"][0].format(**paths).split()
-        out = Path(paths["out"])
-        runs, mallocs = [], []
-        for prelude in ("", NO_MALLOPT):
-            run_child(*argv, prelude=prelude, OPENBLAS_NUM_THREADS="1")
-            manifest = json.loads(Path(paths["out"] + ".manifest.json").read_text())
-            mallocs.append(manifest["run"]["malloc"])
-            constants = Path(paths["out"] + ".constants.json").read_bytes()
-            runs.append((manifest["digest"], out.read_bytes(), constants))
+        run_child(*argv, prelude=prelude, OPENBLAS_NUM_THREADS="1")
+        manifest = json.loads(Path(paths["out"] + ".manifest.json").read_text())
+        constants = Path(paths["out"] + ".constants.json").read_text()
+        return manifest["run"], (manifest["digest"], Path(paths["out"]).read_text(), constants)
+
+    def test_allocator_setting_outside_digest(self, paths):
+        records, runs = zip(*(self.sweep_run(paths, prelude) for prelude in ("", NO_MALLOPT)))
         assert runs[0] == runs[1]
-        assert mallocs[1] is None
-        # without a C library to open, no BLAS setter or dstemr is found either
-        assert (manifest["run"]["workers"], manifest["run"]["blas_threads"]) == (1, None)
-        assert manifest["run"]["ritz"] is None
+        assert records[1]["malloc"] is None
+        # mallopt alone is missing: the BLAS setter and dstemr are found as before
+        for key in ("workers", "blas_threads", "ritz"):
+            assert records[1][key] == records[0][key]
         if platform.libc_ver()[0] == "glibc":
-            assert mallocs[0] == THRESHOLDS
+            assert records[0]["malloc"] == THRESHOLDS
+
+    def test_no_c_library(self, paths):
+        # without a C library to open, no BLAS setter or dstemr is found
+        # either: every Lanczos check takes the dense eigh of T_j, which
+        # moves beta and the bound by at most 1e-14 and no other byte
+        (_, found), (record, missing) = (self.sweep_run(paths, p) for p in ("", NO_C_LIBRARY))
+        assert record["malloc"] is None and record["ritz"] is None
+        assert (record["workers"], record["blas_threads"]) == (1, None)
+        assert found[0] == missing[0]
+
+        def close(x, y):
+            return math.isclose(float(x), float(y), rel_tol=1e-14, abs_tol=1e-14)
+
+        tables = [list(csv.DictReader(run[1].splitlines()[1:])) for run in (found, missing)]
+        assert len(tables[0]) == len(tables[1]) == 2
+        for row, other in zip(*tables):
+            assert row.keys() == other.keys()
+            for key in row:
+                assert close(row[key], other[key]) if key in RITZ_MOVED else row[key] == other[key]
+        sidecars = [json.loads(run[2]) for run in (found, missing)]
+        for row, other in zip(sidecars[0]["rows"], sidecars[1]["rows"]):
+            for key in RITZ_MOVED[2:]:
+                assert close(row["terms"].pop(key), other["terms"].pop(key))
+        assert sidecars[0] == sidecars[1]
 
     def test_row_pool_outside_digest(self, paths, monkeypatch):
         argv = MANIFEST_CASES["experiment"][0].format(**paths).split()
@@ -557,6 +612,20 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
     assert child.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_output_mode_follows_umask(tmp_path, umask, mode):
+    # outputs are created as open(path, "w") creates a file: 0o666 less the umask
+    graph, dump = tmp_path / "g.txt", tmp_path / "dump.csv"
+    old = os.umask(umask)
+    try:
+        assert run("graph", "gen", "--n", "10", "--d", "4", "--seed", "1", "--out", str(graph)) == 0
+        assert run("scatter", "dump", "--kind", "kirchhoff", "--d", "4", "--out", str(dump)) == 0
+    finally:
+        os.umask(old)
+    for path in (graph, dump, Path(f"{graph}.manifest.json"), Path(f"{dump}.manifest.json")):
+        assert path.stat().st_mode & 0o777 == mode
 
 
 class TestExitCodes:

@@ -26,6 +26,7 @@ from qge import (
     ParameterError,
     ValidationError,
     VertexScattering,
+    WorkBudgetError,
     build_assembly,
     classical_map,
     constant_observable,
@@ -813,6 +814,43 @@ class TestVarianceEstimate:
             m_tilde(a, mg, 2, np.nan, 0)
         with pytest.raises(ParameterError, match="k window"):
             m_tilde(a, mg, 2, np.nan, 5)
+
+
+class TestOperandMemory:
+    """variance_estimate refuses k-samples whose operands, at least two
+    2B x 2B float64 arrays each, cannot fit in physical memory."""
+
+    def test_refused_before_any_eigenbasis(self, k5_metric, monkeypatch):
+        g, mg, a = k5_metric
+        calls = []
+        monkeypatch.setattr(evolution_module, "eigenbasis", lambda u: calls.append(u))
+        monkeypatch.setattr(_runtime, "physical_memory", lambda: 1024)
+        with pytest.raises(WorkBudgetError, match="at 2B = 20 hold at least .* 1024 bytes"):
+            variance_estimate(a, mg, parity_observable(g.bond_index), 10.0, 5)
+        assert calls == []
+
+    @pytest.mark.parametrize("memory, refused", [(12_799, True), (12_800, False), (None, False)])
+    def test_lower_bound(self, k5_metric, monkeypatch, memory, refused):
+        # two workers at 2B = 20 hold at least 2 * 2 * 20^2 * 8 = 12,800 bytes;
+        # where the memory size is not available nothing is checked
+        g, mg, a = k5_metric
+        monkeypatch.setattr(_runtime, "pool_workers", lambda items: 2)
+        monkeypatch.setattr(_runtime, "physical_memory", lambda: memory)
+        f = parity_observable(g.bond_index)
+        if refused:
+            with pytest.raises(WorkBudgetError, match="2 k-samples in flight at 2B = 20 hold at least 12800 bytes"):
+                variance_estimate(a, mg, f, 10.0, 5)
+        else:
+            assert variance_estimate(a, mg, f, 10.0, 5).samples == 5
+
+    def test_physical_memory(self, monkeypatch):
+        assert _runtime.physical_memory() is None or _runtime.physical_memory() > 2**20
+
+        def unavailable(name):
+            raise ValueError(f"unrecognized configuration name {name}")
+
+        monkeypatch.setattr(_runtime.os, "sysconf", unavailable)
+        assert _runtime.physical_memory() is None
 
 
 def _row_inputs(n=20, seed=3):

@@ -23,6 +23,7 @@ from qge import (
     spectral_report,
 )
 from qge import _runtime, graphs
+from qge.bonds import BondIndex
 from qge.cli import main
 
 from conftest import cage46, k5, k5_chain, oracle_girth, petersen
@@ -295,11 +296,31 @@ class TestImportExport:
             import_graph("4 3\n0 1\n")
 
 
+def dense_spectrum(g: Graph) -> np.ndarray:
+    """The connectivity spectrum in decreasing order, from a dense eigvalsh."""
+    return np.linalg.eigvalsh(g.adjacency.astype(np.float64))[::-1]
+
+
+def dense_report(g: Graph) -> graphs.SpectralReport:
+    """The oracle for spectral_report, from the dense spectrum alone: one
+    eigenvalue d per component and one -d per bipartite component decide
+    the flags, and beta is d - max |mu| over what is left."""
+    mu = dense_spectrum(g)
+    top = int(np.sum(mu > g.d - graphs.EIG_TOL))
+    bottom = int(np.sum(mu < -g.d + graphs.EIG_TOL))
+    nontrivial = mu[top : len(mu) - bottom]
+    beta = g.d - float(np.max(np.abs(nontrivial))) if len(nontrivial) else float(g.d)
+    return graphs.SpectralReport(
+        n=g.n, d=g.d, beta=beta, is_connected=top == 1, is_bipartite=bottom == top
+    )
+
+
 class TestSpectralReport:
     def test_k5(self):
         rep = spectral_report(k5())
-        assert rep.mu[0] == pytest.approx(4.0, abs=1e-9)
-        assert rep.mu[1:] == pytest.approx((-1.0,) * 4, abs=1e-9)
+        mu = dense_spectrum(k5())
+        assert mu[0] == pytest.approx(4.0, abs=1e-9)
+        assert mu[1:] == pytest.approx((-1.0,) * 4, abs=1e-9)
         assert rep.beta == pytest.approx(3.0, abs=1e-9)
         assert girth(k5()) == 3
         assert rep.is_connected and not rep.is_bipartite
@@ -309,11 +330,10 @@ class TestSpectralReport:
         pet = petersen()
         mu_oracle = np.sort(np.linalg.eigvalsh(pet.adjacency.astype(float)))[::-1]
         rep = spectral_report(pet)
-        assert np.allclose(rep.mu, mu_oracle, atol=1e-9)
         # known spectrum: 3 once, 1 five times, -2 four times
-        assert rep.mu[0] == pytest.approx(3.0, abs=1e-9)
-        assert rep.mu[1:6] == pytest.approx((1.0,) * 5, abs=1e-9)
-        assert rep.mu[6:] == pytest.approx((-2.0,) * 4, abs=1e-9)
+        assert mu_oracle[0] == pytest.approx(3.0, abs=1e-9)
+        assert mu_oracle[1:6] == pytest.approx((1.0,) * 5, abs=1e-9)
+        assert mu_oracle[6:] == pytest.approx((-2.0,) * 4, abs=1e-9)
         assert rep.beta == pytest.approx(1.0, abs=1e-9)
         assert girth(pet) == 5
 
@@ -321,7 +341,7 @@ class TestSpectralReport:
         rep = spectral_report(cage46())
         assert rep.is_bipartite
         assert girth(cage46()) == 6
-        assert rep.mu[-1] == pytest.approx(-4.0, abs=1e-9)
+        assert dense_spectrum(cage46())[-1] == pytest.approx(-4.0, abs=1e-9)
 
     def test_disconnected_components(self):
         edges = k5().edges
@@ -330,44 +350,27 @@ class TestSpectralReport:
         rep = spectral_report(g)
         assert not rep.is_connected
         # two +4 eigenvalues, both trivial
-        assert rep.mu[0] == pytest.approx(4.0, abs=1e-9)
-        assert rep.mu[1] == pytest.approx(4.0, abs=1e-9)
+        mu = dense_spectrum(g)
+        assert mu[0] == pytest.approx(4.0, abs=1e-9)
+        assert mu[1] == pytest.approx(4.0, abs=1e-9)
         assert rep.beta == pytest.approx(3.0, abs=1e-9)
 
-    @pytest.mark.parametrize(
-        "flags, match",
-        [([False, False], "multiplicity of d"), ([True], "-d multiplicity")],
-        ids=["components", "bipartite"],
-    )
-    def test_dense_multiplicities_cross_check_the_traversal(self, monkeypatch, flags, match):
-        # a traversal that miscounts the components or the bipartite ones of
-        # the (connected, non-bipartite) Petersen graph fails the dense route
-        real = graphs._components
-
-        def wrong(g):
-            label, color, _ = real(g)
-            return label, color, flags
-
-        monkeypatch.setattr(graphs, "_components", wrong)
-        with pytest.raises(ValidationError, match=match):
-            spectral_report(petersen())
-
     @pytest.mark.skipif(_runtime.openblas_threads() is None, reason="no OpenBLAS thread setter found")
-    def test_dense_route_at_one_blas_thread(self):
-        # the dense eigvalsh at n = 512 gave other last bits at two BLAS
-        # threads than at one; it runs at one whatever the count, which is
-        # restored after
+    @pytest.mark.parametrize("n", [40, 512])
+    def test_beta_bits_at_one_and_two_blas_threads(self, n):
+        # beta has the same bits at one and two BLAS threads, and the
+        # caller's count is restored after
         set_threads, get_threads = _runtime.openblas_threads()
-        g = generate_random_regular(graphs.DENSE_SPECTRUM_MAX_N, 4, seed=1)
-        old, reports = get_threads(), []
+        g = generate_random_regular(n, 4, seed=1)
+        old, betas = get_threads(), []
         try:
             for threads in (1, 2):
                 set_threads(threads)
-                reports.append(spectral_report(g))
+                betas.append(spectral_report(g).beta)
                 assert get_threads() == threads
         finally:
             set_threads(old)
-        assert reports[0].mu == reports[1].mu and reports[0].beta == reports[1].beta
+        assert betas[0].hex() == betas[1].hex()
 
     def test_girth_matches_bond_walk_oracle(self):
         for g in [k5(), petersen(), cage46(), k5_chain(4)]:
@@ -460,18 +463,9 @@ def double_cover(g: Graph) -> Graph:
     return Graph(n=2 * g.n, d=g.d, edges=tuple(edges))
 
 
-def dense_report(g: Graph):
-    """The report of the dense eigvalsh route, which serves as the oracle."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(graphs, "DENSE_SPECTRUM_MAX_N", g.n)
-        return spectral_report(g)
-
-
-def assert_routes_agree(g: Graph):
-    assert g.n > graphs.DENSE_SPECTRUM_MAX_N
+def assert_routes_agree(g: Graph, tol: float = 1e-8):
     rep, oracle = spectral_report(g), dense_report(g)
-    assert rep.mu is None and len(oracle.mu) == g.n
-    assert abs(rep.beta - oracle.beta) <= 1e-8
+    assert abs(rep.beta - oracle.beta) <= tol
     assert (rep.is_connected, rep.is_bipartite) == (oracle.is_connected, oracle.is_bipartite)
     if rep.is_connected and not rep.is_bipartite:
         assert is_ramanujan(rep) == is_ramanujan(oracle)
@@ -525,9 +519,66 @@ def g600():
     return generate_random_regular(600, 4, seed=3)
 
 
+# draws of the sampler at d = 6 and 7 that succeed at once: a failing draw
+# there takes about a second
+SMALL_DRAWS = {
+    6: [(14, 1), (20, 1), (20, 2), (20, 3), (30, 1), (30, 3), (40, 1)],
+    7: [(26, 2), (32, 2)],
+}
+
+
+def small_agreement_graphs(d: int) -> list[tuple[int, int]]:
+    """(n, seed) of every feasible n <= 40 at seeds 1-3, or SMALL_DRAWS."""
+    if d in SMALL_DRAWS:
+        return SMALL_DRAWS[d]
+    return [(n, seed) for n in range(d + 1, 41) if n * d % 2 == 0 for seed in (1, 2, 3)]
+
+
+def cells(d: int, size: int, count: int) -> Graph:
+    """count disjoint complete graphs on size = d + 1 vertices."""
+    cell = Graph(n=size, d=d, edges=tuple((u, v) for u in range(size) for v in range(u + 1, size)))
+    return disjoint_union(*[cell] * count)
+
+
+NAMED_SMALL = {
+    "k5": k5,
+    "petersen": petersen,
+    "cage46": cage46,
+    "k5-k5": lambda: disjoint_union(k5(), k5()),
+    "petersen-cover": lambda: double_cover(petersen()),
+    "petersen-and-cover": lambda: disjoint_union(petersen(), double_cover(petersen())),
+    "triangles": lambda: cells(2, 3, 4),
+    "matching": lambda: cells(1, 2, 5),
+}
+
+
 class TestLanczosRoute:
-    """Above DENSE_SPECTRUM_MAX_N vertices beta comes from deflated Lanczos;
-    the dense eigvalsh route is the oracle."""
+    """beta comes from deflated Lanczos at every n; a dense eigvalsh in
+    this module is the oracle."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_matches_dense_small(self, d):
+        # beta to 1e-12 and the same flags (measured: 8.4e-15 over 319
+        # graphs, every draw at d = 3..7, n <= 40, seeds 1-3)
+        for n, seed in small_agreement_graphs(d):
+            assert_routes_agree(generate_random_regular(n, d, seed=seed), tol=1e-12)
+
+    @pytest.mark.parametrize("name", list(NAMED_SMALL))
+    def test_matches_dense_named(self, name):
+        assert_routes_agree(NAMED_SMALL[name](), tol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 40, 512])
+    def test_no_dense_matrix_at_any_n(self, n, monkeypatch):
+        # no eigvalsh and no n x n adjacency, at any size
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense spectrum formed")
+
+        g = k5() if n == 5 else generate_random_regular(n, 4, seed=1)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(Graph, "adjacency", property(refuse))
+        monkeypatch.setattr(BondIndex, "adjacency", property(refuse))
+        rep = spectral_report(g)
+        assert 0.0 < rep.beta < g.d and rep.ergodic
 
     @pytest.mark.parametrize(
         "d, n", [(3, 514), (3, 1200), (4, 513), (4, 1000), (4, 2000), (5, 600), (5, 1500)]
@@ -655,17 +706,20 @@ class TestLanczosRoute:
             set_threads(old)
         assert len(seen) >= 2 and set(seen) == {1}
 
-    def test_route_threshold(self):
-        at = generate_random_regular(graphs.DENSE_SPECTRUM_MAX_N, 4, seed=1)
-        above = generate_random_regular(graphs.DENSE_SPECTRUM_MAX_N + 1, 4, seed=1)
-        assert len(spectral_report(at).mu) == at.n
-        assert spectral_report(above).mu is None
-
-    @pytest.mark.parametrize("drop", ["bipartite", "component"])
-    def test_undeflated_structure_rejected(self, g600, monkeypatch, drop):
+    @pytest.mark.parametrize(
+        "drop, small",
+        [("bipartite", False), ("component", False), ("bipartite", True), ("component", True)],
+        ids=["bipartite", "component", "bipartite-small", "component-small"],
+    )
+    def test_undeflated_structure_rejected(self, g600, monkeypatch, drop, small):
         # a traversal that misses a structural vector leaves an eigenvalue
-        # -d or d in the deflated operator, which the route must reject
-        g = double_cover(g600) if drop == "bipartite" else disjoint_union(g600, g600)
+        # -d or d in the deflated operator, which the route must reject: at
+        # n = 1200, on the (4,6)-cage flagged as not bipartite (a Ritz
+        # value -4) and on K5 u K5 labelled as one component (+4)
+        if drop == "bipartite":
+            g = cage46() if small else double_cover(g600)
+        else:
+            g = disjoint_union(*[k5() if small else g600] * 2)
         real = graphs._components
 
         def wrong(g):
@@ -688,7 +742,6 @@ class TestLanczosRoute:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        assert rep.mu is None
         assert np.isfinite(rep.beta) and 0.0 < rep.beta < g.d
 
     def test_non_convergence_is_numerical_error(self, g600, monkeypatch, tmp_path, capsys):
@@ -713,7 +766,7 @@ class TestLanczosRoute:
         out = tmp_path / "info.json"
         assert main(["graph", "info", str(path), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["mu"] is None
+        assert "mu" not in payload
         assert payload["is_connected"] and not payload["is_bipartite"]
         # oracle: connected and not bipartite, so only the top eigenvalue is trivial
         mu = np.linalg.eigvalsh(g600.adjacency.astype(float))

@@ -83,7 +83,7 @@ def gap_report(m, beta):
     """A spectral report of m's graph, read as connected and not bipartite,
     whose walk gap is beta: decay_profile's bound kinds at a chosen gap."""
     n, d = m.bond_index.out_bonds.shape
-    return SpectralReport(n=n, d=d, mu=None, beta=beta, is_connected=True, is_bipartite=False)
+    return SpectralReport(n=n, d=d, beta=beta, is_connected=True, is_bipartite=False)
 
 
 def _rule_cases():
